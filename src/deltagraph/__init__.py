@@ -46,7 +46,6 @@ from .graph import (
     DeltaGraph,
     Edge,
     GraphConstructionError,
-    Loop,
     NonTracialGraphError,
     Path,
     TruncatedGraph,
@@ -55,7 +54,6 @@ from .graph import (
     WeightingResult,
     ball,
     enumerate_loops,
-    loop_weight,
     validate,
     vertex_weighting,
 )
@@ -64,7 +62,6 @@ from .invariants import (
     PartialAutomorphism,
     partial_automorphisms,
     t0,
-    w_times,
 )
 from .io import (
     GraphDocument,
@@ -96,9 +93,6 @@ from .weights import (
     WeightFormatError,
     parse_weight,
     reduce_generators,
-    weight_eq,
-    weight_mul,
-    weight_sqrt,
 )
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .graph import (
     vertex_weighting,
     vid_key,
 )
+from .isomorphism import edges_inject
 from .weights import Weight
 
 
@@ -147,26 +148,12 @@ def check_action(
                     continue
                 checked += 1
                 img_edges = [e for e in b.out_edges(iu) if e.target == it]
-                if not _weight_multisets_equal(edges, img_edges):
+                if not edges_inject(edges, img_edges, True):
                     failures.append(
                         "generator %s does not preserve the edges %r -> %r"
                         % (gen.label, u, t)
                     )
     return ActionReport(not failures, tuple(failures), checked, skipped)
-
-
-def _weight_multisets_equal(e1, e2) -> bool:
-    if len(e1) != len(e2):
-        return False
-    remaining = list(e2)
-    for e in e1:
-        for i, f in enumerate(remaining):
-            if e.weight.eq(f.weight):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
 
 
 def _orbits(b: TruncatedGraph, action: GraphAction):

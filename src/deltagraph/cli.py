@@ -3,7 +3,8 @@
 Every command reads either a ``delta-graph v1`` file or a builder spec like
 ``double_chain:a=2,b=3``, and writes deterministic output.  Exit codes:
 0 success, 1 domain failure (reported as a ``FAIL <check> <detail>`` line),
-2 usage or parse errors.
+2 usage or parse errors, 3 a weight that left the float range
+(``OverflowError``); errors print one ``error: ...`` line to stderr.
 """
 from __future__ import annotations
 
@@ -354,6 +355,9 @@ def main(argv=None) -> int:
     except (GraphFormatError, WeightFormatError, GraphConstructionError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print("error: float overflow: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

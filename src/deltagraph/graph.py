@@ -124,14 +124,6 @@ class Path:
         return "Path(%r, [%s])" % (self.start, ", ".join(repr(e.eid) for e in self.edges))
 
 
-Loop = Path
-
-
-def loop_weight(l: Path) -> Weight:
-    """Ordered product of the loop's edge weights."""
-    return l.weight
-
-
 class DeltaGraph:
     """A delta graph given by a pure outgoing-adjacency function.
 

@@ -11,21 +11,19 @@ and no claim about the full graph.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 from .graph import (
     DeltaGraph,
-    Edge,
     NonTracialGraphError,
     TruncatedGraph,
     VertexId,
     ball,
     vertex_weighting,
-    vid_key,
 )
-from .weights import Weight, reduce_generators
+from .isomorphism import matchings
+from .weights import Weight, group_weights, reduce_generators
 
 
 @dataclass(frozen=True)
@@ -51,30 +49,18 @@ class InvariantReport:
         return tuple(w.value for w in self.certified_weights)
 
 
-def _class_injects(small: list[Edge], big: list[Edge], bijective: bool) -> bool:
-    """Can the small edge list map into the big one class-by-class, compatibly
-    with conjugation?  Self-conjugate self-loops must land on self-conjugate
-    ones, so their counts are compared separately."""
-    if bijective and len(small) != len(big):
-        return False
-    if len(small) > len(big):
-        return False
-    remaining = list(big)
-    for e in small:
-        for i, f in enumerate(remaining):
-            if e.weight.eq(f.weight) and (e.conjugate == e.eid) == (f.conjugate == f.eid):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
-
-
 def partial_automorphisms(
     g: DeltaGraph | TruncatedGraph, radius: int, shift_bound: int
 ) -> tuple[PartialAutomorphism, ...]:
-    """All weight-preserving injections of ball(radius), with the basepoint
-    sent within distance shift_bound; backtracking with signature pruning."""
+    """All weight-preserving injections of ball(radius) into
+    ball(radius + shift_bound), with the basepoint sent within distance
+    shift_bound.
+
+    These are the injective mappings of the engine behind ``iso_check``
+    (:func:`deltagraph.isomorphism.matchings`), in its order: interior
+    vertices keep their full outgoing weight multiset, while boundary
+    vertices of the small ball may gain edges in the image.
+    """
     big = ball(g, radius + shift_bound)
     wr = vertex_weighting(big)
     if not wr:
@@ -85,101 +71,17 @@ def partial_automorphisms(
         )
     wv = wr.weighting
     small = ball(g, radius)
-
-    order: list[VertexId] = [small.basepoint]
-    parent: dict[VertexId, Edge] = {}
-    seen = {small.basepoint}
-    queue = deque([small.basepoint])
-    while queue:
-        v = queue.popleft()
-        for e in sorted(small.out_edges(v), key=lambda e: vid_key(e.eid)):
-            if e.target not in seen:
-                seen.add(e.target)
-                parent[e.target] = e
-                order.append(e.target)
-                queue.append(e.target)
-
-    def compatible(u, v, mapping) -> bool:
-        interior = u not in small.boundary
-        if not _class_injects(
-            [e for e in small.out_edges(u) if e.target == u],
-            [e for e in big.out_edges(v) if e.target == v],
-            interior,
-        ):
-            return False
-        for m, w in mapping.items():
-            if not _class_injects(
-                [e for e in small.out_edges(u) if e.target == m],
-                [e for e in big.out_edges(v) if e.target == w],
-                interior,
-            ):
-                return False
-            if not _class_injects(
-                [e for e in small.out_edges(m) if e.target == u],
-                [e for e in big.out_edges(w) if e.target == v],
-                m not in small.boundary,
-            ):
-                return False
-        # interior vertices must carry their full outgoing weight multiset
-        if interior and not _class_injects(
-            list(small.out_edges(u)), list(big.out_edges(v)), True
-        ):
-            return False
-        return True
-
-    results: list[PartialAutomorphism] = []
-
-    def extend(idx: int, mapping: dict, used: set):
-        if idx == len(order):
-            results.append(
-                PartialAutomorphism(dict(mapping), radius, wv[mapping[small.basepoint]])
-            )
-            return
-        u = order[idx]
-        e = parent[u]
-        cands = []
-        for e2 in big.out_edges(mapping[e.source]):
-            if e2.target in used or not e2.weight.eq(e.weight):
-                continue
-            if e2.target not in cands:
-                cands.append(e2.target)
-        for v in sorted(cands, key=vid_key):
-            if compatible(u, v, mapping):
-                mapping[u] = v
-                used.add(v)
-                extend(idx + 1, mapping, used)
-                del mapping[u]
-                used.remove(v)
-
-    roots = sorted(
-        (v for v in big.vertices if big.distance[v] <= shift_bound), key=vid_key
+    roots = [v for v in big.vertices if big.distance[v] <= shift_bound]
+    return tuple(
+        PartialAutomorphism(m, radius, wv[m[small.basepoint]])
+        for m in matchings(small, big, roots, bijective=False)
     )
-    for root in roots:
-        if compatible(small.basepoint, root, {}):
-            extend(1, {small.basepoint: root}, {root})
-    return tuple(results)
-
-
-def _dedupe_weights(weights, ctx) -> tuple[Weight, ...]:
-    reps: list[Weight] = []
-    for w in sorted(weights, key=lambda w: (w.value, w.key())):
-        if not any(w.eq(r) for r in reps):
-            reps.append(w)
-    return tuple(reps)
-
-
-def w_times(
-    g: DeltaGraph | TruncatedGraph, radius: int, shift_bound: int, label: str = "Wx"
-) -> InvariantReport:
-    """Certified basepoint-image weights of all partial automorphisms,
-    deduplicated and reduced to a generating set."""
-    autos = partial_automorphisms(g, radius, shift_bound)
-    ctx = (g if isinstance(g, TruncatedGraph) else g).context
-    certified = _dedupe_weights((a.star_image_weight for a in autos), ctx)
-    gens = reduce_generators(certified, ctx)
-    return InvariantReport(label, certified, gens, radius, shift_bound)
 
 
 def t0(g: DeltaGraph | TruncatedGraph, radius: int, shift_bound: int) -> InvariantReport:
-    """Same computation as w_times; the two invariants coincide."""
-    return w_times(g, radius, shift_bound, label="T0")
+    """Certified basepoint-image weights of all partial automorphisms,
+    deduplicated and reduced to a generating set."""
+    autos = partial_automorphisms(g, radius, shift_bound)
+    certified = tuple(w for w, _ in group_weights(a.star_image_weight for a in autos))
+    gens = reduce_generators(certified, g.context)
+    return InvariantReport("T0", certified, gens, radius, shift_bound)

@@ -1,13 +1,18 @@
-"""Basepoint-aware isomorphism testing of truncated graphs.
+"""Basepoint-aware matching of truncated graphs.
 
-Backtracking search over a BFS ordering with weight-signature pruning; no
-canonical labeling.  Two truncations are isomorphic when a vertex bijection
-induces an edge bijection preserving source, target, weight, conjugation and
-boundary flags.
+One backtracking engine, :func:`matchings`, serves both isomorphism testing
+(:func:`iso_check`) and the partial automorphisms of
+:mod:`deltagraph.invariants`.  It maps vertices in BFS-tree order from an
+explicit stack, so search depth is not bounded by the recursion limit, and
+checks each new pair only against its already-mapped neighbours, in the
+manner of VF2 (Cordella et al., TPAMI 2004).  No canonical labeling.  Two
+truncations are isomorphic when a vertex bijection induces an edge bijection
+preserving source, target, weight, conjugation and boundary flags.
 """
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Edge, TruncatedGraph, VertexId, vid_key
 
@@ -53,64 +58,128 @@ def _signature(t: TruncatedGraph, v: VertexId, exact: bool):
     return (v in t.boundary, len(es))
 
 
-def _classes(edges: tuple[Edge, ...]) -> list[tuple[Edge, list[Edge]]]:
-    """Group edges into weight classes using tolerance-aware equality."""
-    out: list[tuple[Edge, list[Edge]]] = []
-    for e in edges:
-        for rep, members in out:
-            if rep.weight.eq(e.weight):
-                members.append(e)
-                break
-        else:
-            out.append((e, [e]))
-    return out
+def edges_inject(small: Sequence[Edge], big: Sequence[Edge], bijective: bool) -> bool:
+    """Can the small edge multiset map into the big one class by class?
 
-
-def _pair_counts_match(t1: TruncatedGraph, u, m, t2: TruncatedGraph, v, w) -> bool:
-    """Edges u->m in t1 must match edges v->w in t2, classwise by weight."""
-    e1 = tuple(e for e in t1.out_edges(u) if e.target == m)
-    e2 = tuple(e for e in t2.out_edges(v) if e.target == w)
-    if len(e1) != len(e2):
+    Edges match when their weights are equal (:func:`_weq`), and a
+    self-conjugate edge only matches a self-conjugate one.  With
+    ``bijective`` the map must also be onto.
+    """
+    if len(small) > len(big) or (bijective and len(small) != len(big)):
         return False
-    if not e1:
-        return True
-    c1 = _classes(e1)
-    c2 = list(_classes(e2))
-    for rep, members in c1:
-        for i, (rep2, members2) in enumerate(c2):
-            if _weq(rep.weight, rep2.weight):
-                if len(members) != len(members2):
-                    return False
-                if u == m:
-                    # self-loop class: self-conjugate counts must agree
-                    f1 = sum(1 for e in members if e.conjugate == e.eid)
-                    f2 = sum(1 for e in members2 if e.conjugate == e.eid)
-                    if f1 != f2:
-                        return False
-                del c2[i]
+    remaining = list(big)
+    for e in small:
+        for i, f in enumerate(remaining):
+            if _weq(e.weight, f.weight) and (e.conjugate == e.eid) == (f.conjugate == f.eid):
+                del remaining[i]
                 break
         else:
             return False
-    return not c2
+    return True
 
 
-def _bfs_order(t: TruncatedGraph):
+def bfs_tree(t: TruncatedGraph) -> tuple[list[VertexId], dict[VertexId, Edge]]:
     """Vertices in BFS order with the tree edge used to reach each of them."""
     order: list[VertexId] = [t.basepoint]
     parent: dict[VertexId, Edge] = {}
-    seen = {t.basepoint}
     queue = deque([t.basepoint])
     while queue:
         v = queue.popleft()
         for e in sorted(t.out_edges(v), key=lambda e: vid_key(e.eid)):
-            if e.target not in seen:
-                seen.add(e.target)
+            if e.target != t.basepoint and e.target not in parent:
                 parent[e.target] = e
                 order.append(e.target)
                 queue.append(e.target)
     if len(order) != len(t.vertices):
-        raise ValueError("iso_check requires truncations connected from the basepoint")
+        raise ValueError("matching requires truncations connected from the basepoint")
     return order, parent
+
+
+def _neighbours(t: TruncatedGraph) -> dict[VertexId, set[VertexId]]:
+    """Out-targets and in-sources of every vertex."""
+    nbrs: dict[VertexId, set[VertexId]] = {v: set() for v in t.vertices}
+    for v in t.vertices:
+        for e in t.out_edges(v):
+            nbrs[v].add(e.target)
+            nbrs[e.target].add(v)
+    return nbrs
+
+
+def _between(t: TruncatedGraph, u: VertexId, m: VertexId) -> list[Edge]:
+    return [e for e in t.out_edges(u) if e.target == m]
+
+
+def matchings(
+    g1: TruncatedGraph, g2: TruncatedGraph, roots: Iterable[VertexId], bijective: bool
+) -> Iterator[dict[VertexId, VertexId]]:
+    """Every edge-preserving injection of g1 into g2 sending g1's basepoint
+    to one of ``roots``.
+
+    Vertices of g1 are mapped in BFS-tree order; each is sent along an edge
+    of the image of its tree parent, trying candidates in ``vid_key`` order,
+    so mappings come out in that lexicographic order.  Edges between mapped
+    vertices must inject class by class (:func:`edges_inject`), and onto
+    where their source is matched exactly: every vertex when ``bijective``,
+    else the interior ones, which also carry their full outgoing multiset.
+    ``bijective`` also requires boundary flags to agree.
+    """
+    order, parent = bfs_tree(g1)
+    nbrs1, nbrs2 = _neighbours(g1), _neighbours(g2)
+    mapping: dict[VertexId, VertexId] = {}
+    inverse: dict[VertexId, VertexId] = {}
+
+    def exact(x) -> bool:
+        return bijective or x not in g1.boundary
+
+    def compatible(u, v) -> bool:
+        if bijective and (u in g1.boundary) != (v in g2.boundary):
+            return False
+        onto = exact(u)
+        if onto and not edges_inject(g1.out_edges(u), g2.out_edges(v), True):
+            return False
+        if not edges_inject(_between(g1, u, u), _between(g2, v, v), onto):
+            return False
+        # a pair not touched by u or v in either graph carries no edges on
+        # either side, so only these mapped vertices need checking
+        near = {m for m in nbrs1[u] if m in mapping}
+        near.update(inverse[w] for w in nbrs2[v] if w in inverse)
+        for m in near:
+            w = mapping[m]
+            if not edges_inject(_between(g1, u, m), _between(g2, v, w), onto):
+                return False
+            if not edges_inject(_between(g1, m, u), _between(g2, w, v), exact(m)):
+                return False
+        return True
+
+    def candidates(i: int) -> Iterator[VertexId]:
+        if i == 0:
+            return iter(sorted(roots, key=vid_key))
+        e = parent[order[i]]
+        got = dict.fromkeys(
+            f.target
+            for f in g2.out_edges(mapping[e.source])
+            if f.target not in inverse and _weq(f.weight, e.weight)
+        )
+        return iter(sorted(got, key=vid_key))
+
+    stack = [candidates(0)]
+    while stack:
+        i = len(stack) - 1
+        u = order[i]
+        if u in mapping:  # back at this level: undo its previous choice
+            del inverse[mapping.pop(u)]
+        for v in stack[-1]:
+            if compatible(u, v):
+                mapping[u] = v
+                inverse[v] = u
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 == len(order):
+            yield dict(mapping)
+        else:
+            stack.append(candidates(i + 1))
 
 
 def iso_check(
@@ -122,8 +191,10 @@ def iso_check(
 ) -> dict | None:
     """Vertex bijection inducing a weight/conjugation-preserving edge bijection.
 
-    Returns the mapping g1 -> g2, or None.  With ``interior_only`` both sides
-    are first restricted to their interior-induced subgraphs.
+    Returns the mapping g1 -> g2, or None: the first mapping of
+    :func:`matchings` in bijective mode, after cheap count and signature
+    prefilters.  With ``interior_only`` both sides are first restricted to
+    their interior-induced subgraphs.
     """
     if g1.radius != g2.radius:
         raise ValueError("truncations have different radii (%d vs %d)" % (g1.radius, g2.radius))
@@ -135,61 +206,8 @@ def iso_check(
     if len(g1.edges()) != len(g2.edges()):
         return None
     exact = _is_exact(g1) and _is_exact(g2) and g1.context == g2.context
-    sig2: dict = {}
-    for v in g2.vertices:
-        sig2.setdefault(_signature(g2, v, exact), []).append(v)
-    for v in g1.vertices:
-        if _signature(g1, v, exact) not in sig2:
-            return None
-
-    order, parent = _bfs_order(g1)
-
-    def compatible(u, v, mapping) -> bool:
-        if (u in g1.boundary) != (v in g2.boundary):
-            return False
-        if _signature(g1, u, exact) != _signature(g2, v, exact):
-            return False
-        if not _pair_counts_match(g1, u, u, g2, v, v):
-            return False
-        for m, w in mapping.items():
-            if not _pair_counts_match(g1, u, m, g2, v, w):
-                return False
-            if not _pair_counts_match(g1, m, u, g2, w, v):
-                return False
-        return True
-
-    if fix_basepoint:
-        roots = [g2.basepoint]
-    else:
-        roots = list(g2.vertices)
-
-    def extend(idx: int, mapping: dict, used: set) -> dict | None:
-        if idx == len(order):
-            return dict(mapping)
-        u = order[idx]
-        e = parent[u]
-        p_img = mapping[e.source]
-        cands = []
-        for e2 in g2.out_edges(p_img):
-            if e2.target in used or not _weq(e2.weight, e.weight):
-                continue
-            if e2.target not in cands:
-                cands.append(e2.target)
-        for v in sorted(cands, key=vid_key):
-            if compatible(u, v, mapping):
-                mapping[u] = v
-                used.add(v)
-                got = extend(idx + 1, mapping, used)
-                if got is not None:
-                    return got
-                del mapping[u]
-                used.remove(v)
+    sig2 = {_signature(g2, v, exact) for v in g2.vertices}
+    if any(_signature(g1, v, exact) not in sig2 for v in g1.vertices):
         return None
-
-    for root in sorted(roots, key=vid_key):
-        if not compatible(order[0], root, {}):
-            continue
-        got = extend(1, {order[0]: root}, {root})
-        if got is not None:
-            return got
-    return None
+    roots = [g2.basepoint] if fix_basepoint else g2.vertices
+    return next(matchings(g1, g2, roots, bijective=True), None)

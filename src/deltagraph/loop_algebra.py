@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .graph import Path, VertexId, enumerate_loops, vid_key
-from .weights import GeneratorContext, Weight
+from .weights import GeneratorContext, Weight, group_weights
 
 ExpKey = tuple  # canonical exact exponent tuple, as in Weight.exponents
 
@@ -324,18 +324,6 @@ class ModularSpectrum:
         return all(w.is_identity() for w, _ in self.eigenvalues)
 
 
-def _group_weights(weights: Iterable[Weight], ctx: GeneratorContext):
-    groups: list[tuple[Weight, int]] = []
-    for w in sorted(weights, key=lambda w: (w.value, w.key())):
-        for i, (rep, m) in enumerate(groups):
-            if rep.eq(w):
-                groups[i] = (rep, m + 1)
-                break
-        else:
-            groups.append((w, 1))
-    return tuple(groups)
-
-
 def modular_spectrum(
     graph, n: int, verify: bool | None = None, verify_limit: int = 256
 ) -> ModularSpectrum:
@@ -348,8 +336,7 @@ def modular_spectrum(
     loops.
     """
     loops = enumerate_loops(graph, n)
-    ctx = graph.context
-    spectrum = _group_weights((l.weight for l in loops), ctx)
+    spectrum = group_weights(l.weight for l in loops)
     run = verify if verify is not None else len(loops) <= verify_limit
     if run:
         vecs = [loop_vector(l) for l in loops]

@@ -218,16 +218,18 @@ class Weight:
         return "Weight(%s)" % self.text()
 
 
-def weight_mul(w1: Weight, w2: Weight) -> Weight:
-    return w1 * w2
-
-
-def weight_sqrt(w: Weight) -> Weight:
-    return w.sqrt()
-
-
-def weight_eq(w1: Weight, w2: Weight) -> bool:
-    return w1.eq(w2)
+def group_weights(weights: Iterable[Weight]) -> tuple[tuple[Weight, int], ...]:
+    """Weights grouped by tolerance-aware equality, as (representative,
+    multiplicity) pairs in ascending order of value."""
+    groups: list[tuple[Weight, int]] = []
+    for w in sorted(weights, key=lambda w: (w.value, w.key())):
+        for i, (rep, m) in enumerate(groups):
+            if rep.eq(w):
+                groups[i] = (rep, m + 1)
+                break
+        else:
+            groups.append((w, 1))
+    return tuple(groups)
 
 
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")

@@ -149,10 +149,12 @@ class TestRecover:
         ],
         ids=["double_chain", "single_chain", "cycle3"],
     )
-    def test_recover_matches_ball(self, maker):
+    def test_recover_matches_ball(self, maker, assert_carries_edges):
         g = maker()
         rec = recover(g, 4)
-        assert iso_check(rec, ball(g, 4), fix_basepoint=True, interior_only=True)
+        m = iso_check(rec, ball(g, 4), fix_basepoint=True, interior_only=True)
+        assert m
+        assert_carries_edges(rec, ball(g, 4), m)
 
     def test_recover_validates(self, dchain):
         rec = recover(dchain, 3)

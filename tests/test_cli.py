@@ -34,6 +34,13 @@ class TestBasics:
         code, out, err = run(capsys, "validate", str(p))
         assert code == 2
 
+    def test_float_overflow_exit_3(self, capsys):
+        # 9^k leaves the float range past k = 323, inside the searched ball
+        code, out, err = run(capsys, "invariants", "single_chain:q=9", "--radius", "330")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "spectrum", "double_chain:a=2,b=3", "--n", "2")
         _, out2, _ = run(capsys, "spectrum", "double_chain:a=2,b=3", "--n", "2")

@@ -105,10 +105,12 @@ class TestTracialCover:
             assert nu[cv] == cv.weight
 
     @pytest.mark.parametrize("r", [0, 1, 2])
-    def test_idempotent_on_interiors(self, dchain, r):
+    def test_idempotent_on_interiors(self, dchain, r, assert_carries_edges):
         cov1, _ = tracial_cover(dchain, r + 1)
         cov2, _ = tracial_cover(cov1, r + 1)
-        assert iso_check(cov2, cov1, fix_basepoint=True, interior_only=True) is not None
+        m = iso_check(cov2, cov1, fix_basepoint=True, interior_only=True)
+        assert m is not None
+        assert_carries_edges(cov2, cov1, m)
 
 
 class TestLiftLoop:

@@ -9,7 +9,6 @@ from deltagraph import (
     Path,
     ball,
     enumerate_loops,
-    loop_weight,
     validate,
     vertex_weighting,
 )
@@ -153,7 +152,7 @@ class TestLoops:
         loops = enumerate_loops(chain, 0)
         assert len(loops) == 1
         assert loops[0].edges == ()
-        assert loop_weight(loops[0]).is_identity()
+        assert loops[0].weight.is_identity()
 
     def test_chain_two_loops(self, chain):
         loops = enumerate_loops(chain, 2)

@@ -16,8 +16,8 @@ from deltagraph import (
     NonTracialGraphError,
     deformed_chain,
     partial_automorphisms,
+    single_chain,
     t0,
-    w_times,
 )
 
 
@@ -95,33 +95,32 @@ class TestReports:
         assert rep.generators == ()
         assert [w.text() for w in rep.certified_weights] == ["1"]
 
-    def test_w_times_equals_t0(self, chain):
-        a = w_times(chain, 2, 2)
-        b = t0(chain, 2, 2)
-        assert a.certified_weights == b.certified_weights
-        assert a.generators == b.generators
+    def test_chain_generators_deep_ball(self):
+        # 1401 vertices to map, past the default recursion limit
+        rep = t0(single_chain(2), 700, 1)
+        assert [w.text() for w in rep.generators] == ["q^1"]
 
     def test_identity_weight_always_certified(self, grid23):
-        rep = w_times(grid23, 1, 1)
+        rep = t0(grid23, 1, 1)
         assert any(w.is_identity() for w in rep.certified_weights)
 
     def test_inverse_closure(self, chain, grid23):
         for g, r, s in ((chain, 3, 3), (grid23, 2, 2)):
-            rep = w_times(g, r, s)
+            rep = t0(g, r, s)
             values = sorted(round(w.value, 9) for w in rep.certified_weights)
             invs = sorted(round(1.0 / w.value, 9) for w in rep.certified_weights)
             assert values == invs
 
     def test_monotone_in_radius(self, chain, grid23):
         for g, s in ((chain, 2), (grid23, 2)):
-            small = {w.key() for w in w_times(g, 1, s).certified_weights}
-            bigger = {w.key() for w in w_times(g, 2, s).certified_weights}
+            small = {w.key() for w in t0(g, 1, s).certified_weights}
+            bigger = {w.key() for w in t0(g, 2, s).certified_weights}
             assert bigger <= small
 
     def test_deformed_chain_shrinks_strictly(self):
         g = deformed_chain(1.05, 0.3)
-        r0 = w_times(g, 0, 1)
-        r1 = w_times(g, 1, 1)
+        r0 = t0(g, 0, 1)
+        r1 = t0(g, 1, 1)
         assert len(r0.certified_weights) == 3  # unconstrained candidates
         assert [w.text() for w in r1.certified_weights] == ["1"]
         assert r1.generators == ()

@@ -1,8 +1,22 @@
-"""Basepoint isomorphism checks: identity, weight sensitivity, symmetry."""
+"""Basepoint isomorphism checks: identity, weight sensitivity, symmetry,
+and the mappings of the shared matcher carrying every edge."""
 
 import pytest
 
-from deltagraph import TruncatedGraph, ball, iso_check, tracial_cover
+from deltagraph import (
+    TruncatedGraph,
+    ball,
+    cayley,
+    cycle,
+    deformed_chain,
+    double_chain,
+    grid,
+    iso_check,
+    partial_automorphisms,
+    single_chain,
+    tracial_cover,
+    vertex_weighting,
+)
 
 
 class TestIsoCheck:
@@ -10,7 +24,8 @@ class TestIsoCheck:
         b = ball(chain, 3)
         m = iso_check(b, b)
         assert m is not None
-        assert all(m[v] == v or True for v in m)  # a bijection exists
+        # the weights break the chain's reflection: only the identity is left
+        assert len(m) == len(b.vertices) and all(m[v] == v for v in m)
         assert m[b.basepoint] == b.basepoint
 
     def test_different_weights_absent(self):
@@ -64,16 +79,56 @@ class TestIsoCheck:
         )
         assert iso_check(b, unflagged) is None
 
-    def test_interior_only(self, chain, dchain):
+    def test_interior_only(self, chain, dchain, assert_carries_edges):
         # interiors of the radius-3 cover and grid balls agree even though
         # their boundaries carry different vertex counts per distance
-        from deltagraph import grid, tracial_cover
-
         cov, _ = tracial_cover(dchain, 3)
         bg = ball(grid(2, 3), 3)
-        assert iso_check(cov, bg, interior_only=True) is not None
+        m = iso_check(cov, bg, interior_only=True)
+        assert m is not None
+        assert_carries_edges(cov, bg, m)
 
     def test_free_basepoint(self, cycle4_flat):
         b = ball(cycle4_flat, 2)
         # with the basepoint free, any rotation anchors the map
         assert iso_check(b, b, fix_basepoint=False) is not None
+
+    def test_grid_r24_identity(self):
+        # 1201 vertices: deeper than the default recursion limit allows a
+        # recursive search to go
+        b1, b2 = ball(grid(2, 3), 24), ball(grid(2, 3), 24)
+        m = iso_check(b1, b2)
+        assert m is not None
+        assert len(m) == len(b1.vertices) == 1201
+        assert all(u == v for u, v in m.items())
+
+
+BUILDERS = {
+    "single_chain": lambda: single_chain(2),
+    "double_chain": lambda: double_chain(2, 3),
+    "grid": lambda: grid(2, 3),
+    "cycle3": lambda: cycle(3, 2),
+    "cycle4_flat": lambda: cycle(4, 1),
+    "cayley2": lambda: cayley((2, 3)),
+    "cayley1": lambda: cayley((2.0,)),
+    "deformed_chain": lambda: deformed_chain(1.05, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("radius", [1, 2])
+def test_mappings_carry_edges(name, radius, assert_carries_edges):
+    g = BUILDERS[name]()
+    b = ball(g, radius)
+    for fix in (True, False):
+        m = iso_check(b, b, fix_basepoint=fix)
+        assert m is not None
+        assert_carries_edges(b, b, m)
+    big = ball(g, radius + 1)
+    if not vertex_weighting(big):
+        return  # partial automorphisms need a tracial graph
+    autos = partial_automorphisms(g, radius, 1)
+    assert autos
+    for a in autos:
+        assert_carries_edges(b, big, a.mapping)
+
