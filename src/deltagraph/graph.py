@@ -220,6 +220,7 @@ class TruncatedGraph:
         self.exhausted = exhausted
         self.label = label
         self._edges: dict[EdgeId, Edge] = {}
+        self._sorted_edges: tuple[Edge, ...] | None = None
         for es in self._out.values():
             for e in es:
                 if e.eid in self._edges:
@@ -240,7 +241,13 @@ class TruncatedGraph:
         return eid in self._edges
 
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(self._edges[k] for k in sorted(self._edges, key=vid_key))
+        """Every edge, ordered by ``vid_key`` of its id; sorted once."""
+        if self._sorted_edges is None:
+            self._sorted_edges = tuple(self._edges[k] for k in sorted(self._edges, key=vid_key))
+        return self._sorted_edges
+
+    def edge_count(self) -> int:
+        return len(self._edges)
 
     def conjugate_edge(self, e: Edge) -> Edge:
         got = self._edges.get(e.conjugate)

@@ -39,7 +39,7 @@ def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
 
 
 def _is_exact(t: TruncatedGraph) -> bool:
-    return all(e.weight.is_exact for e in t.edges())
+    return all(e.weight.is_exact for v in t.vertices for e in t.out_edges(v))
 
 
 def _weq(w1, w2) -> bool:
@@ -203,7 +203,7 @@ def iso_check(
         g2 = interior_restriction(g2)
     if len(g1.vertices) != len(g2.vertices):
         return None
-    if len(g1.edges()) != len(g2.edges()):
+    if g1.edge_count() != g2.edge_count():
         return None
     exact = _is_exact(g1) and _is_exact(g2) and g1.context == g2.context
     sig2 = {_signature(g2, v, exact) for v in g2.vertices}

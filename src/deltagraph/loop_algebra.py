@@ -17,20 +17,49 @@ from typing import Mapping
 from .graph import Path, VertexId, enumerate_loops, vid_key
 from .weights import GeneratorContext, Weight, group_weights
 
-ExpKey = tuple  # canonical exact exponent tuple, as in Weight.exponents
+
+def _scalar(s):
+    """A rational scalar as an ``int`` when it is integral."""
+    return s.numerator if type(s) is Fraction and s.denominator == 1 else s
 
 
-@dataclass(frozen=True)
+def _term_order(term):
+    w = term[0]
+    return w.num, w.den
+
+
+def _canonical(acc: dict) -> tuple:
+    """Terms of a weight -> scalar dict: zero scalars dropped, sorted."""
+    items = [(w, _scalar(s)) for w, s in acc.items() if s]
+    if len(items) > 1:
+        items.sort(key=_term_order)
+    return tuple(items)
+
+
+def _by_exponents(terms) -> list:
+    return sorted(terms, key=lambda t: t[0].exponents)
+
+
 class Coefficient:
     """Scalar closed under the sums the cup map produces.
 
     Exact mode: a rational linear combination of exact monomial weights,
-    stored as (exponent-key, rational) terms.  Float mode: one complex value.
+    stored in ``terms`` as ``(Weight, scalar)`` pairs, one per weight, with
+    nonzero scalars that are ``int`` when integral and ``Fraction``
+    otherwise.  Terms are kept sorted by the weight's ``(num, den)``, so
+    equal coefficients have equal terms; products multiply weights, and no
+    ``Fraction`` is made while scalars stay integral.  Text and ``value``
+    visit terms in order of ``Weight.exponents``.  Float mode: ``terms`` is
+    None and ``cvalue`` holds one complex value.  Immutable.
     """
 
-    context: GeneratorContext
-    terms: tuple[tuple[ExpKey, Fraction], ...] | None
-    cvalue: complex | None = None
+    __slots__ = ("context", "terms", "cvalue")
+
+    def __init__(self, context: GeneratorContext, terms: tuple | None,
+                 cvalue: complex | None = None):
+        self.context = context
+        self.terms = terms
+        self.cvalue = cvalue
 
     @classmethod
     def zero(cls, context: GeneratorContext) -> "Coefficient":
@@ -38,15 +67,13 @@ class Coefficient:
 
     @classmethod
     def one(cls, context: GeneratorContext) -> "Coefficient":
-        return cls(context, (((), Fraction(1)),))
+        return cls(context, ((context.identity(), 1),))
 
     @classmethod
     def of_weight(cls, w: Weight, scalar=1) -> "Coefficient":
         if w.is_exact:
-            s = Fraction(scalar)
-            if s == 0:
-                return cls.zero(w.context)
-            return cls(w.context, ((w.exponents, s),))
+            s = scalar if type(scalar) is int else _scalar(Fraction(scalar))
+            return cls(w.context, ((w, s),) if s else ())
         return cls(w.context, None, complex(scalar) * w.value)
 
     @property
@@ -58,35 +85,38 @@ class Coefficient:
             return not self.terms
         return self.cvalue == 0
 
-    def _normalized(self, acc: dict) -> "Coefficient":
-        items = tuple(sorted((k, v) for k, v in acc.items() if v != 0))
-        return Coefficient(self.context, items)
-
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        if self.is_exact and other.is_exact:
-            acc = dict(self.terms)
-            for k, v in other.terms:
-                acc[k] = acc.get(k, Fraction(0)) + v
-            return self._normalized(acc)
+        a, b = self.terms, other.terms
+        if a is not None and b is not None:
+            if not b:
+                return self
+            if not a:
+                return other
+            acc = dict(a)
+            for w, s in b:
+                got = acc.get(w)
+                acc[w] = s if got is None else got + s
+            return Coefficient(self.context, _canonical(acc))
         return Coefficient(self.context, None, self.value() + other.value())
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
-        if self.is_exact and other.is_exact:
+        a, b = self.terms, other.terms
+        if a is not None and b is not None:
+            if len(a) == 1 and len(b) == 1:
+                ((w1, s1),), ((w2, s2),) = a, b
+                return Coefficient(self.context, ((w1 * w2, _scalar(s1 * s2)),))
             acc: dict = {}
-            for k1, v1 in self.terms:
-                e1 = dict(k1)
-                for k2, v2 in other.terms:
-                    e2 = dict(e1)
-                    for n, e in k2:
-                        e2[n] = e2.get(n, Fraction(0)) + e
-                    key = tuple(sorted((n, e) for n, e in e2.items() if e))
-                    acc[key] = acc.get(key, Fraction(0)) + v1 * v2
-            return self._normalized(acc)
+            for w1, s1 in a:
+                for w2, s2 in b:
+                    w = w1 * w2
+                    got = acc.get(w)
+                    acc[w] = s1 * s2 if got is None else got + s1 * s2
+            return Coefficient(self.context, _canonical(acc))
         return Coefficient(self.context, None, self.value() * other.value())
 
     def __neg__(self) -> "Coefficient":
         if self.is_exact:
-            return Coefficient(self.context, tuple((k, -v) for k, v in self.terms))
+            return Coefficient(self.context, tuple((w, -s) for w, s in self.terms))
         return Coefficient(self.context, None, -self.cvalue)
 
     def conjugate(self) -> "Coefficient":
@@ -98,8 +128,8 @@ class Coefficient:
         if not self.is_exact:
             return self.cvalue
         total = 0.0
-        for key, r in self.terms:
-            total += float(r) * self.context.exact(dict(key)).value
+        for w, r in _by_exponents(self.terms):
+            total += float(r) * w.value
         return complex(total)
 
     def isclose(self, other: "Coefficient") -> bool:
@@ -116,10 +146,24 @@ class Coefficient:
         if not self.terms:
             return "0"
         parts = []
-        for key, r in self.terms:
-            mono = Weight(self.context, key, 0.0).text() if key else "1"
-            parts.append(mono if r == 1 and key else ("%s" % r if not key else "%s %s" % (r, mono)))
+        for w, r in _by_exponents(self.terms):
+            if w.is_identity():
+                parts.append("%s" % r)
+            else:
+                parts.append(w.text() if r == 1 else "%s %s" % (r, w.text()))
         return " + ".join(parts)
+
+    def __eq__(self, other):
+        if not isinstance(other, Coefficient):
+            return NotImplemented
+        return (
+            self.terms == other.terms
+            and self.cvalue == other.cvalue
+            and (self.context is other.context or self.context == other.context)
+        )
+
+    def __hash__(self):
+        return hash((self.terms, self.cvalue))
 
     def __repr__(self):
         return "Coefficient(%s)" % self.text()
@@ -242,16 +286,20 @@ def cap(v: LoopVector, i: int) -> LoopVector:
     if not 1 <= i <= v.length - 1:
         raise IndexError("cap index %d out of range 1..%d" % (i, v.length - 1))
     acc: dict[Path, Coefficient] = {}
+    pairs: dict = {}  # per contracted pair: (inverse pair weight, sqrt coefficient)
     for l, c in v.terms.items():
         e1, e2 = l.edges[i - 1], l.edges[i]
         if e1.conjugate != e2.eid or e2.conjugate != e1.eid:
             continue
-        nl = Path(
-            l.start,
-            l.edges[: i - 1] + l.edges[i + 1 :],
-            l.weight * (e1.weight * e2.weight).inverse(),
-        )
-        coeff = c * Coefficient.of_weight(e1.weight.sqrt())
+        got = pairs.get(e1.eid)
+        if got is None:
+            got = pairs[e1.eid] = (
+                (e1.weight * e2.weight).inverse(),
+                Coefficient.of_weight(e1.weight.sqrt()),
+            )
+        inv_w, sq = got
+        nl = Path(l.start, l.edges[: i - 1] + l.edges[i + 1 :], l.weight * inv_w)
+        coeff = c * sq
         got = acc.get(nl)
         acc[nl] = coeff if got is None else got + coeff
     return _vec(v.length - 2, acc)

@@ -5,6 +5,15 @@ monomials ``prod g_i^(r_i)`` with rational exponents over the generators
 declared in a :class:`GeneratorContext`; rational exponents keep square roots
 inside the group.  Weights that are not monomials in the declared generators
 use float mode, where equality is tolerance-based.
+
+An exact weight is stored as a tuple of ints ``num``, one per generator in
+the context's order, over one positive common denominator ``den``, with
+``gcd(den, *num) == 1``.  Multiplication adds the vectors, ``sqrt`` doubles
+the denominator and ``inverse`` negates, all in integer arithmetic, so exact
+weights stay exact for any exponent.  ``==``, ``hash``, :meth:`Weight.key`
+and :meth:`Weight.text` read only ``(num, den)``.  The float ``value`` of an
+exact weight is computed on first use and raises ``OverflowError`` when it
+leaves the positive float range.
 """
 from __future__ import annotations
 
@@ -12,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -39,7 +49,7 @@ class GeneratorContext:
     def __post_init__(self):
         gens = tuple((str(n), float(v)) for n, v in self.generators)
         object.__setattr__(self, "generators", gens)
-        names = [n for n, _ in gens]
+        names = tuple(n for n, _ in gens)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique: %r" % (names,))
         for n, v in gens:
@@ -49,19 +59,20 @@ class GeneratorContext:
                 raise ValueError("generator %s must have a positive finite value" % n)
         if not (self.tolerance > 0):
             raise ValueError("tolerance must be positive")
+        # derived once; not fields, so equality and hashing ignore them
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_identity", Weight(self, (0,) * len(names), 1, 1.0))
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.generators)
+        return self._names
 
     def value_of(self, name: str) -> float:
-        for n, v in self.generators:
-            if n == name:
-                return v
-        raise KeyError(name)
+        return self.generators[self._index[name]][1]
 
     def identity(self) -> "Weight":
-        return Weight(self, (), 1.0)
+        return self._identity
 
     def exact(self, exponents: Mapping[str, Fraction | int] | None = None, **kw) -> "Weight":
         """Exact monomial weight from generator-name -> rational exponent."""
@@ -69,14 +80,15 @@ class GeneratorContext:
         for src in (exponents or {}), kw:
             for n, e in src.items():
                 exps[n] = exps.get(n, Fraction(0)) + Fraction(e)
-        order = {n: i for i, n in enumerate(self.names)}
+        index = self._index
         for n in exps:
-            if n not in order:
+            if n not in index:
                 raise WeightFormatError("unknown generator %r" % n)
-        items = tuple(
-            (n, exps[n]) for n in sorted(exps, key=order.__getitem__) if exps[n] != 0
-        )
-        return Weight(self, items, _eval(items, self))
+        den = math.lcm(*(e.denominator for e in exps.values()))
+        num = [0] * len(index)
+        for n, e in exps.items():
+            num[index[n]] = e.numerator * (den // e.denominator)
+        return _exact(self, tuple(num), den)
 
     def gen(self, name: str, power: Fraction | int = 1) -> "Weight":
         return self.exact({name: power})
@@ -85,102 +97,132 @@ class GeneratorContext:
         value = float(value)
         if not (value > 0) or math.isinf(value):
             raise ValueError("weights must be positive finite reals, got %r" % value)
-        return Weight(self, None, value)
+        return Weight(self, None, 1, value)
 
     def close(self, v1: float, v2: float) -> bool:
         return abs(v1 - v2) <= self.tolerance * max(v1, v2)
 
 
-def _eval(items, context: GeneratorContext) -> float:
-    acc = 1.0
-    for n, e in items:
-        acc *= context.value_of(n) ** float(e)
-    return acc
+def _exact(context: GeneratorContext, num: tuple[int, ...], den: int) -> "Weight":
+    """The exact weight ``num / den``, reduced by the common gcd."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = tuple(n // g for n in num)
+    return Weight(context, num, den)
 
 
-@dataclass(frozen=True)
 class Weight:
-    """A positive real, exact (monomial exponent vector) or float.
+    """A positive real, exact (integer exponent vector over a common
+    denominator) or float.
 
-    Structural ``==``/``hash`` compare exponents (exact) or the raw value
-    (float); use :meth:`eq` for the tolerance-aware comparison.
+    Exact mode: ``num`` holds one int per generator of the context, in its
+    order, and ``den`` the positive denominator they share, reduced.  Float
+    mode: ``num`` is None and the value is stored.  Weights are immutable and
+    are built by :class:`GeneratorContext`, :func:`parse_weight` and the
+    operators, not by calling the class.  Structural ``==``/``hash`` compare
+    ``(num, den)`` (exact) or the raw value (float); use :meth:`eq` for the
+    tolerance-aware comparison.
     """
 
-    context: GeneratorContext
-    exponents: tuple[tuple[str, Fraction], ...] | None  # None = float mode
-    value: float
+    __slots__ = ("context", "num", "den", "_value", "_exponents", "_hash")
+
+    def __init__(self, context: GeneratorContext, num: tuple[int, ...] | None, den: int = 1,
+                 value: float | None = None):
+        self.context = context
+        self.num = num
+        self.den = den
+        self._value = value
+        self._exponents = None
+        self._hash = None
 
     @property
     def is_exact(self) -> bool:
-        return self.exponents is not None
+        return self.num is not None
 
     @property
     def mode(self) -> str:
         return "exact" if self.is_exact else "float"
 
+    @property
+    def exponents(self) -> tuple[tuple[str, Fraction], ...] | None:
+        """Nonzero exponents as ``(name, Fraction)`` in context order; None
+        in float mode."""
+        got = self._exponents
+        if got is None and self.num is not None:
+            den = self.den
+            got = self._exponents = tuple(
+                (name, Fraction(n, den)) for name, n in zip(self.context.names, self.num) if n
+            )
+        return got
+
+    @property
+    def value(self) -> float:
+        """The weight as a float, ``prod g_i ** float(r_i)`` in context order,
+        computed on first use; ``OverflowError`` if it is not in (0, inf)."""
+        v = self._value
+        if v is None:
+            v = 1.0
+            den = self.den
+            for (_, g), n in zip(self.context.generators, self.num):
+                if n:
+                    v *= g ** (n / den)
+            if not 0.0 < v < math.inf:
+                raise OverflowError("weight %s is outside the float range" % self.text())
+            self._value = v
+        return v
+
     def _require_same_context(self, other: "Weight"):
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ContextMismatchError(
                 "weights belong to different generator contexts"
             )
 
     def __mul__(self, other: "Weight") -> "Weight":
-        self._require_same_context(other)
-        if self.is_exact and other.is_exact:
-            if not other.exponents:
-                return self
-            if not self.exponents:
-                return other
-            # both exponent tuples are sorted by context order: merge directly
-            order = {n: i for i, n in enumerate(self.context.names)}
-            merged = []
-            a, b = list(self.exponents), list(other.exponents)
-            i = j = 0
-            while i < len(a) and j < len(b):
-                na, nb = a[i][0], b[j][0]
-                if na == nb:
-                    s = a[i][1] + b[j][1]
-                    if s:
-                        merged.append((na, s))
-                    i += 1
-                    j += 1
-                elif order[na] < order[nb]:
-                    merged.append(a[i])
-                    i += 1
-                else:
-                    merged.append(b[j])
-                    j += 1
-            merged.extend(a[i:])
-            merged.extend(b[j:])
-            items = tuple(merged)
-            return Weight(self.context, items, _eval(items, self.context))
-        return self.context.float_weight(self.value * other.value)
+        ctx = self.context
+        if other.context is not ctx:
+            self._require_same_context(other)
+        a, b = self.num, other.num
+        if a is not None and b is not None:
+            da, db = self.den, other.den
+            if da == db:
+                num = tuple(map(add, a, b))
+                return Weight(ctx, num, 1) if da == 1 else _exact(ctx, num, da)
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            return _exact(ctx, tuple(x * ma + y * mb for x, y in zip(a, b)), da * ma)
+        return ctx.float_weight(self.value * other.value)
 
     def inverse(self) -> "Weight":
         if self.is_exact:
-            return self.context.exact({n: -e for n, e in self.exponents})
+            return Weight(self.context, tuple(-n for n in self.num), self.den)
         return self.context.float_weight(1.0 / self.value)
 
     def __pow__(self, k) -> "Weight":
         if self.is_exact:
-            return self.context.exact({n: e * Fraction(k) for n, e in self.exponents})
+            k = Fraction(k)
+            return _exact(
+                self.context, tuple(n * k.numerator for n in self.num), self.den * k.denominator
+            )
         return self.context.float_weight(self.value ** float(k))
 
     def sqrt(self) -> "Weight":
         if self.is_exact:
-            return self.context.exact({n: e / 2 for n, e in self.exponents})
+            return _exact(self.context, self.num, 2 * self.den)
         return self.context.float_weight(math.sqrt(self.value))
 
     def eq(self, other: "Weight") -> bool:
         """Exact exponent comparison when both exact, else tolerance on value."""
-        self._require_same_context(other)
-        if self.is_exact and other.is_exact:
-            return self.exponents == other.exponents
+        if other.context is not self.context:
+            self._require_same_context(other)
+        if self.num is not None and other.num is not None:
+            return self.num == other.num and self.den == other.den
         return self.context.close(self.value, other.value)
 
     def is_identity(self) -> bool:
         if self.is_exact:
-            return not self.exponents
+            return not any(self.num)
         return self.context.close(self.value, 1.0)
 
     def key(self):
@@ -192,26 +234,23 @@ class Weight:
     def text(self) -> str:
         if not self.is_exact:
             return format(self.value, ".17g")
-        if not self.exponents:
+        if not any(self.num):
             return "1"
         return " * ".join("%s^%s" % (n, e) for n, e in self.exponents)
 
     def __eq__(self, other):
         if not isinstance(other, Weight):
             return NotImplemented
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             return False
-        if self.is_exact != other.is_exact:
-            return False
-        if self.is_exact:
-            return self.exponents == other.exponents
-        return self.value == other.value
+        if self.num is None:
+            return other.num is None and self._value == other._value
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        got = self.__dict__.get("_hash")
+        got = self._hash
         if got is None:
-            got = hash((self.exponents, None if self.is_exact else self.value))
-            object.__setattr__(self, "_hash", got)
+            got = self._hash = hash((self.num, self.den) if self.num is not None else self._value)
         return got
 
     def __repr__(self):
@@ -327,23 +366,11 @@ def reduce_generators(
     """
     ws = list(weights)
     if all(w.is_exact for w in ws):
-        names = context.names
-        vecs = []
-        for w in ws:
-            exps = dict(w.exponents)
-            vecs.append([exps.get(n, Fraction(0)) for n in names])
-        denom = 1
-        for v in vecs:
-            for e in v:
-                denom = denom * e.denominator // math.gcd(denom, e.denominator)
-        int_rows = [[int(e * denom) for e in v] for v in vecs]
-        basis = _lattice_basis(int_rows)
-        gens = []
-        for row in basis:
-            gens.append(
-                context.exact({n: Fraction(a, denom) for n, a in zip(names, row)})
-            )
-        return tuple(gens)
+        if any(w.context is not context and w.context != context for w in ws):
+            raise ContextMismatchError("weights do not belong to the given context")
+        denom = math.lcm(*(w.den for w in ws))
+        basis = _lattice_basis([[n * (denom // w.den) for n in w.num] for w in ws])
+        return tuple(_exact(context, tuple(row), denom) for row in basis)
     # float path: dedupe by tolerance on sorted values
     reps: list[float] = []
     for v in sorted(w.value for w in ws):

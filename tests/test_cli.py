@@ -35,11 +35,21 @@ class TestBasics:
         assert code == 2
 
     def test_float_overflow_exit_3(self, capsys):
-        # 9^k leaves the float range past k = 323, inside the searched ball
-        code, out, err = run(capsys, "invariants", "single_chain:q=9", "--radius", "330")
+        # the eigenvalue a/b = 1e400 is ordered by its float value, which
+        # leaves the float range
+        code, out, err = run(
+            capsys, "spectrum", "double_chain:a=1e200,b=1e-200", "--n", "2"
+        )
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_exact_weights_past_float_range(self, capsys):
+        # 9^k leaves the float range past k = 323, inside the searched ball;
+        # exact weights never evaluate it
+        code, out, _ = run(capsys, "invariants", "single_chain:q=9", "--radius", "330")
+        assert code == 0
+        assert "generator q^1" in out.splitlines()
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "spectrum", "double_chain:a=2,b=3", "--n", "2")
