@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .cover import tracial_cover
 from .graph import (
@@ -19,7 +19,9 @@ from .graph import (
     NonTracialGraphError,
     TruncatedGraph,
     VertexId,
+    VertexWeighting,
     ball,
+    bfs_distances,
     vertex_weighting,
     vid_key,
 )
@@ -85,6 +87,20 @@ def _forward_map(gen: ActionGenerator, b: TruncatedGraph) -> dict:
     return fwd
 
 
+def _weighted_ball(g, radius: int, what: str):
+    """The ball and its vertex weighting; ``what`` names the caller in the
+    error raised when the ball is not tracial."""
+    b = ball(g, radius)
+    wr = vertex_weighting(b)
+    if not wr:
+        raise NonTracialGraphError(
+            "%s need a tracial graph; witness loop of weight %s"
+            % (what, wr.witness.weight.text()),
+            wr.witness,
+        )
+    return b, wr.weighting
+
+
 def check_action(
     g: DeltaGraph | TruncatedGraph, action: GraphAction, radius: int
 ) -> ActionReport:
@@ -93,15 +109,10 @@ def check_action(
     Images outside the materialized ball are counted as skipped, not failed;
     a unit-weight generator acting nontrivially is rejected outright.
     """
-    b = ball(g, radius)
-    wr = vertex_weighting(b)
-    if not wr:
-        raise NonTracialGraphError(
-            "action checks need a tracial graph; witness loop of weight %s"
-            % wr.witness.weight.text(),
-            wr.witness,
-        )
-    wv = wr.weighting
+    return _check_action(*_weighted_ball(g, radius, "action checks"), action)
+
+
+def _check_action(b: TruncatedGraph, wv: VertexWeighting, action: GraphAction) -> ActionReport:
     failures: list[str] = []
     checked = 0
     skipped = 0
@@ -196,13 +207,10 @@ def orbit_partition(
     """The orbits of the action on the ball; members must carry pairwise
     distinct vertex weights (a unit-weight element acting freely would
     merge them, and such actions are rejected)."""
-    b = ball(g, radius)
-    wr = vertex_weighting(b)
-    if not wr:
-        raise NonTracialGraphError(
-            "orbit computation needs a tracial graph", wr.witness
-        )
-    wv = wr.weighting
+    return _orbit_partition(*_weighted_ball(g, radius, "orbit computations"), action)
+
+
+def _orbit_partition(b: TruncatedGraph, wv: VertexWeighting, action: GraphAction) -> tuple[Orbit, ...]:
     orbit_lists, _ = _orbits(b, action)
     orbits = []
     for members in orbit_lists:
@@ -213,7 +221,7 @@ def orbit_partition(
                         "orbit members %r and %r share weight %s"
                         % (m1, m2, wv[m1].text())
                     )
-        key = lambda m: (wv[m].value, vid_key(m))
+        key = lambda m: (wv[m].log_value, vid_key(m))
         inner = [m for m in members if m not in b.boundary]
         orbits.append(
             Orbit(
@@ -234,11 +242,11 @@ def quotient(
     member; outgoing edges copied from a minimal-weight interior member.
     Orbits with no interior member become boundary vertices.
     """
-    report = check_action(g, action, radius)
+    b, wv = _weighted_ball(g, radius, "action checks")
+    report = _check_action(b, wv, action)
     if not report.passed:
         raise ActionError("action check failed: " + "; ".join(report.failures))
-    b = ball(g, radius)
-    orbits = orbit_partition(g, action, radius)
+    orbits = _orbit_partition(b, wv, action)
     assigned = {m: orb for orb in orbits for m in orb.members}
 
     raw: list[dict] = []
@@ -261,7 +269,7 @@ def quotient(
     for e in edges:
         out[e.source].append(e)
     bp = assigned[b.basepoint].label
-    dist = _bfs_distances(out, bp)
+    dist = bfs_distances(out.__getitem__, bp, out)
     return TruncatedGraph(
         delta=b.delta,
         context=b.context,
@@ -273,20 +281,6 @@ def quotient(
         exhausted=True,
         label=(b.label + "|quotient") if b.label else "quotient",
     )
-
-
-def _bfs_distances(out: Mapping, start) -> dict:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for e in out[v]:
-            if e.target not in dist:
-                dist[e.target] = dist[v] + 1
-                queue.append(e.target)
-    for v in out:
-        dist.setdefault(v, len(dist))
-    return dist
 
 
 def _pair_conjugates(raw: list[dict], boundary: set) -> list[Edge]:

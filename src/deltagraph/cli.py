@@ -26,6 +26,8 @@ from .graph import (
 from .invariants import t0
 from .io import GraphFormatError, export_dot, idtext, parse_graph, serialize_graph
 from .loop_algebra import (
+    Coefficient,
+    _anchor,
     apply_modular,
     basis,
     cap,
@@ -157,11 +159,8 @@ def _cmd_spectrum(args) -> int:
 def _anchor_sum(g, l, i):
     """Coefficient sum of outgoing weights at the cup anchor; fairness makes
     its value delta, and it is the exact delooping scalar at that vertex."""
-    from .loop_algebra import Coefficient
-
-    at = l.edges[i - 1].target if i else l.start
     total = Coefficient.zero(g.context)
-    for e in g.out_edges(at):
+    for e in g.out_edges(_anchor(g, l, i)):
         total = total + Coefficient.of_weight(e.weight)
     return total
 
@@ -169,8 +168,6 @@ def _anchor_sum(g, l, i):
 def _indicator(g, f, h, right_side: bool = False):
     """Closed-form Gram oracle for basis vectors: identity on the left,
     diagonal 1/w(l) on the right."""
-    from .loop_algebra import Coefficient
-
     (lf,) = f.terms
     (lh,) = h.terms
     if lf != lh:
@@ -223,14 +220,14 @@ def _cmd_tl_check(args) -> int:
             for f in vecs:
                 df = apply_modular(f)
                 for h in vecs:
+                    lhs = inner(g, f, h, "left")
                     checks = (
-                        (inner(g, f, h, "left"), _indicator(g, f, h)),
+                        (lhs, _indicator(g, f, h)),
                         (inner(g, f, h, "right"), _indicator(g, f, h, right_side=True)),
                     )
                     for got, want in checks:
                         if (got != want) if exact else (not got.isclose(want)):
                             ok_gram = False
-                    lhs = inner(g, f, h, "left")
                     rhs = inner(g, df, h, "right")
                     if (lhs != rhs) if exact else (not lhs.isclose(rhs)):
                         ok_mod = False

@@ -4,11 +4,18 @@ The tracial cover of a delta graph has one vertex per equivalence class of
 based paths under "same target, same total weight".  It is always tracial,
 and weight-1 based loops of the original graph lift bijectively to based
 loops of the cover.
+
+The cover is a delta graph in its own right, with the same delta: a
+procedural :class:`DeltaGraph` whose adjacency steps along the original
+graph's edges.  :func:`tracial_cover` cuts its ball out with
+:func:`deltagraph.graph.ball`, and :func:`path_graph` does the same for the
+based-path tree, so neither has a search of its own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .graph import (
@@ -18,6 +25,7 @@ from .graph import (
     TruncatedGraph,
     VertexWeighting,
     _as_graph,
+    ball,
     enumerate_loops,
     vid_key,
 )
@@ -54,152 +62,103 @@ class CoverResult(NamedTuple):
 class _Interner:
     """Canonicalizes cover vertices; float weights are bucketed on log(value).
 
-    The exact identity at the root is registered in both branches: in a
+    Every lookup returns the stored instance, so dict lookups and the source
+    check of :meth:`DeltaGraph.out_edges` compare by identity first.  The
+    exact identity at the root is registered in both branches: in a
     float-weighted graph every loop returns to the basepoint with a float
     weight near 1 and must land on the root, not split it.
+
+    ``ball`` also steps one edge past its radius, and interns the states it
+    reaches there.  They are created after every state inside the ball, so
+    they come last in each bucket and never capture a lookup that a state
+    inside the ball matches.
     """
 
     def __init__(self, tolerance: float):
         self.tolerance = tolerance
-        self.known: set[CoverVertex] = set()
+        self.known: dict[CoverVertex, CoverVertex] = {}
         self.buckets: dict[object, list[tuple[float, CoverVertex]]] = {}
 
     def root(self, target, weight: Weight) -> CoverVertex:
         cv = CoverVertex(target, weight)
-        self.known.add(cv)
+        self.known[cv] = cv
         self.buckets.setdefault(target, []).append((math.log(weight.value), cv))
         return cv
 
-    def get(self, target, weight: Weight, create: bool) -> CoverVertex | None:
+    def get(self, target, weight: Weight) -> CoverVertex:
         if weight.is_exact:
             cv = CoverVertex(target, weight)
-            if cv in self.known:
-                return cv
-            if create:
-                self.known.add(cv)
-                return cv
-            return None
+            return self.known.setdefault(cv, cv)
         lw = math.log(weight.value)
         bucket = self.buckets.setdefault(target, [])
         for lv, cv in bucket:
             if abs(lw - lv) <= self.tolerance:
                 return cv
-        if not create:
-            return None
         cv = CoverVertex(target, weight)
         bucket.append((lw, cv))
-        self.known.add(cv)
         return cv
 
 
+def _derived(g: DeltaGraph, basepoint, at, step, label: str) -> DeltaGraph:
+    """A delta graph over states that each sit at the vertex ``at(s)`` of ``g``.
+
+    ``step(s, e)`` is the state reached from ``s`` along the edge ``e`` of
+    ``g``; each such step becomes an edge ``(s, e.eid)`` whose conjugate is
+    ``(step(s, e), e.conjugate)``.  A state is on the frontier when its
+    vertex is on ``g``'s frontier.
+    """
+
+    def out_edges(s):
+        edges = []
+        for e in g.out_edges(at(s)):
+            s2 = step(s, e)
+            edges.append(Edge((s, e.eid), s, s2, e.weight, (s2, e.conjugate)))
+        return edges
+
+    return DeltaGraph(
+        g.delta,
+        g.context,
+        basepoint,
+        out_edges,
+        frontier=lambda s: g.is_frontier(at(s)),
+        label=(g.label + "|" + label) if g.label else label,
+    )
+
+
 def tracial_cover(g: DeltaGraph | TruncatedGraph, radius: int) -> CoverResult:
-    """BFS construction of the cover out to the given radius.
+    """The ball of the given radius in the cover.
 
     Returns the cover as a truncated graph over :class:`CoverVertex` ids,
     together with its canonical vertex weighting (the path-class weight).
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     g = _as_graph(g)
-    ctx = g.context
-    intern = _Interner(ctx.tolerance)
-    root = intern.root(g.basepoint, ctx.identity())
-    depth: dict[CoverVertex, int] = {root: 0}
-    order = [root]
-    out: dict[CoverVertex, list[Edge]] = {root: []}
-    frontier = [root]
-    for d in range(radius):
-        nxt = []
-        for cv in frontier:
-            if g.is_frontier(cv.target):
-                continue
-            for e in g.out_edges(cv.target):
-                cv2 = intern.get(e.target, cv.weight * e.weight, create=True)
-                if cv2 not in depth:
-                    depth[cv2] = d + 1
-                    order.append(cv2)
-                    out[cv2] = []
-                    nxt.append(cv2)
-                out[cv].append(
-                    Edge((cv, e.eid), cv, cv2, e.weight, (cv2, e.conjugate))
-                )
-        if not nxt:
-            break
-        frontier = nxt
-    # unexpanded states still get their edges into already-known states, so
-    # the conjugation involution closes inside the truncation
-    boundary = set()
-    for cv in order:
-        if depth[cv] < radius and not g.is_frontier(cv.target):
-            continue
-        boundary.add(cv)
-        for e in g.out_edges(cv.target):
-            cv2 = intern.get(e.target, cv.weight * e.weight, create=False)
-            if cv2 is not None and cv2 in depth:
-                out[cv].append(
-                    Edge((cv, e.eid), cv, cv2, e.weight, (cv2, e.conjugate))
-                )
-    cover = TruncatedGraph(
-        delta=g.delta,
-        context=ctx,
-        basepoint=root,
-        radius=radius,
-        out=out,
-        distance=depth,
-        boundary=boundary,
-        exhausted=False,
-        label=(g.label + "|cover") if g.label else "cover",
-    )
-    nu = VertexWeighting({cv: cv.weight for cv in order})
-    return CoverResult(cover, nu)
+    intern = _Interner(g.context.tolerance)
+    root = intern.root(g.basepoint, g.context.identity())
+
+    def step(cv, e):
+        return intern.get(e.target, cv.weight * e.weight)
+
+    cover = ball(_derived(g, root, attrgetter("target"), step, "cover"), radius)
+    return CoverResult(cover, VertexWeighting({cv: cv.weight for cv in cover.distance}))
 
 
 def path_graph(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
-    """The based-path tree: one vertex per based path of length <= radius.
+    """The based-path tree: one vertex per based path of length <= radius,
+    named by its tuple of edge ids.
 
     An edge joins p to p*e with weight w(e).  Conjugate ids point at the
     extension by the conjugate edge, so conjugation closes only after passing
     to the path-class quotient; fairness holds at every interior vertex.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     g = _as_graph(g)
-    targets: dict[tuple, object] = {(): g.basepoint}
-    out: dict[tuple, list[Edge]] = {(): []}
-    depth: dict[tuple, int] = {(): 0}
-    order: list[tuple] = [()]
-    level: list[tuple] = [()]
-    boundary: set[tuple] = set()
-    for d in range(radius):
-        nxt = []
-        for pid in level:
-            tgt = targets[pid]
-            if g.is_frontier(tgt):
-                boundary.add(pid)
-                continue
-            for e in g.out_edges(tgt):
-                pid2 = pid + (e.eid,)
-                targets[pid2] = e.target
-                depth[pid2] = d + 1
-                out[pid2] = []
-                order.append(pid2)
-                nxt.append(pid2)
-                out[pid].append(
-                    Edge((pid, e.eid), pid, pid2, e.weight, (pid2, e.conjugate))
-                )
-        level = nxt
-    boundary.update(pid for pid in order if depth[pid] == radius)
-    return TruncatedGraph(
-        delta=g.delta,
-        context=g.context,
-        basepoint=(),
-        radius=radius,
-        out=out,
-        distance=depth,
-        boundary=boundary,
-        exhausted=False,
-        label=(g.label + "|paths") if g.label else "paths",
-    )
+    targets = {(): g.basepoint}
+
+    def step(pid, e):
+        pid2 = pid + (e.eid,)
+        targets[pid2] = e.target
+        return pid2
+
+    return ball(_derived(g, (), targets.__getitem__, step, "paths"), radius)
 
 
 def lift_loop(

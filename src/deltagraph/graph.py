@@ -322,11 +322,12 @@ def ball(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
     out = {}
     boundary = set()
     for v in order:
-        if g.is_frontier(v):
+        es = g.out_edges(v)
+        if dist[v] == radius or g.is_frontier(v):
+            # only a vertex that was not expanded can have edges leaving the ball
             boundary.add(v)
-        elif dist[v] == radius:
-            boundary.add(v)
-        out[v] = tuple(e for e in g.out_edges(v) if e.target in dist)
+            es = tuple(e for e in es if e.target in dist)
+        out[v] = es
     return TruncatedGraph(
         delta=g.delta,
         context=g.context,
@@ -338,6 +339,27 @@ def ball(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
         exhausted=exhausted,
         label=g.label,
     )
+
+
+def bfs_distances(
+    out_edges: Callable[[VertexId], Iterable[Edge]],
+    start: VertexId,
+    vertices: Iterable[VertexId],
+) -> dict[VertexId, int]:
+    """BFS distances from ``start``, keyed in discovery order along each
+    vertex's stored edge order.  Members of ``vertices`` left unreached are
+    appended in their given order, each at the count of vertices before it."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for e in out_edges(v):
+            if e.target not in dist:
+                dist[e.target] = dist[v] + 1
+                queue.append(e.target)
+    for v in vertices:
+        dist.setdefault(v, len(dist))
+    return dist
 
 
 @dataclass(frozen=True)

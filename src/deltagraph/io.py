@@ -8,11 +8,10 @@ so serialize(parse(doc)) is the identity on canonical documents.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .actions import ActionGenerator, GraphAction
-from .graph import DeltaGraph, Edge, TruncatedGraph, VertexWeighting, ball
+from .graph import DeltaGraph, Edge, TruncatedGraph, VertexWeighting, ball, bfs_distances
 from .weights import GeneratorContext, Weight, WeightFormatError, parse_weight
 
 HEADER = "delta-graph v1"
@@ -34,21 +33,10 @@ def idtext(x) -> str:
 
 
 def _bfs_names(t: TruncatedGraph):
-    """v0.., e0.. in BFS discovery order, following the stored edge order."""
-    vname: dict = {t.basepoint: "v0"}
-    order = [t.basepoint]
-    queue = deque([t.basepoint])
-    while queue:
-        v = queue.popleft()
-        for e in t.out_edges(v):
-            if e.target not in vname:
-                vname[e.target] = "v%d" % len(vname)
-                order.append(e.target)
-                queue.append(e.target)
-    for v in t.vertices:  # disconnected leftovers, if any
-        if v not in vname:
-            vname[v] = "v%d" % len(vname)
-            order.append(v)
+    """v0.., e0.. in BFS discovery order, following the stored edge order;
+    disconnected leftovers, if any, come last."""
+    order = list(bfs_distances(t.out_edges, t.basepoint, t.vertices))
+    vname = {v: "v%d" % i for i, v in enumerate(order)}
     ename: dict = {}
     for v in order:
         for e in t.out_edges(v):
@@ -147,15 +135,21 @@ def parse_graph(text: str) -> GraphDocument:
     def fail(ln, msg):
         raise GraphFormatError("line %d: %s" % (ln, msg))
 
+    def number(ln, tok, what):
+        try:
+            return float(tok)
+        except ValueError:
+            fail(ln, "bad %s %r (want a number)" % (what, tok))
+
     for ln, s in entries[1:]:
         toks = s.split()
         kind = toks[0]
         if kind == "delta" and len(toks) == 2:
-            delta = float(toks[1])
+            delta_ln, delta = ln, number(ln, toks[1], "delta")
         elif kind == "tolerance" and len(toks) == 2:
-            tolerance = float(toks[1])
+            tolerance = number(ln, toks[1], "tolerance")
         elif kind == "generator" and len(toks) == 3:
-            gens.append((toks[1], float(toks[2])))
+            gens.append((toks[1], number(ln, toks[2], "generator value")))
         elif kind == "vertex":
             if len(toks) == 2:
                 vertex_rows.append((ln, toks[1], None))
@@ -193,6 +187,8 @@ def parse_graph(text: str) -> GraphDocument:
 
     if delta is None:
         raise GraphFormatError("missing 'delta' line")
+    if not (delta >= 2):
+        fail(delta_ln, "delta must be >= 2, got %r" % delta)
     if basepoint_tok is None:
         raise GraphFormatError("missing 'basepoint' line")
     try:

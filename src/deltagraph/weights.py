@@ -173,6 +173,16 @@ class Weight:
             self._value = v
         return v
 
+    @property
+    def log_value(self) -> float:
+        """``log(value)``; for an exact weight it is computed as
+        ``sum(r_i * log g_i)``, which stays finite for any exponent, so
+        exact weights can be ordered without computing ``value``."""
+        if self.num is None:
+            return math.log(self._value)
+        gens = self.context.generators
+        return sum(n * math.log(g) for (_, g), n in zip(gens, self.num) if n) / self.den
+
     def _require_same_context(self, other: "Weight"):
         if self.context is not other.context and self.context != other.context:
             raise ContextMismatchError(
@@ -259,9 +269,10 @@ class Weight:
 
 def group_weights(weights: Iterable[Weight]) -> tuple[tuple[Weight, int], ...]:
     """Weights grouped by tolerance-aware equality, as (representative,
-    multiplicity) pairs in ascending order of value."""
+    multiplicity) pairs in ascending order of value (by ``log_value``, so
+    exact weights past the float range are ordered too)."""
     groups: list[tuple[Weight, int]] = []
-    for w in sorted(weights, key=lambda w: (w.value, w.key())):
+    for w in sorted(weights, key=lambda w: (w.log_value, w.key())):
         for i, (rep, m) in enumerate(groups):
             if rep.eq(w):
                 groups[i] = (rep, m + 1)

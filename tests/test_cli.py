@@ -35,14 +35,33 @@ class TestBasics:
         assert code == 2
 
     def test_float_overflow_exit_3(self, capsys):
-        # the eigenvalue a/b = 1e400 is ordered by its float value, which
+        # --float prints the smallest eigenvalue b/a = 1e-400 first, and it
         # leaves the float range
         code, out, err = run(
-            capsys, "spectrum", "double_chain:a=1e200,b=1e-200", "--n", "2"
+            capsys, "spectrum", "double_chain:a=1e200,b=1e-200", "--n", "2", "--float"
         )
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_exact_spectrum_past_float_range(self, capsys):
+        # exact eigenvalues are ordered by log value, never by float value
+        code, out, _ = run(capsys, "spectrum", "double_chain:a=1e200,b=1e-200", "--n", "2")
+        assert code == 0
+        assert out.splitlines() == ["a^-1 * b^1:2", "1:4", "a^1 * b^-1:2"]
+
+    def test_exact_quotient_past_float_range(self, capsys):
+        # orbit labels are minimal-weight members, q^-400 among them
+        code, out, _ = run(
+            capsys, "quotient", "single_chain:q=9", "--shift", "1", "--radius", "400"
+        )
+        assert code == 0
+        assert out.splitlines()[4:] == [
+            "vertex v0",
+            "edge e0 v0 v0 weight q^-1 conjugate e1",
+            "edge e1 v0 v0 weight q^1 conjugate e0",
+            "basepoint v0",
+        ]
 
     def test_exact_weights_past_float_range(self, capsys):
         # 9^k leaves the float range past k = 323, inside the searched ball;

@@ -91,6 +91,12 @@ class TestTracialCover:
         cov, _ = tracial_cover(cycle3, 3)
         assert iso_check(cov, ball(single_chain(2), 3), fix_basepoint=True) is not None
 
+    def test_finite_cover_is_exhausted(self, cycle4_flat):
+        # a tracial finite graph is its own cover, and the ball says so
+        cov, _ = tracial_cover(cycle4_flat, 3)
+        assert cov.exhausted
+        assert len(cov.vertices) == 4
+
     def test_cover_validates_fair(self, dchain):
         cov, _ = tracial_cover(dchain, 3)
         report = validate(cov)

@@ -111,6 +111,21 @@ class TestParse:
         with pytest.raises(GraphFormatError):
             parse_graph(bad)
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("delta 2.5", "delta x", 2),
+            ("generator q 2.0", "generator q two", 3),
+            ("tolerance 1e-09", "tolerance tiny", 4),
+            ("delta 2.5", "delta 1.5", 2),
+            ("delta 2.5", "delta nan", 2),
+        ],
+    )
+    def test_bad_number_names_its_line(self, old, new, line):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(CHAIN_DOC.replace(old, new))
+        assert str(exc.value).startswith("line %d: " % line)
+
     def test_shift_action_on_integer_vertices(self):
         text = CHAIN_DOC + "action s weight q^3\nshift 3\n"
         doc = parse_graph(text)

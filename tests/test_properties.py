@@ -1,0 +1,131 @@
+"""Structural claims as properties over drawn builder graphs and radii.
+
+    - the tracial cover is tracial, and its vertex weighting is ``nu``
+    - recovering a graph from its cover reproduces the ball on interiors
+    - serialize(parse(text)) == text for balls and for weighted covers
+    - ``parse_graph`` on a mutated document raises only ``GraphFormatError``
+"""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from deltagraph import (
+    VertexWeighting,
+    ball,
+    chain_shift_action,
+    cayley,
+    cycle,
+    deformed_chain,
+    double_chain,
+    grid,
+    iso_check,
+    parse_graph,
+    recover,
+    serialize_graph,
+    single_chain,
+    tracial_cover,
+    vertex_weighting,
+)
+from deltagraph.io import GraphFormatError
+
+WEIGHTS = st.sampled_from([2, 3, 0.5, 1.5])
+graphs = st.one_of(
+    st.builds(single_chain, WEIGHTS),
+    st.builds(double_chain, WEIGHTS, WEIGHTS),
+    st.builds(grid, WEIGHTS, st.sampled_from([1, 2, 3])),
+    st.builds(cycle, st.integers(1, 5), st.sampled_from([1, 2, 3])),
+    st.builds(cayley, st.lists(st.sampled_from([1, 2, 3, 0.5]), min_size=1, max_size=3)),
+    st.builds(deformed_chain, st.sampled_from([1.05, 1.5, 2]), st.sampled_from([0, 0.3])),
+)
+radii = st.integers(0, 5)
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+@PROPERTY
+@given(graphs, radii)
+def test_cover_is_tracial(g, r):
+    cov, nu = tracial_cover(g, r)
+    wr = vertex_weighting(cov)
+    assert wr, wr.witness
+    assert set(wr.weighting.weights) == set(cov.vertices) == set(nu.weights)
+    for cv in cov.vertices:
+        assert wr.weighting[cv].eq(nu[cv])
+
+
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graphs, st.integers(1, 5))
+def test_recover_matches_ball_on_interiors(assert_carries_edges, g, r):
+    rec = recover(g, r)
+    b = ball(g, r)
+    m = iso_check(rec, b, fix_basepoint=True, interior_only=True)
+    assert m is not None
+    assert_carries_edges(rec, b, m)
+
+
+@PROPERTY
+@given(graphs, radii)
+def test_serialize_parse_identity(g, r):
+    text = serialize_graph(g, r)
+    assert serialize_graph(parse_graph(text).graph, r) == text
+    cov, nu = tracial_cover(g, r)
+    text = serialize_graph(cov, weighting=nu)
+    doc = parse_graph(text)
+    assert serialize_graph(doc.graph, r, weighting=VertexWeighting(doc.vertex_weights)) == text
+
+
+def _documents():
+    chain = single_chain(2)
+    cov, nu = tracial_cover(double_chain(2, 3), 1)
+    return (
+        serialize_graph(chain, 2, actions=chain_shift_action(chain, 1)),
+        serialize_graph(chain, 1) + "action t weight q^1\nshift 1\n",
+        serialize_graph(double_chain(2, 3), 1),
+        serialize_graph(deformed_chain(1.05, 0.3), 2),
+        serialize_graph(cov, weighting=nu),
+    )
+
+
+DOCUMENTS = _documents()
+tokens = st.one_of(
+    st.sampled_from(
+        ["x", "two", "1.5", "0", "-1", "nan", "inf", "1e400", "q^1", "q^-1/2", "z^1",
+         "1/0", "^", "*", "v0", "e0", "weight", "conjugate", "(1,2)", "#"]
+    ),
+    st.text(alphabet="0123456789qabv^-*/.e(),x", min_size=1, max_size=6),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    lines = draw(st.sampled_from(DOCUMENTS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "replace", "delete", "insert"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif lines[i].split():
+            toks = lines[i].split()
+            k = draw(st.integers(0, len(toks) - 1))
+            if op == "replace":
+                toks[k] = draw(tokens)
+            elif op == "delete":
+                del toks[k]
+            else:
+                toks.insert(k, draw(tokens))
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_parse_raises_only_format_errors(text):
+    try:
+        parse_graph(text)
+    except GraphFormatError:
+        pass
