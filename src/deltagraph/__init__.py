@@ -83,6 +83,7 @@ from .loop_algebra import (
     inner,
     loop_vector,
     modular_spectrum,
+    relations,
     star,
     zero_vector,
 )

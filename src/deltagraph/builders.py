@@ -163,8 +163,12 @@ def deformed_chain(q: float, x: float, *, tolerance: float = DEFAULT_TOLERANCE) 
 
 
 def chain_shift_action(g: DeltaGraph, steps: int, label: str = "s") -> GraphAction:
-    """Translation by ``steps`` on an integer chain; weight q^steps."""
+    """Translation by ``steps`` on an integer chain; weight q^steps for the
+    first generator q.  Raises ``ValueError`` unless the basepoint is an
+    integer and the graph has a generator."""
     steps = int(steps)
+    if not isinstance(g.basepoint, int) or not g.context.names:
+        raise ValueError("a chain shift needs an integer basepoint and a generator")
     name = g.context.names[0]
     h = g.context.gen(name, steps)
     return GraphAction(
@@ -176,8 +180,14 @@ def chain_shift_action(g: DeltaGraph, steps: int, label: str = "s") -> GraphActi
 
 def lattice_shift_action(g: DeltaGraph, vec: Sequence[int], label: str = "t") -> GraphAction:
     """Translation by an integer vector on a Cayley/grid graph; weight
-    is the product of generator weights along the vector."""
+    is the product of generator weights along the vector, coordinate i
+    pairing with generator i.  Raises ``ValueError`` unless the basepoint is
+    a tuple of the vector's length and there is a generator per coordinate."""
     vec = tuple(int(c) for c in vec)
+    k = len(vec)
+    if not (isinstance(g.basepoint, tuple) and len(g.basepoint) == k <= len(g.context.names)):
+        raise ValueError("a %d-coordinate shift needs a %d-tuple basepoint and %d generators"
+                         % (k, k, k))
     h = g.context.exact({n: c for n, c in zip(g.context.names, vec)})
     return GraphAction(
         (
@@ -199,37 +209,37 @@ class GraphSpec:
     params: Mapping[str, float] = field(default_factory=dict)
 
 
-_VARIANTS = ("single_chain", "double_chain", "grid", "cycle", "cayley", "deformed_chain")
+# each builder with the names of its positional parameters (cayley's are k, w1..wk)
+_BUILDERS = {
+    "single_chain": (single_chain, ("q",)),
+    "double_chain": (double_chain, ("a", "b")),
+    "grid": (grid, ("a", "b")),
+    "cycle": (cycle, ("n", "q")),
+    "cayley": (cayley, None),
+    "deformed_chain": (deformed_chain, ("q", "x")),
+}
+_VARIANTS = tuple(_BUILDERS)
 
 
 def build(spec: GraphSpec) -> DeltaGraph:
-    """Instantiate a builder from a spec; raises on out-of-domain parameters."""
+    """Instantiate a builder from a spec; raises ``ValueError`` on a missing,
+    unknown or out-of-domain parameter."""
     v = spec.variant
+    if v not in _BUILDERS:
+        raise ValueError("unknown builder %r (have: %s)" % (v, ", ".join(_VARIANTS)))
+    fn, names = _BUILDERS[v]
     p = dict(spec.params)
     try:
-        if v == "single_chain":
-            return single_chain(p.pop("q"), tolerance=p.pop("tolerance", DEFAULT_TOLERANCE))
-        if v == "double_chain":
-            return double_chain(
-                p.pop("a"), p.pop("b"), tolerance=p.pop("tolerance", DEFAULT_TOLERANCE)
-            )
-        if v == "grid":
-            return grid(p.pop("a"), p.pop("b"), tolerance=p.pop("tolerance", DEFAULT_TOLERANCE))
-        if v == "cycle":
-            return cycle(
-                int(p.pop("n")), p.pop("q"), tolerance=p.pop("tolerance", DEFAULT_TOLERANCE)
-            )
-        if v == "cayley":
-            k = int(p.pop("k"))
-            ws = [p.pop("w%d" % (i + 1)) for i in range(k)]
-            return cayley(ws, tolerance=p.pop("tolerance", DEFAULT_TOLERANCE))
-        if v == "deformed_chain":
-            return deformed_chain(
-                p.pop("q"), p.pop("x"), tolerance=p.pop("tolerance", DEFAULT_TOLERANCE)
-            )
+        if names is None:
+            args = ([p.pop("w%d" % (i + 1)) for i in range(int(p.pop("k")))],)
+        else:
+            args = tuple(p.pop(name) for name in names)
     except KeyError as exc:
         raise ValueError("builder %s is missing parameter %s" % (v, exc)) from exc
-    raise ValueError("unknown builder %r (have: %s)" % (v, ", ".join(_VARIANTS)))
+    tolerance = p.pop("tolerance", DEFAULT_TOLERANCE)
+    if p:
+        raise ValueError("builder %s has no parameter %s" % (v, ", ".join(sorted(p))))
+    return fn(*args, tolerance=tolerance)
 
 
 def spec_from_text(text: str) -> GraphSpec:

@@ -1,5 +1,6 @@
 """The loop-space model: vectors over based loops, cup/cap maps, star,
-concatenation, the two inner products, and the modular spectrum.
+concatenation, the two inner products, the modular spectrum, and the TLJ
+relation suite behind ``tl-check``.
 
 Vectors of length n are finitely supported linear combinations of based
 loops of length n.  Cup inserts a conjugate edge pair after position i
@@ -137,6 +138,12 @@ class Coefficient:
         scale = max(abs(a), abs(b), 1.0)
         return abs(a - b) <= self.context.tolerance * scale
 
+    def eq(self, other: "Coefficient") -> bool:
+        """Exact term comparison when both exact, else tolerance on value."""
+        if self.terms is not None and other.terms is not None:
+            return self.terms == other.terms
+        return self.isclose(other)
+
     def text(self) -> str:
         if not self.is_exact:
             v = self.cvalue
@@ -201,21 +208,20 @@ class LoopVector:
     def scaled(self, c: Coefficient) -> "LoopVector":
         return _vec(self.length, {l: c0 * c for l, c0 in self.terms.items()})
 
-    def eq(self, other: "LoopVector", exact: bool = True) -> bool:
-        """Structural equality (exact) or coefficient-wise tolerance equality."""
+    def eq(self, other: "LoopVector") -> bool:
+        """Coefficient-wise ``Coefficient.eq``, an absent loop counting as zero."""
         if self.length != other.length:
             return False
-        if exact:
-            return dict(self.terms) == dict(other.terms)
-        keys = set(self.terms) | set(other.terms)
-        for l in keys:
-            a = self.terms.get(l)
-            b = other.terms.get(l)
-            if a is None:
-                a = Coefficient.zero(b.context)
-            if b is None:
-                b = Coefficient.zero(a.context)
-            if not a.isclose(b):
+        a, b = self.terms, other.terms
+        if a == b:
+            return True
+        for l in a.keys() | b.keys():
+            x, y = a.get(l), b.get(l)
+            if x is None:
+                x = Coefficient.zero(y.context)
+            elif y is None:
+                y = Coefficient.zero(x.context)
+            if not x.eq(y):
                 return False
         return True
 
@@ -372,32 +378,92 @@ class ModularSpectrum:
         return all(w.is_identity() for w, _ in self.eigenvalues)
 
 
-def modular_spectrum(
-    graph, n: int, verify: bool | None = None, verify_limit: int = 256
-) -> ModularSpectrum:
+VERIFY_LIMIT = 256  # with verify=None, spectra of at most this many loops are verified
+
+
+def _modular_pairs(graph, vecs):
+    """The modular relation on every basis pair (f, g): yields f, g and its
+    two sides inner(f, g, left) and inner(Delta f, g, right)."""
+    for f in vecs:
+        df = apply_modular(f)
+        for g in vecs:
+            yield f, g, inner(graph, f, g, "left"), inner(graph, df, g, "right")
+
+
+def modular_spectrum(graph, n: int, verify: bool | None = None) -> ModularSpectrum:
     """Loop-weight multiset at length n, optionally re-derived from the
     inner products.
 
     When verification runs, every basis pair (f, g) is checked to satisfy
     inner(f, g, left) == inner(Delta f, g, right); a mismatch raises.  With
-    ``verify=None`` the check runs iff the basis has at most ``verify_limit``
+    ``verify=None`` the check runs iff the basis has at most ``VERIFY_LIMIT``
     loops.
     """
     loops = enumerate_loops(graph, n)
     spectrum = group_weights(l.weight for l in loops)
-    run = verify if verify is not None else len(loops) <= verify_limit
+    run = verify if verify is not None else len(loops) <= VERIFY_LIMIT
     if run:
-        vecs = [loop_vector(l) for l in loops]
-        exact = all(l.weight.is_exact for l in loops)
-        for f in vecs:
-            df = apply_modular(f)
-            for g in vecs:
-                lhs = inner(graph, f, g, "left")
-                rhs = inner(graph, df, g, "right")
-                ok = lhs == rhs if exact else lhs.isclose(rhs)
-                if not ok:
-                    raise ArithmeticError(
-                        "modular relation failed at n=%d: %s vs %s"
-                        % (n, lhs.text(), rhs.text())
-                    )
+        for _, _, lhs, rhs in _modular_pairs(graph, [loop_vector(l) for l in loops]):
+            if not lhs.eq(rhs):
+                raise ArithmeticError(
+                    "modular relation failed at n=%d: %s vs %s" % (n, lhs.text(), rhs.text())
+                )
     return ModularSpectrum(n, spectrum, bool(run))
+
+
+def relations(graph, max_len: int):
+    """The TLJ(delta) relation suite on the loop spaces of length 0..max_len.
+
+    Yields ``(name, n, passed, detail)`` records, in this order for each n:
+
+    - for n <= max_len - 2, at every cup position i of every basis loop:
+      ``delooping`` (cap_(i+1) o cup_i is the outgoing weight sum at the cup
+      anchor, delta by fairness) and ``zigzag`` (cap_i o cup_i and
+      cap_(i+2) o cup_i are the identity where defined);
+    - ``star-involution`` (star o star = id);
+    - for n <= max(2, max_len // 2) when loops exist, over every basis pair:
+      ``gram`` (left Gram matrix the identity, right one diag(1/w(l))) and
+      ``modular-relation`` (inner(f, g, left) == inner(Delta f, g, right)).
+
+    ``detail`` is the got/want text of the first failed delooping at n, else
+    None.  Comparisons are ``LoopVector.eq``/``Coefficient.eq``.
+    """
+    ctx = graph.context
+    for n in range(max_len + 1):
+        vecs = basis(graph, n)
+        if n <= max_len - 2:
+            detail = None
+            ok_zig = True
+            for v in vecs:
+                (l,) = v.terms
+                for i in range(n + 1):
+                    up = cup(graph, v, i)
+                    anchor_sum = Coefficient.zero(ctx)
+                    for e in graph.out_edges(_anchor(graph, l, i)):
+                        anchor_sum = anchor_sum + Coefficient.of_weight(e.weight)
+                    want = v.scaled(anchor_sum)
+                    got = cap(up, i + 1)
+                    if detail is None and not got.eq(want):
+                        detail = "  got:\n%s\n  want:\n%s" % (format_vector(got),
+                                                               format_vector(want))
+                    if i >= 1 and not cap(up, i).eq(v):
+                        ok_zig = False
+                    if i <= n - 1 and not cap(up, i + 2).eq(v):
+                        ok_zig = False
+            yield "delooping", n, detail is None, detail
+            yield "zigzag", n, ok_zig, None
+        yield "star-involution", n, all(star(graph, star(graph, v)).eq(v) for v in vecs), None
+        if n <= max(2, max_len // 2) and vecs:
+            ok_gram = ok_mod = True
+            for f, h, lhs, rhs in _modular_pairs(graph, vecs):
+                right = inner(graph, f, h, "right")
+                (lf,), (lh,) = f.terms, h.terms
+                if lf == lh:
+                    want_l = Coefficient.one(ctx)
+                    want_r = Coefficient.of_weight(lf.weight.inverse())
+                else:
+                    want_l = want_r = Coefficient.zero(ctx)
+                ok_gram = ok_gram and lhs.eq(want_l) and right.eq(want_r)
+                ok_mod = ok_mod and lhs.eq(rhs)
+            yield "gram", n, ok_gram, None
+            yield "modular-relation", n, ok_mod, None

@@ -87,6 +87,12 @@ class TestRegistry:
         with pytest.raises(ValueError):
             build(GraphSpec("unknown", {}))
 
+    def test_build_unknown_parameter(self):
+        with pytest.raises(ValueError, match="no parameter w3"):
+            build(GraphSpec("cayley", {"k": 2, "w1": 2, "w2": 3, "w3": 5}))
+        g = build(GraphSpec("grid", {"a": 2, "b": 3, "tolerance": 1e-6}))
+        assert g.context.tolerance == 1e-6
+
     def test_spec_from_text(self):
         spec = spec_from_text("double_chain:a=2,b=3")
         assert spec.variant == "double_chain"

@@ -3,6 +3,7 @@ pipeline from the examples."""
 
 import pytest
 
+from deltagraph import chain_shift_action, loop_algebra, serialize_graph, single_chain
 from deltagraph.cli import main
 
 
@@ -33,6 +34,37 @@ class TestBasics:
         p.write_text("not a graph\n")
         code, out, err = run(capsys, "validate", str(p))
         assert code == 2
+
+    def test_unknown_builder_parameter_exit_2(self, capsys):
+        code, out, err = run(capsys, "validate", "grid:a=2,b=3,tolerence=1e-6")
+        assert code == 2
+        assert out == ""
+        assert err == "error: builder grid has no parameter tolerence\n"
+
+    def test_build_unknown_parameter_exit_2(self, tmp_path, capsys):
+        out_file = tmp_path / "g.dg"
+        code, out, err = run(
+            capsys, "build", "grid", "a=2", "b=3", "zz=1", "--out", str(out_file)
+        )
+        assert code == 2
+        assert err == "error: builder grid has no parameter zz\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "spec, shift",
+        [
+            ("cycle:n=4,q=1", "1"),  # no generator
+            ("deformed_chain:q=1.05,x=0.3", "1"),  # no generator
+            ("single_chain:q=2", "1,-1"),  # integer vertices
+            ("grid:a=2,b=3", "1"),  # too short for the grid
+            ("grid:a=2,b=3", "1,0,0"),  # too long for the grid
+        ],
+    )
+    def test_shift_that_does_not_fit_exit_2(self, capsys, spec, shift):
+        code, out, err = run(capsys, "quotient", spec, "--shift", shift)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "shift needs" in err and err.count("\n") == 1
 
     def test_float_overflow_exit_3(self, capsys):
         # --float prints the smallest eigenvalue b/a = 1e-400 first, and it
@@ -123,6 +155,17 @@ class TestPipeline:
         assert code == 0
         assert out.count("vertex") == 3
 
+    def test_quotient_file_action_check_fails(self, tmp_path, capsys):
+        # the file claims weight q^2 for a three-step shift
+        ch = single_chain(2)
+        text = serialize_graph(ch, 4, actions=chain_shift_action(ch, 3))
+        p = tmp_path / "chain.dg"
+        p.write_text(text.replace("action s weight q^3", "action s weight q^2"))
+        code, out, _ = run(capsys, "quotient", str(p), "--radius", "4")
+        assert code == 1
+        assert out.startswith("FAIL action action check failed: generator s: w(")
+        assert out.count("\n") == 1
+
     def test_quotient_without_action_fails(self, capsys):
         code, out, _ = run(capsys, "quotient", "grid:a=2,b=3", "--radius", "3")
         assert code == 1
@@ -196,6 +239,34 @@ class TestOutputs:
         )
         assert code == 0
         assert all(l.startswith("PASS") for l in out.splitlines())
+
+    def test_tl_check_failure(self, capsys, monkeypatch):
+        # a cap that doubles every term breaks delooping and the Gram matrix
+        cap = loop_algebra.cap
+
+        def doubled(v, i):
+            out = cap(v, i)
+            return out + out
+
+        monkeypatch.setattr(loop_algebra, "cap", doubled)
+        code, out, _ = run(capsys, "tl-check", "single_chain:q=2", "--max-len", "2")
+        assert code == 1
+        assert out.splitlines() == [
+            "  got:",
+            "(2 q^-1 + 2 q^1) -",
+            "  want:",
+            "(q^-1 + q^1) -",
+            "FAIL delooping n=0",
+            "PASS zigzag n=0",
+            "PASS star-involution n=0",
+            "PASS gram n=0",
+            "PASS modular-relation n=0",
+            "PASS star-involution n=1",
+            "PASS star-involution n=2",
+            "FAIL gram n=2",
+            "PASS modular-relation n=2",
+            "FAIL tl-check 2 relation(s) failed",
+        ]
 
     def test_export_dot(self, capsys):
         code, out, _ = run(capsys, "export-dot", "cycle:n=3,q=2", "--radius", "2")

@@ -10,6 +10,9 @@ Core claims:
       both by literal nested-cap evaluation
     - inner(f, g, left) == inner(modular f, g, right) on all basis pairs
     - the eigenvalue multiset is the loop-weight multiset
+    - ``relations`` passes every record on every builder, in the tl-check
+      order and bounds
+    - equality is exact between exact coefficients, tolerance-based otherwise
 """
 
 from fractions import Fraction
@@ -29,11 +32,14 @@ from deltagraph import (
     inner,
     loop_vector,
     modular_spectrum,
+    relations,
     star,
     vertex_weighting,
     zero_vector,
 )
 from deltagraph.graph import Path
+from deltagraph.loop_algebra import VERIFY_LIMIT
+from deltagraph.weights import GeneratorContext
 
 
 def coeff_of(graph, w, scalar=1):
@@ -156,11 +162,11 @@ class TestRelations:
                 for e in deformed.out_edges(at):
                     dv = dv + Coefficient.of_weight(e.weight)
                 up = cup(deformed, v, i)
-                assert cap(up, i + 1).eq(v.scaled(dv), exact=False)
+                assert cap(up, i + 1).eq(v.scaled(dv))
                 if i >= 1:
-                    assert cap(up, i).eq(v, exact=False)
+                    assert cap(up, i).eq(v)
                 if i <= n - 1:
-                    assert cap(up, i + 2).eq(v, exact=False)
+                    assert cap(up, i + 2).eq(v)
 
     @pytest.mark.parametrize("name", GRAPHS)
     @pytest.mark.parametrize("n", range(0, 7))
@@ -200,6 +206,61 @@ class TestRelations:
         for v in basis(dchain, 2):
             assert concat(unit, v).eq(v)
             assert concat(v, unit).eq(v)
+
+
+class TestRelationSuite:
+    @pytest.mark.parametrize(
+        "name", GRAPHS + ["cycle4_flat", "deformed"]
+    )
+    def test_every_record_passes(self, request, name):
+        g = request.getfixturevalue(name)
+        records = list(relations(g, 6))
+        names = [rec[0] for rec in records]
+        assert names.count("star-involution") == 7
+        assert names.count("delooping") == names.count("zigzag") == 5
+        assert names.count("gram") == names.count("modular-relation") >= 2
+        for rec in records:
+            assert rec[2] and rec[3] is None, rec
+
+    def test_order_and_bounds(self, chain):
+        # odd lengths have no loops on the chain, so no gram/modular records
+        got = [(name, n) for name, n, _, _ in relations(chain, 4)]
+        full = ["delooping", "zigzag", "star-involution", "gram", "modular-relation"]
+        assert got == (
+            [(name, 0) for name in full]
+            + [("delooping", 1), ("zigzag", 1), ("star-involution", 1)]
+            + [(name, 2) for name in full]
+            + [("star-involution", 3), ("star-involution", 4)]
+        )
+
+
+class TestEquality:
+    def test_exact_coefficients_compare_terms(self):
+        # a^2 and b have the same value, but they are different monomials
+        ctx = GeneratorContext((("a", 2.0), ("b", 4.0)), 1e-9)
+        a2 = Coefficient.of_weight(ctx.gen("a", 2))
+        b = Coefficient.of_weight(ctx.gen("b"))
+        assert a2.isclose(b)
+        assert not a2.eq(b)
+        assert a2.eq(Coefficient.of_weight(ctx.gen("a")) * Coefficient.of_weight(ctx.gen("a")))
+
+    def test_float_coefficients_use_tolerance(self):
+        ctx = GeneratorContext((("a", 2.0),), 1e-9)
+        exact = Coefficient.of_weight(ctx.gen("a"))
+        assert exact.eq(Coefficient.of_weight(ctx.float_weight(2.0 * (1 + 1e-12))))
+        assert Coefficient.of_weight(ctx.float_weight(2.0)).eq(exact)
+        assert not exact.eq(Coefficient.of_weight(ctx.float_weight(2.001)))
+
+    def test_vector_eq(self, deformed):
+        ctx = deformed.context
+        v, w = basis(deformed, 2)[:2]
+        near = v.scaled(Coefficient.of_weight(ctx.float_weight(1 + 1e-12)))
+        assert near.terms != v.terms
+        assert near.eq(v) and v.eq(near)
+        assert not v.scaled(Coefficient.of_weight(ctx.float_weight(2.0))).eq(v)
+        # an absent loop counts as a zero coefficient
+        assert (v + w.scaled(Coefficient.of_weight(ctx.float_weight(1e-12)))).eq(v)
+        assert not v.eq(zero_vector(2)) and not v.eq(zero_vector(4))
 
 
 class TestInner:
@@ -265,6 +326,12 @@ class TestModularSpectrum:
             modular_spectrum(g, n, verify=False).is_trivial() for n in range(7)
         )
         assert all_trivial == bool(vertex_weighting(g, 6))
+
+    def test_default_verification_limit(self, grid23):
+        assert VERIFY_LIMIT == 256
+        assert modular_spectrum(grid23, 4).verified  # 36 loops
+        sp = modular_spectrum(grid23, 6)  # 400 loops
+        assert sp.total_multiplicity > VERIFY_LIMIT and not sp.verified
 
     def test_float_mode_spectrum(self, deformed):
         sp = modular_spectrum(deformed, 2)

@@ -2,6 +2,7 @@
 
     - the tracial cover is tracial, and its vertex weighting is ``nu``
     - recovering a graph from its cover reproduces the ball on interiors
+    - the cover of a shift quotient reproduces the ball on interiors
     - serialize(parse(text)) == text for balls and for weighted covers
     - ``parse_graph`` on a mutated document raises only ``GraphFormatError``
 """
@@ -18,7 +19,9 @@ from deltagraph import (
     double_chain,
     grid,
     iso_check,
+    lattice_shift_action,
     parse_graph,
+    quotient,
     recover,
     serialize_graph,
     single_chain,
@@ -59,6 +62,36 @@ def test_recover_matches_ball_on_interiors(assert_carries_edges, g, r):
     m = iso_check(rec, b, fix_basepoint=True, interior_only=True)
     assert m is not None
     assert_carries_edges(rec, b, m)
+
+
+def _chain_shift(q, k):
+    g = single_chain(q)
+    return g, chain_shift_action(g, k)
+
+
+def _grid_shift(a, b, vec):
+    g = grid(a, b)
+    return g, lattice_shift_action(g, vec)
+
+
+shifts = st.one_of(
+    st.builds(_chain_shift, WEIGHTS, st.integers(1, 4)),
+    st.builds(
+        _grid_shift, WEIGHTS, st.sampled_from([2, 3]),
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+    ),
+)
+
+
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shifts, st.integers(1, 5))
+def test_quotient_cover_roundtrip(assert_carries_edges, shifted, r):
+    g, action = shifted
+    cov, _ = tracial_cover(quotient(g, action, r), r)
+    b = ball(g, r)
+    m = iso_check(cov, b, fix_basepoint=True, interior_only=True)
+    assert m is not None
+    assert_carries_edges(cov, b, m)
 
 
 @PROPERTY
