@@ -54,6 +54,7 @@ from .graph import (
     WeightingResult,
     ball,
     enumerate_loops,
+    loop_weight_counts,
     validate,
     vertex_weighting,
 )

@@ -53,10 +53,14 @@ class GraphAction:
     generators: tuple[ActionGenerator, ...]
 
     def generator(self, label: str) -> ActionGenerator:
+        """The generator labelled ``label``; ``ValueError`` naming the known
+        labels if there is none."""
         for g in self.generators:
             if g.label == label:
                 return g
-        raise KeyError(label)
+        raise ValueError(
+            "no action labelled %r (have: %s)" % (label, ", ".join(g.label for g in self.generators))
+        )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .graph import (
 )
 from .invariants import t0
 from .io import GraphFormatError, export_dot, idtext, parse_graph, serialize_graph
-from .loop_algebra import modular_spectrum, relations
+from .loop_algebra import ModularRelationError, modular_spectrum, relations
 from .weights import WeightFormatError
 
 DEFAULT_RADIUS = 4
@@ -260,6 +260,9 @@ def main(argv=None) -> int:
         return 1
     except ActionError as exc:
         print("FAIL action %s" % exc)
+        return 1
+    except ModularRelationError as exc:
+        print("FAIL modular-relation %s" % exc)
         return 1
     except (GraphFormatError, WeightFormatError, GraphConstructionError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -26,7 +26,7 @@ from .graph import (
     VertexWeighting,
     _as_graph,
     ball,
-    enumerate_loops,
+    loop_weight_counts,
     vid_key,
 )
 from .weights import Weight, reduce_generators
@@ -209,13 +209,16 @@ class LoopWeightGroup:
 
 
 def loop_weight_group(g: DeltaGraph | TruncatedGraph, max_len: int) -> LoopWeightGroup:
-    """Collect non-unit loop weights up to max_len and reduce to generators."""
+    """Collect the distinct non-unit loop weights of each length up to
+    max_len and reduce them to generators.
+
+    The weights come from walk counts (:func:`loop_weight_counts`), not from
+    enumerating loops; the reduction is canonical, so repeated weights do
+    not change the generators."""
     g = _as_graph(g)
     ctx = g.context
     identity = ctx.identity()
     weights = []
     for n in range(1, max_len + 1):
-        for l in enumerate_loops(g, n):
-            if not l.weight.eq(identity):
-                weights.append(l.weight)
+        weights.extend(w for w, _ in loop_weight_counts(g, n) if not w.eq(identity))
     return LoopWeightGroup(reduce_generators(weights, ctx), max_len)

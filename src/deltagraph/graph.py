@@ -536,3 +536,34 @@ def enumerate_loops(g: DeltaGraph | TruncatedGraph, n: int) -> tuple[Path, ...]:
 
     walk(graph.basepoint, n)
     return tuple(loops)
+
+
+def loop_weight_counts(g: DeltaGraph | TruncatedGraph, n: int) -> tuple[tuple[Weight, int], ...]:
+    """The weights of the based loops of length exactly ``n``, each with the
+    number of loops that have it, without enumerating the loops.
+
+    A walk count over ``(vertex, accumulated weight)`` states, which are the
+    tracial cover's vertices, on the ball and with the pruning of
+    :func:`enumerate_loops`.  Weights are formed left to right as in
+    :meth:`Path.of` and states are keyed by structural ``Weight`` equality,
+    so the multiset is exactly that of ``enumerate_loops(g, n)``, float
+    weights included; tolerance merging is left to ``group_weights``.
+    """
+    if n < 0:
+        raise ValueError("loop length must be nonnegative")
+    graph = _as_graph(g)
+    states = {(graph.basepoint, graph.context.identity()): 1}
+    if n:
+        b = ball(graph, (n + 1) // 2)
+        dist = b.distance
+        for remaining in range(n - 1, -1, -1):
+            nxt: dict = {}
+            for (v, w), count in states.items():
+                for e in b.out_edges(v):
+                    d = dist.get(e.target)
+                    if d is None or d > remaining:
+                        continue
+                    key = (e.target, w * e.weight)
+                    nxt[key] = nxt.get(key, 0) + count
+            states = nxt
+    return tuple((w, count) for (_, w), count in states.items())

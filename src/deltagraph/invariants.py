@@ -45,9 +45,6 @@ class InvariantReport:
     certified_radius: int
     shift_bound: int
 
-    def weight_values(self) -> tuple[float, ...]:
-        return tuple(w.value for w in self.certified_weights)
-
 
 def partial_automorphisms(
     g: DeltaGraph | TruncatedGraph, radius: int, shift_bound: int
@@ -82,6 +79,6 @@ def t0(g: DeltaGraph | TruncatedGraph, radius: int, shift_bound: int) -> Invaria
     """Certified basepoint-image weights of all partial automorphisms,
     deduplicated and reduced to a generating set."""
     autos = partial_automorphisms(g, radius, shift_bound)
-    certified = tuple(w for w, _ in group_weights(a.star_image_weight for a in autos))
+    certified = tuple(w for w, _ in group_weights((a.star_image_weight, 1) for a in autos))
     gens = reduce_generators(certified, g.context)
     return InvariantReport("T0", certified, gens, radius, shift_bound)

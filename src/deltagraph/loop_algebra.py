@@ -1,6 +1,7 @@
 """The loop-space model: vectors over based loops, cup/cap maps, star,
-concatenation, the two inner products, the modular spectrum, and the TLJ
-relation suite behind ``tl-check``.
+concatenation, the two inner products, the modular spectrum (read from walk
+counts, verified by trie walks), and the TLJ relation suite behind
+``tl-check``.
 
 Vectors of length n are finitely supported linear combinations of based
 loops of length n.  Cup inserts a conjugate edge pair after position i
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .graph import Path, VertexId, enumerate_loops, vid_key
+from .graph import Edge, Path, VertexId, enumerate_loops, loop_weight_counts, vid_key
 from .weights import GeneratorContext, Weight, group_weights
 
 
@@ -285,6 +286,23 @@ def cup(graph, v: LoopVector, i: int) -> LoopVector:
     return _vec(v.length + 2, acc)
 
 
+def _contraction(e1: Edge, e2: Edge, memo: dict):
+    """The cap rule for the adjacent edges e1, e2: None unless they are a
+    conjugate pair, else ``(w(e1) w(e2))^-1``, the weight the cap removes,
+    and the coefficient ``w(e1)^(1/2)``.  ``memo`` keeps the pair by e1's id
+    for the rest of one computation.  ``cap`` and the trie walk of
+    ``_inner_pairs`` both contract through here."""
+    if e1.conjugate != e2.eid or e2.conjugate != e1.eid:
+        return None
+    got = memo.get(e1.eid)
+    if got is None:
+        got = memo[e1.eid] = (
+            (e1.weight * e2.weight).inverse(),
+            Coefficient.of_weight(e1.weight.sqrt()),
+        )
+    return got
+
+
 def cap(v: LoopVector, i: int) -> LoopVector:
     """Contract edges i, i+1 when conjugate, weighted by w(e_i)^(1/2)."""
     if v.length < 2:
@@ -292,17 +310,11 @@ def cap(v: LoopVector, i: int) -> LoopVector:
     if not 1 <= i <= v.length - 1:
         raise IndexError("cap index %d out of range 1..%d" % (i, v.length - 1))
     acc: dict[Path, Coefficient] = {}
-    pairs: dict = {}  # per contracted pair: (inverse pair weight, sqrt coefficient)
+    memo: dict = {}
     for l, c in v.terms.items():
-        e1, e2 = l.edges[i - 1], l.edges[i]
-        if e1.conjugate != e2.eid or e2.conjugate != e1.eid:
-            continue
-        got = pairs.get(e1.eid)
+        got = _contraction(l.edges[i - 1], l.edges[i], memo)
         if got is None:
-            got = pairs[e1.eid] = (
-                (e1.weight * e2.weight).inverse(),
-                Coefficient.of_weight(e1.weight.sqrt()),
-            )
+            continue
         inv_w, sq = got
         nl = Path(l.start, l.edges[: i - 1] + l.edges[i + 1 :], l.weight * inv_w)
         coeff = c * sq
@@ -339,7 +351,8 @@ def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
 
     Both sides are linear in f and conjugate-linear in g; ``left`` evaluates
     caps on f * star(g), ``right`` on star(g) * f.  Returns the coefficient
-    of the empty loop.
+    of the empty loop.  The trie walks of ``_inner_pairs`` give the same
+    values on a whole basis at once; this is their reference.
     """
     if f.length != g.length:
         raise ValueError("length mismatch: %d vs %d" % (f.length, g.length))
@@ -378,37 +391,106 @@ class ModularSpectrum:
         return all(w.is_identity() for w, _ in self.eigenvalues)
 
 
-VERIFY_LIMIT = 256  # with verify=None, spectra of at most this many loops are verified
+# With verify=None, spectra of at most this many loops are verified.  It stays
+# 256: perfbench checks that a spectrum is verified exactly when it has at
+# most 256 loops.
+VERIFY_LIMIT = 256
 
 
-def _modular_pairs(graph, vecs):
-    """The modular relation on every basis pair (f, g): yields f, g and its
-    two sides inner(f, g, left) and inner(Delta f, g, right)."""
-    for f in vecs:
-        df = apply_modular(f)
-        for g in vecs:
-            yield f, g, inner(graph, f, g, "left"), inner(graph, df, g, "right")
+class ModularRelationError(ArithmeticError):
+    """inner(f, g, left) != inner(Delta f, g, right) on a basis pair."""
+
+
+def _capped(c: Coefficient, factors, zero: Coefficient) -> Coefficient:
+    """``c`` times each cap coefficient in turn, as nested caps multiply it;
+    a term that reaches zero is dropped, as ``cap`` drops it."""
+    for s in factors:
+        if c.is_zero():
+            return zero
+        c = c * s
+    return zero if c.is_zero() else c
+
+
+def _inner_pairs(graph, vecs):
+    """inner(f, g, left), inner(f, g, right) and inner(Delta f, g, right) on
+    a basis of single-loop vectors of one length n, with the values of
+    :func:`inner`, by one trie walk per basis vector.
+
+    Yields ``(i, j, left, right, right_of_delta)`` for f = vecs[i] and
+    g = vecs[j], in order of (i, j), for i == j and for every pair where one
+    of the three is nonzero; on every other pair all three are zero.
+
+    The star(g) words go into a trie.  Both sides contract f's edges from
+    the last one back against star(g)'s edges from the first one on, so one
+    walk down the trie per f meets every cap of every pair: a branch dies
+    where ``_contraction`` rejects the pair, as in ``cap``, and the leaves
+    reached are the nonzero entries.  Only the conjugate child passes at
+    each level, so the walks take O(N n) cap steps for N loops of length n
+    (and test O(N n d) children at out-degree d).  Each leaf multiplies its
+    cap coefficients in the order of ``inner``'s nested caps: outward for
+    left, inward for right.
+    """
+    zero = Coefficient.zero(graph.context)
+    stars = []
+    root = [{}, None]  # node: [edge id -> (edge, child node), basis index of a word's end]
+    for j, h in enumerate(vecs):
+        ((word, c),) = star(graph, h).terms.items()
+        stars.append(c)
+        node = root
+        for e in word.edges:
+            got = node[0].get(e.eid)
+            if got is None:
+                got = node[0][e.eid] = (e, [{}, None])
+            node = got[1]
+        node[1] = j
+    memo: dict = {}
+    for i, f in enumerate(vecs):
+        ((l, cf),) = f.terms.items()
+        ((_, cdf),) = apply_modular(f).terms.items()
+        # (node, left coefficients, right coefficients); None once a side dies
+        live = [(root, (), ())]
+        for e in reversed(l.edges):
+            nxt = []
+            for node, lsq, rsq in live:
+                for e2, child in node[0].values():
+                    a = lsq is not None and _contraction(e, e2, memo)
+                    b = rsq is not None and _contraction(e2, e, memo)
+                    if a or b:
+                        nxt.append((child, lsq + (a[1],) if a else None,
+                                    rsq + (b[1],) if b else None))
+            live = nxt
+        rows = {}
+        for node, lsq, rsq in live:
+            j = node[1]
+            c = stars[j]
+            rows[j] = (
+                zero if lsq is None else _capped(cf * c, lsq, zero),
+                zero if rsq is None else _capped(c * cf, rsq[::-1], zero),
+                zero if rsq is None else _capped(c * cdf, rsq[::-1], zero),
+            )
+        for j in sorted(rows.keys() | {i}):
+            yield (i, j) + rows.get(j, (zero, zero, zero))
 
 
 def modular_spectrum(graph, n: int, verify: bool | None = None) -> ModularSpectrum:
     """Loop-weight multiset at length n, optionally re-derived from the
     inner products.
 
-    When verification runs, every basis pair (f, g) is checked to satisfy
-    inner(f, g, left) == inner(Delta f, g, right); a mismatch raises.  With
-    ``verify=None`` the check runs iff the basis has at most ``VERIFY_LIMIT``
-    loops.
+    The eigenvalues come from walk counts (:func:`loop_weight_counts`), so
+    no loop is enumerated unless verification runs.  Verification checks
+    inner(f, g, left) == inner(Delta f, g, right) on every basis pair, by
+    trie walks at O(N n) cap steps for N loops of length n (the pairs the
+    walks do not reach are zero on both sides); a mismatch raises
+    :class:`ModularRelationError`.  With ``verify=None`` the check runs iff
+    there are at most ``VERIFY_LIMIT`` loops.
     """
-    loops = enumerate_loops(graph, n)
-    spectrum = group_weights(l.weight for l in loops)
-    run = verify if verify is not None else len(loops) <= VERIFY_LIMIT
+    counts = loop_weight_counts(graph, n)
+    run = verify if verify is not None else sum(c for _, c in counts) <= VERIFY_LIMIT
     if run:
-        for _, _, lhs, rhs in _modular_pairs(graph, [loop_vector(l) for l in loops]):
+        for _, _, lhs, _, rhs in _inner_pairs(graph, basis(graph, n)):
             if not lhs.eq(rhs):
-                raise ArithmeticError(
-                    "modular relation failed at n=%d: %s vs %s" % (n, lhs.text(), rhs.text())
-                )
-    return ModularSpectrum(n, spectrum, bool(run))
+                raise ModularRelationError("n=%d: %s vs %s" % (n, lhs.text(), rhs.text()))
+    return ModularSpectrum(n, group_weights(counts), bool(run))
 
 
 def relations(graph, max_len: int):
@@ -424,6 +506,9 @@ def relations(graph, max_len: int):
     - for n <= max(2, max_len // 2) when loops exist, over every basis pair:
       ``gram`` (left Gram matrix the identity, right one diag(1/w(l))) and
       ``modular-relation`` (inner(f, g, left) == inner(Delta f, g, right)).
+      The inner products come from trie walks at O(N n) cap steps for N
+      loops of length n, as in ``modular_spectrum``; the pairs the walks do
+      not reach are zero on every side.
 
     ``detail`` is the got/want text of the first failed delooping at n, else
     None.  Comparisons are ``LoopVector.eq``/``Coefficient.eq``.
@@ -455,10 +540,9 @@ def relations(graph, max_len: int):
         yield "star-involution", n, all(star(graph, star(graph, v)).eq(v) for v in vecs), None
         if n <= max(2, max_len // 2) and vecs:
             ok_gram = ok_mod = True
-            for f, h, lhs, rhs in _modular_pairs(graph, vecs):
-                right = inner(graph, f, h, "right")
-                (lf,), (lh,) = f.terms, h.terms
-                if lf == lh:
+            for i, j, lhs, right, rhs in _inner_pairs(graph, vecs):
+                if i == j:
+                    (lf,) = vecs[i].terms
                     want_l = Coefficient.one(ctx)
                     want_r = Coefficient.of_weight(lf.weight.inverse())
                 else:

@@ -267,18 +267,20 @@ class Weight:
         return "Weight(%s)" % self.text()
 
 
-def group_weights(weights: Iterable[Weight]) -> tuple[tuple[Weight, int], ...]:
-    """Weights grouped by tolerance-aware equality, as (representative,
-    multiplicity) pairs in ascending order of value (by ``log_value``, so
-    exact weights past the float range are ordered too)."""
+def group_weights(counts: Iterable[tuple[Weight, int]]) -> tuple[tuple[Weight, int], ...]:
+    """``(weight, count)`` pairs grouped by tolerance-aware equality, as
+    (representative, multiplicity) pairs in ascending order of value (by
+    ``log_value``, so exact weights past the float range are ordered too).
+    A weight may appear in several pairs; the result does not depend on
+    their order."""
     groups: list[tuple[Weight, int]] = []
-    for w in sorted(weights, key=lambda w: (w.log_value, w.key())):
+    for w, c in sorted(counts, key=lambda p: (p[0].log_value, p[0].key())):
         for i, (rep, m) in enumerate(groups):
             if rep.eq(w):
-                groups[i] = (rep, m + 1)
+                groups[i] = (rep, m + c)
                 break
         else:
-            groups.append((w, 1))
+            groups.append((w, c))
     return tuple(groups)
 
 

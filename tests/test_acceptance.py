@@ -1,7 +1,7 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line
 (run with ``pytest tests/test_acceptance.py -v -s``).
 
-All checks are exact-combinatorial or tolerance-pinned at 1e-9; the two
+All checks are exact-combinatorial or tolerance-pinned at 1e-9; the three
 timed criteria assert their stated wall-clock budgets.
 """
 
@@ -187,3 +187,13 @@ def test_9_deformed_family():
         total = sum(e.weight.value for e in b.out_edges(v))
         assert abs(total - delta) <= 1e-9 * delta
     _ok(9, "deformed chain outgoing sums within 1e-9 of q + 1/q on the radius-6 ball")
+
+
+def test_10_verified_spectrum_past_limit():
+    start = time.perf_counter()
+    sp = modular_spectrum(double_chain(2, 3), 6, verify=True)
+    elapsed = time.perf_counter() - start
+    assert sp.verified
+    assert sp.total_multiplicity == 1280
+    assert elapsed < 5.0
+    _ok(10, "double chain n=6: modular relation on all 1280^2 basis pairs (%.2fs)" % elapsed)

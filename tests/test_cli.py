@@ -3,7 +3,13 @@ pipeline from the examples."""
 
 import pytest
 
-from deltagraph import chain_shift_action, loop_algebra, serialize_graph, single_chain
+from deltagraph import (
+    chain_shift_action,
+    double_chain,
+    loop_algebra,
+    serialize_graph,
+    single_chain,
+)
 from deltagraph.cli import main
 
 
@@ -166,6 +172,15 @@ class TestPipeline:
         assert out.startswith("FAIL action action check failed: generator s: w(")
         assert out.count("\n") == 1
 
+    def test_quotient_unknown_action_label_exit_2(self, tmp_path, capsys):
+        ch = single_chain(2)
+        p = tmp_path / "chain.dg"
+        p.write_text(serialize_graph(ch, 4, actions=chain_shift_action(ch, 3)))
+        code, out, err = run(capsys, "quotient", str(p), "--action", "zz")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no action labelled 'zz' (have: s)\n"
+
     def test_quotient_without_action_fails(self, capsys):
         code, out, _ = run(capsys, "quotient", "grid:a=2,b=3", "--radius", "3")
         assert code == 1
@@ -241,14 +256,15 @@ class TestOutputs:
         assert all(l.startswith("PASS") for l in out.splitlines())
 
     def test_tl_check_failure(self, capsys, monkeypatch):
-        # a cap that doubles every term breaks delooping and the Gram matrix
-        cap = loop_algebra.cap
+        # a contraction rule that doubles every cap coefficient breaks
+        # delooping and the Gram matrix; cap and the trie walk share it
+        contraction = loop_algebra._contraction
 
-        def doubled(v, i):
-            out = cap(v, i)
-            return out + out
+        def doubled(e1, e2, memo):
+            got = contraction(e1, e2, memo)
+            return got and (got[0], got[1] + got[1])
 
-        monkeypatch.setattr(loop_algebra, "cap", doubled)
+        monkeypatch.setattr(loop_algebra, "_contraction", doubled)
         code, out, _ = run(capsys, "tl-check", "single_chain:q=2", "--max-len", "2")
         assert code == 1
         assert out.splitlines() == [
@@ -267,6 +283,26 @@ class TestOutputs:
             "PASS modular-relation n=2",
             "FAIL tl-check 2 relation(s) failed",
         ]
+
+    def test_modular_relation_failure(self, capsys, monkeypatch):
+        # contracting with w(e2)^(1/2) in place of w(e1)^(1/2) breaks the
+        # modular relation on loops of non-unit weight, in cap and in the
+        # trie walk alike
+        contraction = loop_algebra._contraction
+        monkeypatch.setattr(
+            loop_algebra, "_contraction", lambda e1, e2, memo: contraction(e2, e1, memo)
+        )
+        with pytest.raises(loop_algebra.ModularRelationError):
+            loop_algebra.modular_spectrum(double_chain(2, 3), 2, verify=True)
+        code, out, err = run(
+            capsys, "spectrum", "double_chain:a=2,b=3", "--n", "2", "--verify-all"
+        )
+        assert code == 1
+        assert out.startswith("FAIL modular-relation n=2: ") and out.count("\n") == 1
+        assert err == ""
+        code, out, _ = run(capsys, "tl-check", "double_chain:a=2,b=3", "--max-len", "4")
+        assert code == 1
+        assert "FAIL modular-relation n=2" in out.splitlines()
 
     def test_export_dot(self, capsys):
         code, out, _ = run(capsys, "export-dot", "cycle:n=3,q=2", "--radius", "2")

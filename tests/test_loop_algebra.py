@@ -13,11 +13,16 @@ Core claims:
     - ``relations`` passes every record on every builder, in the tl-check
       order and bounds
     - equality is exact between exact coefficients, tolerance-based otherwise
+    - oracles: the walk-count spectrum equals the grouped enumerated loop
+      weights, the trie-walk inner products equal pairwise ``inner``, and
+      ``loop_weight_group`` equals the reduction of enumerated loop weights
 """
 
 from fractions import Fraction
 
 import pytest
+
+from collections import Counter
 
 from deltagraph import (
     Coefficient,
@@ -25,21 +30,31 @@ from deltagraph import (
     ball,
     basis,
     cap,
+    cayley,
     concat,
     cup,
     cycle,
+    deformed_chain,
+    double_chain,
     enumerate_loops,
+    grid,
     inner,
     loop_vector,
+    loop_weight_counts,
+    loop_weight_group,
     modular_spectrum,
+    parse_graph,
+    reduce_generators,
     relations,
+    serialize_graph,
+    single_chain,
     star,
     vertex_weighting,
     zero_vector,
 )
 from deltagraph.graph import Path
-from deltagraph.loop_algebra import VERIFY_LIMIT
-from deltagraph.weights import GeneratorContext
+from deltagraph.loop_algebra import VERIFY_LIMIT, _inner_pairs
+from deltagraph.weights import GeneratorContext, group_weights
 
 
 def coeff_of(graph, w, scalar=1):
@@ -337,3 +352,66 @@ class TestModularSpectrum:
         sp = modular_spectrum(deformed, 2)
         assert sp.is_trivial()
         assert sp.verified
+
+
+def _mixed_grid():
+    """A grid ball read back with float b weights: exact and float edges."""
+    text = serialize_graph(grid(2, 3), 4)
+    text = text.replace(" weight b^1 ", " weight 3 ")
+    text = text.replace(" weight b^-1 ", " weight 0.33333333333333331 ")
+    return parse_graph(text).graph
+
+
+ORACLE_GRAPHS = {
+    "single_chain": lambda: single_chain(2),
+    "double_chain": lambda: double_chain(2, 3),
+    "grid": lambda: grid(2, 3),
+    "cycle": lambda: cycle(3, 2),
+    "cayley": lambda: cayley((2, 3)),
+    "deformed_chain": lambda: deformed_chain(1.05, 0.3),
+    "mixed_file": _mixed_grid,
+}
+
+
+class TestOracles:
+    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    def test_walk_counts_match_enumeration(self, name):
+        g = ORACLE_GRAPHS[name]()
+        for n in range(9):
+            loops = enumerate_loops(g, n)
+            counts = loop_weight_counts(g, n)
+            assert Counter(dict(counts)) == Counter(l.weight for l in loops)
+            want = group_weights((l.weight, 1) for l in loops)
+            got = modular_spectrum(g, n, verify=False).eigenvalues
+            assert got == want
+            assert [(w.text(), m) for w, m in got] == [(w.text(), m) for w, m in want]
+
+    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    def test_trie_rows_match_pairwise_inner(self, name):
+        # every pair of every basis up to n = 4 (at most 96 loops); a pair
+        # the walk does not yield must be zero on all three sides
+        g = ORACLE_GRAPHS[name]()
+        zero = Coefficient.zero(g.context)
+        for n in range(5):
+            vecs = basis(g, n)
+            assert len(vecs) <= 100
+            got = {(i, j): list(rest) for i, j, *rest in _inner_pairs(g, vecs)}
+            for i, f in enumerate(vecs):
+                df = apply_modular(f)
+                for j, h in enumerate(vecs):
+                    want = [inner(g, f, h, "left"), inner(g, f, h, "right"),
+                            inner(g, df, h, "right")]
+                    assert got.pop((i, j), [zero] * 3) == want, (n, i, j)
+            assert not got
+
+    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    def test_loop_weight_group_matches_enumeration(self, name):
+        g = ORACLE_GRAPHS[name]()
+        identity = g.context.identity()
+        weights = []
+        for max_len in range(7):
+            if max_len:
+                loops = enumerate_loops(g, max_len)
+                weights += [l.weight for l in loops if not l.weight.eq(identity)]
+            got = loop_weight_group(g, max_len).generators
+            assert got == reduce_generators(weights, g.context)
