@@ -39,7 +39,6 @@ from .cover import (
     LoopWeightGroup,
     lift_loop,
     loop_weight_group,
-    path_graph,
     tracial_cover,
 )
 from .graph import (

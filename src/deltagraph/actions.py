@@ -44,8 +44,24 @@ class ActionGenerator:
     label: str
     weight: Weight
     act: Callable[[VertexId], VertexId | None]
-    shift_by: object = None  # set for built-in translations; serialization hint
-    table: tuple[tuple[VertexId, VertexId], ...] | None = None
+
+
+def shift_generator(label: str, weight: Weight, vec: tuple[int, ...]) -> ActionGenerator:
+    """Translation by an integer vector: an int vertex moves by ``vec[0]``
+    when ``vec`` has one entry, else a tuple of the same length moves
+    coordinate by coordinate; other vertices have no image."""
+    if len(vec) == 1:
+        step = vec[0]
+        return ActionGenerator(label, weight, lambda v: v + step if isinstance(v, int) else None)
+    return ActionGenerator(
+        label,
+        weight,
+        lambda v: (
+            tuple(a + b for a, b in zip(v, vec))
+            if isinstance(v, tuple) and len(v) == len(vec)
+            else None
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -253,19 +269,12 @@ def quotient(
     orbits = _orbit_partition(b, wv, action)
     assigned = {m: orb for orb in orbits for m in orb.members}
 
-    raw: list[dict] = []
-    for orb in orbits:
-        if orb.representative is None:
-            continue
-        for e in b.out_edges(orb.representative):
-            raw.append(
-                {
-                    "eid": e.eid,
-                    "source": orb.label,
-                    "target": assigned[e.target].label,
-                    "weight": e.weight,
-                }
-            )
+    raw = [
+        (e.eid, orb.label, assigned[e.target].label, e.weight)
+        for orb in orbits
+        if orb.representative is not None
+        for e in b.out_edges(orb.representative)
+    ]
     boundary = {orb.label for orb in orbits if orb.representative is None}
     edges = _pair_conjugates(raw, boundary)
 
@@ -287,54 +296,49 @@ def quotient(
     )
 
 
-def _pair_conjugates(raw: list[dict], boundary: set) -> list[Edge]:
+def _pair_conjugates(raw: list[tuple], boundary: set) -> list[Edge]:
     """Assign conjugates within (endpoint pair, weight class); reverse edges
     at boundary vertices (which emit none of their own) are synthesized.
 
-    Only interior vertices emit records, so a missing partner class is legal
-    exactly when the target is a boundary vertex.
+    Records are ``(eid, source, target, weight)`` tuples.  Only interior
+    vertices emit records, so a missing partner class is legal exactly when
+    the target is a boundary vertex.
     """
+    by_ends: dict = {}
+    for r in raw:
+        by_ends.setdefault((r[1], r[2]), []).append(r)
+    used: set = set()
 
-    def take(source, target, weight: Weight) -> list[dict]:
-        got = []
-        for r in raw:
-            if r.get("_used"):
-                continue
-            if r["source"] == source and r["target"] == target and r["weight"].eq(weight):
-                r["_used"] = True
-                got.append(r)
+    def take(source, target, weight: Weight) -> list[tuple]:
+        got = [
+            r for r in by_ends.get((source, target), ()) if r[0] not in used and r[3].eq(weight)
+        ]
+        used.update(r[0] for r in got)
+        got.sort(key=lambda r: vid_key(r[0]))
         return got
 
     edges: list[Edge] = []
-    for r in sorted(raw, key=lambda r: vid_key(r["eid"])):
-        if r.get("_used"):
+    for eid, s, t, w in sorted(raw, key=lambda r: vid_key(r[0])):
+        if eid in used:
             continue
-        s, t, w = r["source"], r["target"], r["weight"]
         winv = w.inverse()
         members = take(s, t, w)
-        members.sort(key=lambda m: vid_key(m["eid"]))
         if s == t and w.eq(winv):
             # weight-1 self-loops pair among themselves; odd middle one
             # becomes self-conjugate
-            k = len(members)
-            for a in range(k):
-                m, p = members[a], members[k - 1 - a]
-                edges.append(Edge(m["eid"], s, s, m["weight"], p["eid"]))
+            for m, p in zip(members, reversed(members)):
+                edges.append(Edge(m[0], s, s, m[3], p[0]))
             continue
         partners = take(t, s, winv)
         if not partners and t in boundary:
-            partners = [
-                {"eid": ("rev", m["eid"]), "source": t, "target": s, "weight": winv}
-                for m in members
-            ]
+            partners = [(("rev", m[0]), t, s, winv) for m in members]
         if len(partners) != len(members):
             raise ActionError(
                 "edge classes %r -> %r do not pair under conjugation" % (s, t)
             )
-        partners.sort(key=lambda p: vid_key(p["eid"]))
         for m, p in zip(members, partners):
-            edges.append(Edge(m["eid"], s, t, m["weight"], p["eid"]))
-            edges.append(Edge(p["eid"], t, s, p["weight"], m["eid"]))
+            edges.append(Edge(m[0], s, t, m[3], p[0]))
+            edges.append(Edge(p[0], t, s, p[3], m[0]))
     return edges
 
 

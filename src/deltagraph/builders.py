@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .actions import ActionGenerator, GraphAction
+from .actions import GraphAction, shift_generator
 from .graph import DeltaGraph, Edge
 from .weights import GeneratorContext
 
@@ -169,13 +169,8 @@ def chain_shift_action(g: DeltaGraph, steps: int, label: str = "s") -> GraphActi
     steps = int(steps)
     if not isinstance(g.basepoint, int) or not g.context.names:
         raise ValueError("a chain shift needs an integer basepoint and a generator")
-    name = g.context.names[0]
-    h = g.context.gen(name, steps)
-    return GraphAction(
-        (
-            ActionGenerator(label, h, lambda v: v + steps, shift_by=steps),
-        )
-    )
+    h = g.context.gen(g.context.names[0], steps)
+    return GraphAction((shift_generator(label, h, (steps,)),))
 
 
 def lattice_shift_action(g: DeltaGraph, vec: Sequence[int], label: str = "t") -> GraphAction:
@@ -189,16 +184,7 @@ def lattice_shift_action(g: DeltaGraph, vec: Sequence[int], label: str = "t") ->
         raise ValueError("a %d-coordinate shift needs a %d-tuple basepoint and %d generators"
                          % (k, k, k))
     h = g.context.exact({n: c for n, c in zip(g.context.names, vec)})
-    return GraphAction(
-        (
-            ActionGenerator(
-                label,
-                h,
-                lambda v: tuple(a + b for a, b in zip(v, vec)),
-                shift_by=vec,
-            ),
-        )
-    )
+    return GraphAction((shift_generator(label, h, vec),))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tracial covers: the path graph, the cover construction, and loop lifting.
+"""Tracial covers: the cover construction, loop lifting and loop weights.
 
 The tracial cover of a delta graph has one vertex per equivalence class of
 based paths under "same target, same total weight".  It is always tracial,
@@ -8,14 +8,12 @@ loops of the cover.
 The cover is a delta graph in its own right, with the same delta: a
 procedural :class:`DeltaGraph` whose adjacency steps along the original
 graph's edges.  :func:`tracial_cover` cuts its ball out with
-:func:`deltagraph.graph.ball`, and :func:`path_graph` does the same for the
-based-path tree, so neither has a search of its own.
+:func:`deltagraph.graph.ball`, so it has no search of its own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 from .graph import (
@@ -99,66 +97,35 @@ class _Interner:
         return cv
 
 
-def _derived(g: DeltaGraph, basepoint, at, step, label: str) -> DeltaGraph:
-    """A delta graph over states that each sit at the vertex ``at(s)`` of ``g``.
-
-    ``step(s, e)`` is the state reached from ``s`` along the edge ``e`` of
-    ``g``; each such step becomes an edge ``(s, e.eid)`` whose conjugate is
-    ``(step(s, e), e.conjugate)``.  A state is on the frontier when its
-    vertex is on ``g``'s frontier.
-    """
-
-    def out_edges(s):
-        edges = []
-        for e in g.out_edges(at(s)):
-            s2 = step(s, e)
-            edges.append(Edge((s, e.eid), s, s2, e.weight, (s2, e.conjugate)))
-        return edges
-
-    return DeltaGraph(
-        g.delta,
-        g.context,
-        basepoint,
-        out_edges,
-        frontier=lambda s: g.is_frontier(at(s)),
-        label=(g.label + "|" + label) if g.label else label,
-    )
-
-
 def tracial_cover(g: DeltaGraph | TruncatedGraph, radius: int) -> CoverResult:
     """The ball of the given radius in the cover.
 
     Returns the cover as a truncated graph over :class:`CoverVertex` ids,
     together with its canonical vertex weighting (the path-class weight).
+    Each edge ``e`` of ``g`` at ``cv.target`` becomes the cover edge
+    ``(cv, e.eid)``, whose conjugate is ``(cv2, e.conjugate)`` at the class
+    ``cv2`` it reaches; a class is on the frontier when its target is.
     """
     g = _as_graph(g)
     intern = _Interner(g.context.tolerance)
-    root = intern.root(g.basepoint, g.context.identity())
 
-    def step(cv, e):
-        return intern.get(e.target, cv.weight * e.weight)
+    def out_edges(cv):
+        edges = []
+        for e in g.out_edges(cv.target):
+            cv2 = intern.get(e.target, cv.weight * e.weight)
+            edges.append(Edge((cv, e.eid), cv, cv2, e.weight, (cv2, e.conjugate)))
+        return edges
 
-    cover = ball(_derived(g, root, attrgetter("target"), step, "cover"), radius)
-    return CoverResult(cover, VertexWeighting({cv: cv.weight for cv in cover.distance}))
-
-
-def path_graph(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
-    """The based-path tree: one vertex per based path of length <= radius,
-    named by its tuple of edge ids.
-
-    An edge joins p to p*e with weight w(e).  Conjugate ids point at the
-    extension by the conjugate edge, so conjugation closes only after passing
-    to the path-class quotient; fairness holds at every interior vertex.
-    """
-    g = _as_graph(g)
-    targets = {(): g.basepoint}
-
-    def step(pid, e):
-        pid2 = pid + (e.eid,)
-        targets[pid2] = e.target
-        return pid2
-
-    return ball(_derived(g, (), targets.__getitem__, step, "paths"), radius)
+    cover = DeltaGraph(
+        g.delta,
+        g.context,
+        intern.root(g.basepoint, g.context.identity()),
+        out_edges,
+        frontier=lambda cv: g.is_frontier(cv.target),
+        label=(g.label + "|cover") if g.label else "cover",
+    )
+    b = ball(cover, radius)
+    return CoverResult(b, VertexWeighting({cv: cv.weight for cv in b.distance}))
 
 
 def lift_loop(

@@ -5,6 +5,11 @@ basepoint, an involution pairing each edge with a reverse edge of inverse
 weight, and outgoing weight sum equal to ``delta`` at every vertex.  Graphs
 may be infinite: adjacency is a pure function from a vertex to its outgoing
 edges, and all computations work on a finite ball around the basepoint.
+
+One breadth-first search, :func:`bfs_tree`, fixes the discovery order along
+stored edges: :func:`ball` is its traversal cut at the radius,
+:func:`bfs_distances` reads depths off it, and :func:`vertex_weighting`
+assigns its potential along the tree's edges.
 """
 from __future__ import annotations
 
@@ -288,42 +293,57 @@ def _as_graph(g) -> DeltaGraph:
     return g.as_graph() if isinstance(g, TruncatedGraph) else g
 
 
+def bfs_tree(
+    out_edges: Callable[[VertexId], Iterable[Edge]], start: VertexId
+) -> dict[VertexId, Edge | None]:
+    """Every vertex reached from ``start``, keyed in discovery order along
+    each vertex's edges as ``out_edges`` lists them, mapped to the edge that
+    discovered it (None at ``start``)."""
+    tree: dict[VertexId, Edge | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        for e in out_edges(queue.popleft()):
+            if e.target not in tree:
+                tree[e.target] = e
+                queue.append(e.target)
+    return tree
+
+
 def ball(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
-    """All vertices within ``radius`` of the basepoint and all edges among them."""
+    """All vertices within ``radius`` of the basepoint and all edges among them.
+
+    The vertices are those of the BFS tree (:func:`bfs_tree`) that expands
+    every vertex short of the radius and off the graph's frontier, in its
+    discovery order.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     g = _as_graph(g)
+    # depths are recorded on first sight, so dist is keyed in discovery order
     dist = {g.basepoint: 0}
-    order = [g.basepoint]
-    frontier = [g.basepoint]
-    exhausted = False
-    for d in range(radius):
-        nxt = []
-        for v in frontier:
-            if g.is_frontier(v):
-                continue
-            for e in g.out_edges(v):
-                if e.target not in dist:
-                    dist[e.target] = d + 1
-                    order.append(e.target)
-                    nxt.append(e.target)
-        if not nxt:
-            exhausted = True
-            break
-        frontier = nxt
-    else:
-        # probe whether anything lies beyond the ball
-        exhausted = not any(
-            e.target not in dist
-            for v in frontier
-            if not g.is_frontier(v)
-            for e in g.out_edges(v)
-        )
+
+    def expand(v):
+        d = dist[v]
+        if d == radius or g.is_frontier(v):
+            return ()
+        es = g.out_edges(v)
+        for e in es:
+            dist.setdefault(e.target, d + 1)
+        return es
+
+    bfs_tree(expand, g.basepoint)
+    # probe whether anything lies beyond the ball
+    exhausted = not any(
+        e.target not in dist
+        for v, d in dist.items()
+        if d == radius and not g.is_frontier(v)
+        for e in g.out_edges(v)
+    )
     out = {}
     boundary = set()
-    for v in order:
+    for v, d in dist.items():
         es = g.out_edges(v)
-        if dist[v] == radius or g.is_frontier(v):
+        if d == radius or g.is_frontier(v):
             # only a vertex that was not expanded can have edges leaving the ball
             boundary.add(v)
             es = tuple(e for e in es if e.target in dist)
@@ -346,17 +366,12 @@ def bfs_distances(
     start: VertexId,
     vertices: Iterable[VertexId],
 ) -> dict[VertexId, int]:
-    """BFS distances from ``start``, keyed in discovery order along each
-    vertex's stored edge order.  Members of ``vertices`` left unreached are
-    appended in their given order, each at the count of vertices before it."""
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for e in out_edges(v):
-            if e.target not in dist:
-                dist[e.target] = dist[v] + 1
-                queue.append(e.target)
+    """Depths in the BFS tree from ``start`` (:func:`bfs_tree`), in its
+    discovery order.  Members of ``vertices`` left unreached are appended in
+    their given order, each at the count of vertices before it."""
+    dist: dict[VertexId, int] = {}
+    for v, e in bfs_tree(out_edges, start).items():
+        dist[v] = 0 if e is None else dist[e.source] + 1
     for v in vertices:
         dist.setdefault(v, len(dist))
     return dist
@@ -476,36 +491,33 @@ class WeightingResult:
 def vertex_weighting(
     g: DeltaGraph | TruncatedGraph, radius: int | None = None
 ) -> WeightingResult:
-    """Assign w(basepoint)=1 and extend along edges; detect inconsistency.
+    """Assign w(basepoint)=1 and extend along the BFS tree; detect inconsistency.
 
-    The graph is tracial on the ball exactly when the assignment is
-    consistent; otherwise the result carries a based loop of weight != 1.
+    The potential follows the edges of :func:`bfs_tree`, and every other
+    edge is checked in the same scan order.  The graph is tracial on the
+    ball exactly when all agree; otherwise the result carries a based loop
+    of weight != 1: out along the tree, over the first inconsistent edge,
+    and back along the tree.
     """
     b = g if isinstance(g, TruncatedGraph) and radius is None else ball(g, radius)
-    ctx = b.context
-    w: dict[VertexId, Weight] = {b.basepoint: ctx.identity()}
-    tree: dict[VertexId, Path] = {b.basepoint: Path.empty(ctx, b.basepoint)}
-    queue = deque([b.basepoint])
-    inconsistent: Edge | None = None
-    while queue and inconsistent is None:
-        v = queue.popleft()
+    tree = bfs_tree(b.out_edges, b.basepoint)
+    w: dict[VertexId, Weight] = {}
+    for v, e in tree.items():
+        w[v] = b.context.identity() if e is None else w[e.source] * e.weight
+
+    def tree_path(v) -> Path:
+        end, edges = v, []
+        while tree[v] is not None:
+            edges.append(tree[v])
+            v = tree[v].source
+        return Path(b.basepoint, tuple(reversed(edges)), w[end])
+
+    for v in tree:
         for e in b.out_edges(v):
-            expected = w[v] * e.weight
-            got = w.get(e.target)
-            if got is None:
-                w[e.target] = expected
-                tree[e.target] = Path(
-                    b.basepoint, tree[v].edges + (e,), expected
-                )
-                queue.append(e.target)
-            elif not got.eq(expected):
-                inconsistent = e
-                break
-    if inconsistent is None:
-        return WeightingResult(VertexWeighting(dict(w)), None)
-    e = inconsistent
-    witness = tree[e.source] * Path(e.source, (e,), e.weight) * tree[e.target].reversed_in(b)
-    return WeightingResult(None, witness)
+            if tree[e.target] is not e and not w[e.target].eq(w[v] * e.weight):
+                witness = tree_path(v) * Path(v, (e,), e.weight) * tree_path(e.target).reversed_in(b)
+                return WeightingResult(None, witness)
+    return WeightingResult(VertexWeighting(w), None)
 
 
 def enumerate_loops(g: DeltaGraph | TruncatedGraph, n: int) -> tuple[Path, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import ActionGenerator, GraphAction
+from .actions import ActionGenerator, GraphAction, shift_generator
 from .graph import DeltaGraph, Edge, TruncatedGraph, VertexWeighting, ball, bfs_distances
 from .weights import GeneratorContext, Weight, WeightFormatError, parse_weight
 
@@ -254,18 +254,7 @@ def parse_graph(text: str) -> GraphDocument:
                 vec = tuple(int(p) for p in spec.split(","))
             except ValueError:
                 fail(ln, "bad shift %r (want comma-joined integers)" % spec)
-            if len(vec) == 1:
-                step = vec[0]
-                act = lambda v, step=step: v + step if isinstance(v, int) else None
-            else:
-                act = lambda v, vec=vec: (
-                    tuple(a + b for a, b in zip(v, vec))
-                    if isinstance(v, tuple) and len(v) == len(vec)
-                    else None
-                )
-            generators.append(
-                ActionGenerator(row["label"], w, act, shift_by=vec if len(vec) > 1 else vec[0])
-            )
+            generators.append(shift_generator(row["label"], w, vec))
         else:
             table = {}
             for ln, a, b in row["maps"]:
@@ -273,11 +262,7 @@ def parse_graph(text: str) -> GraphDocument:
                 if va not in seen_v or vb not in seen_v:
                     fail(ln, "map references undeclared vertex")
                 table[va] = vb
-            generators.append(
-                ActionGenerator(
-                    row["label"], w, table.get, table=tuple(sorted(table.items(), key=repr))
-                )
-            )
+            generators.append(ActionGenerator(row["label"], w, table.get))
     action = GraphAction(tuple(generators)) if generators else None
     return GraphDocument(graph, action, vertex_weights or None)
 

@@ -2,19 +2,19 @@
 
 One backtracking engine, :func:`matchings`, serves both isomorphism testing
 (:func:`iso_check`) and the partial automorphisms of
-:mod:`deltagraph.invariants`.  It maps vertices in BFS-tree order from an
-explicit stack, so search depth is not bounded by the recursion limit, and
-checks each new pair only against its already-mapped neighbours, in the
-manner of VF2 (Cordella et al., TPAMI 2004).  No canonical labeling.  Two
+:mod:`deltagraph.invariants`.  It maps vertices in the discovery order of
+:func:`deltagraph.graph.bfs_tree` over edges taken in ``vid_key`` order of
+their ids, from an explicit stack, so search depth is not bounded by the
+recursion limit, and checks each new pair only against its already-mapped
+neighbours, in the manner of VF2 (Cordella et al., TPAMI 2004).  No canonical labeling.  Two
 truncations are isomorphic when a vertex bijection induces an edge bijection
 preserving source, target, weight, conjugation and boundary flags.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from .graph import Edge, TruncatedGraph, VertexId, vid_key
+from .graph import Edge, TruncatedGraph, VertexId, bfs_tree, vid_key
 
 
 def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
@@ -78,23 +78,6 @@ def edges_inject(small: Sequence[Edge], big: Sequence[Edge], bijective: bool) ->
     return True
 
 
-def bfs_tree(t: TruncatedGraph) -> tuple[list[VertexId], dict[VertexId, Edge]]:
-    """Vertices in BFS order with the tree edge used to reach each of them."""
-    order: list[VertexId] = [t.basepoint]
-    parent: dict[VertexId, Edge] = {}
-    queue = deque([t.basepoint])
-    while queue:
-        v = queue.popleft()
-        for e in sorted(t.out_edges(v), key=lambda e: vid_key(e.eid)):
-            if e.target != t.basepoint and e.target not in parent:
-                parent[e.target] = e
-                order.append(e.target)
-                queue.append(e.target)
-    if len(order) != len(t.vertices):
-        raise ValueError("matching requires truncations connected from the basepoint")
-    return order, parent
-
-
 def _neighbours(t: TruncatedGraph) -> dict[VertexId, set[VertexId]]:
     """Out-targets and in-sources of every vertex."""
     nbrs: dict[VertexId, set[VertexId]] = {v: set() for v in t.vertices}
@@ -115,15 +98,22 @@ def matchings(
     """Every edge-preserving injection of g1 into g2 sending g1's basepoint
     to one of ``roots``.
 
-    Vertices of g1 are mapped in BFS-tree order; each is sent along an edge
-    of the image of its tree parent, trying candidates in ``vid_key`` order,
-    so mappings come out in that lexicographic order.  Edges between mapped
+    Vertices of g1 are mapped in the order of its BFS tree over edges sorted
+    by ``vid_key`` (a ``ValueError`` unless the tree reaches every vertex);
+    each is sent along an edge of the image of its tree parent, trying
+    candidates in ``vid_key`` order, so mappings come out in that
+    lexicographic order.  Edges between mapped
     vertices must inject class by class (:func:`edges_inject`), and onto
     where their source is matched exactly: every vertex when ``bijective``,
     else the interior ones, which also carry their full outgoing multiset.
     ``bijective`` also requires boundary flags to agree.
     """
-    order, parent = bfs_tree(g1)
+    parent = bfs_tree(
+        lambda v: sorted(g1.out_edges(v), key=lambda e: vid_key(e.eid)), g1.basepoint
+    )
+    if len(parent) != len(g1.vertices):
+        raise ValueError("matching requires truncations connected from the basepoint")
+    order = list(parent)
     nbrs1, nbrs2 = _neighbours(g1), _neighbours(g2)
     mapping: dict[VertexId, VertexId] = {}
     inverse: dict[VertexId, VertexId] = {}

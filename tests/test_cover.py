@@ -1,9 +1,7 @@
-"""Tracial covers: path graph, cover construction, loop lifting, loop
-weights.
+"""Tracial covers: cover construction, loop lifting, loop weights.
 
 Core claims:
-    - the path graph has out-degree fan-out counts and interior fairness
-    - collapsing path-graph vertices by (target, weight) reproduces the cover
+    - collapsing based paths by (target, weight) reproduces the cover
     - the cover of a tracial graph is the graph itself
     - the cover of the double chain is the two-generator grid
     - the cover of a weighted cycle unwinds to the chain
@@ -21,7 +19,6 @@ from deltagraph import (
     iso_check,
     lift_loop,
     loop_weight_group,
-    path_graph,
     single_chain,
     tracial_cover,
     validate,
@@ -31,47 +28,32 @@ from deltagraph.cover import CoverVertex, LoopLiftError
 
 
 class TestPathGraph:
-    def test_radius_zero(self, chain):
-        pg = path_graph(chain, 0)
-        assert len(pg.vertices) == 1
-
-    def test_chain_counts(self, chain):
-        pg = path_graph(chain, 2)
-        assert len(pg.vertices) == 1 + 2 + 4
-
-    def test_double_chain_counts(self, dchain):
-        pg = path_graph(dchain, 2)
-        assert len(pg.vertices) == 1 + 4 + 16
-
-    def test_interior_fairness(self, dchain):
-        pg = path_graph(dchain, 3)
-        for v in pg.interior:
-            total = sum(e.weight.value for e in pg.out_edges(v))
-            assert total == pytest.approx(pg.delta)
-
     def test_quotient_collapses_to_cover(self, dchain):
-        # grouping path vertices by (target, weight) must reproduce the
-        # cover's vertex set, and the grouping must be adjacency-consistent
-        pg = path_graph(dchain, 2)
+        # grouping the based paths of length <= 2 by (target, weight) must
+        # reproduce the cover's vertex set, and the grouping must be
+        # adjacency-consistent
         cov, _ = tracial_cover(dchain, 2)
-        ctx = dchain.context
-
-        def klass(pid):
-            at = dchain.basepoint
-            w = ctx.identity()
-            for eid in pid:
-                e = next(e for e in dchain.out_edges(at) if e.eid == eid)
-                at, w = e.target, w * e.weight
-            return CoverVertex(at, w)
-
-        classes = {pid: klass(pid) for pid in pg.vertices}
+        root = CoverVertex(dchain.basepoint, dchain.context.identity())
+        classes = {(): root}  # based path (edge ids) -> its class
+        level = [((), root)]
+        for _ in range(2):
+            level = [
+                (pid + (e.eid,), CoverVertex(e.target, cv.weight * e.weight))
+                for pid, cv in level
+                for e in dchain.out_edges(cv.target)
+            ]
+            classes.update(level)
+        assert len(classes) == 1 + 4 + 16
         assert set(classes.values()) == set(cov.vertices)
         # out-edge weight multisets only depend on the class
         by_class = {}
-        for pid in pg.interior:
-            sig = tuple(sorted((classes[e.target].weight.key()) for e in pg.out_edges(pid)))
-            prev = by_class.setdefault(classes[pid], sig)
-            assert prev == sig
+        for pid, cv in classes.items():
+            if len(pid) == 2:
+                continue
+            sig = tuple(
+                sorted(classes[pid + (e.eid,)].weight.key() for e in dchain.out_edges(cv.target))
+            )
+            assert by_class.setdefault(cv, sig) == sig
 
 
 class TestTracialCover:

@@ -8,7 +8,10 @@ from deltagraph import (
     GeneratorContext,
     Path,
     ball,
+    cycle,
+    double_chain,
     enumerate_loops,
+    single_chain,
     validate,
     vertex_weighting,
 )
@@ -121,6 +124,38 @@ class TestBall:
         assert set(again.boundary) == set(t.boundary)
 
 
+def _level_oracle(g, r):
+    """Distances, boundary and exhaustion of the radius-r ball, expanding
+    one level at a time along stored edge order (graphs without frontier)."""
+    dist = {g.basepoint: 0}
+    level = [g.basepoint]
+    for d in range(1, r + 1):
+        nxt = []
+        for v in level:
+            for e in g.out_edges(v):
+                if e.target not in dist:
+                    dist[e.target] = d
+                    nxt.append(e.target)
+        level = nxt
+    exhausted = all(e.target in dist for v in level for e in g.out_edges(v))
+    return dist, set(level), exhausted
+
+
+@pytest.mark.parametrize("r", range(6))
+@pytest.mark.parametrize(
+    "make",
+    [lambda: single_chain(2), lambda: cycle(4, 1), lambda: cycle(3, 2)],
+    ids=["single_chain", "cycle41", "cycle32"],
+)
+def test_ball_matches_level_oracle(make, r):
+    g = make()
+    dist, boundary, exhausted = _level_oracle(g, r)
+    b = ball(g, r)
+    assert list(b.distance.items()) == list(dist.items())
+    assert b.boundary == boundary
+    assert b.exhausted == exhausted
+
+
 class TestVertexWeighting:
     def test_chain_weights_are_powers(self, chain):
         wr = vertex_weighting(chain, 3)
@@ -134,6 +169,20 @@ class TestVertexWeighting:
         w = wr.witness.weight
         assert w in (dchain.context.exact(a=1, b=-1), dchain.context.exact(a=-1, b=1))
         assert wr.witness.is_loop() and wr.witness.start == 0
+
+    @pytest.mark.parametrize(
+        "make, r, eids, text",
+        [
+            (lambda: double_chain(2, 3), 3, (("b-", 0), ("a+", -1)), "a^1 * b^-1"),
+            (lambda: cycle(3, 2), 2, (("b", 0), ("b", 2), ("b", 1)), "q^-3"),
+        ],
+        ids=["double_chain", "cycle32"],
+    )
+    def test_witness_is_pinned(self, make, r, eids, text):
+        # the loop through the first inconsistent edge in BFS scan order
+        witness = vertex_weighting(make(), r).witness
+        assert witness.edge_ids() == eids
+        assert witness.weight.text() == text
 
     def test_flat_cycle_all_ones(self, cycle4_flat):
         wr = vertex_weighting(cycle4_flat, 4)

@@ -51,6 +51,21 @@ class TestIsoCheck:
         with pytest.raises(ValueError):
             iso_check(ball(chain, 2), ball(chain, 3))
 
+    def test_unreachable_vertex_rejected(self, chain):
+        # vertex 1 passes the count and signature prefilters but no edge
+        # reaches it from the basepoint
+        t = TruncatedGraph(
+            delta=chain.delta,
+            context=chain.context,
+            basepoint=0,
+            radius=1,
+            out={0: (), 1: ()},
+            distance={0: 0, 1: 1},
+            boundary=(),
+        )
+        with pytest.raises(ValueError, match="connected from the basepoint"):
+            iso_check(t, t)
+
     def test_mapping_preserves_edges(self, dchain, grid23):
         cov, _ = tracial_cover(dchain, 2)
         bg = ball(grid23, 2)
