@@ -47,21 +47,18 @@ class ActionGenerator:
 
 
 def shift_generator(label: str, weight: Weight, vec: tuple[int, ...]) -> ActionGenerator:
-    """Translation by an integer vector: an int vertex moves by ``vec[0]``
-    when ``vec`` has one entry, else a tuple of the same length moves
-    coordinate by coordinate; other vertices have no image."""
-    if len(vec) == 1:
-        step = vec[0]
-        return ActionGenerator(label, weight, lambda v: v + step if isinstance(v, int) else None)
-    return ActionGenerator(
-        label,
-        weight,
-        lambda v: (
-            tuple(a + b for a, b in zip(v, vec))
-            if isinstance(v, tuple) and len(v) == len(vec)
-            else None
-        ),
-    )
+    """Translation by an integer vector: a tuple vertex of the vector's length
+    moves coordinate by coordinate, and an int vertex moves by the one entry
+    of a 1-vector; other vertices have no image."""
+
+    def act(v: VertexId) -> VertexId | None:
+        if isinstance(v, tuple):
+            return tuple(a + b for a, b in zip(v, vec)) if len(v) == len(vec) else None
+        if isinstance(v, int) and len(vec) == 1:
+            return v + vec[0]
+        return None
+
+    return ActionGenerator(label, weight, act)
 
 
 @dataclass(frozen=True)

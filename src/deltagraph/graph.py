@@ -319,7 +319,8 @@ def ball(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     g = _as_graph(g)
-    # depths are recorded on first sight, so dist is keyed in discovery order
+    # expand records a depth the first time it sees a vertex, scanning edges
+    # in the order bfs_tree does, so dist is keyed in the tree's discovery order
     dist = {g.basepoint: 0}
 
     def expand(v):
@@ -332,21 +333,20 @@ def ball(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
         return es
 
     bfs_tree(expand, g.basepoint)
-    # probe whether anything lies beyond the ball
-    exhausted = not any(
-        e.target not in dist
-        for v, d in dist.items()
-        if d == radius and not g.is_frontier(v)
-        for e in g.out_edges(v)
-    )
     out = {}
     boundary = set()
+    exhausted = True
     for v, d in dist.items():
         es = g.out_edges(v)
-        if d == radius or g.is_frontier(v):
-            # only a vertex that was not expanded can have edges leaving the ball
+        frontier = g.is_frontier(v)
+        if d == radius or frontier:
+            # only a vertex that was not expanded can have edges leaving the
+            # ball; one at the radius off the frontier shows what lies beyond
+            kept = tuple(e for e in es if e.target in dist)
+            if not frontier and len(kept) < len(es):
+                exhausted = False
             boundary.add(v)
-            es = tuple(e for e in es if e.target in dist)
+            es = kept
         out[v] = es
     return TruncatedGraph(
         delta=g.delta,

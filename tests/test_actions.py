@@ -19,6 +19,7 @@ from deltagraph import (
     GraphAction,
     NonTracialGraphError,
     ball,
+    cayley,
     chain_shift_action,
     check_action,
     cycle,
@@ -79,6 +80,14 @@ class TestQuotient:
         assert texts == ["q^-1", "q^1"]
         e1, e2 = q.out_edges(v)
         assert e1.conjugate == e2.eid and e2.conjugate == e1.eid
+
+    def test_one_generator_cayley_shift_single_vertex(self):
+        # cayley([w]) has 1-tuple vertices, which a 1-vector shift must move too
+        g = cayley([2])
+        act = lattice_shift_action(g, (1,))
+        assert check_action(g, act, 4).checked > 0
+        q = quotient(g, act, 4)
+        assert len(q.vertices) == 1
 
     def test_three_step_shift_is_cycle(self, chain, cycle3):
         q = quotient(chain, chain_shift_action(chain, 3), 4)
