@@ -16,13 +16,11 @@ from .cover import tracial_cover
 from .graph import (
     DeltaGraph,
     Edge,
-    NonTracialGraphError,
     TruncatedGraph,
     VertexId,
     VertexWeighting,
-    ball,
     bfs_distances,
-    vertex_weighting,
+    tracial_ball,
     vid_key,
 )
 from .isomorphism import edges_inject
@@ -104,29 +102,13 @@ def _forward_map(gen: ActionGenerator, b: TruncatedGraph) -> dict:
     return fwd
 
 
-def _weighted_ball(g, radius: int, what: str):
-    """The ball and its vertex weighting; ``what`` names the caller in the
-    error raised when the ball is not tracial."""
-    b = ball(g, radius)
-    wr = vertex_weighting(b)
-    if not wr:
-        raise NonTracialGraphError(
-            "%s need a tracial graph; witness loop of weight %s"
-            % (what, wr.witness.weight.text()),
-            wr.witness,
-        )
-    return b, wr.weighting
-
-
-def check_action(
-    g: DeltaGraph | TruncatedGraph, action: GraphAction, radius: int
-) -> ActionReport:
+def check_action(g: DeltaGraph, action: GraphAction, radius: int) -> ActionReport:
     """Verify weight scaling and adjacency preservation on the ball.
 
     Images outside the materialized ball are counted as skipped, not failed;
     a unit-weight generator acting nontrivially is rejected outright.
     """
-    return _check_action(*_weighted_ball(g, radius, "action checks"), action)
+    return _check_action(*tracial_ball(g, radius, "action checks"), action)
 
 
 def _check_action(b: TruncatedGraph, wv: VertexWeighting, action: GraphAction) -> ActionReport:
@@ -218,26 +200,27 @@ def _orbits(b: TruncatedGraph, action: GraphAction):
     return orbits, assigned
 
 
-def orbit_partition(
-    g: DeltaGraph | TruncatedGraph, action: GraphAction, radius: int
-) -> tuple[Orbit, ...]:
+def orbit_partition(g: DeltaGraph, action: GraphAction, radius: int) -> tuple[Orbit, ...]:
     """The orbits of the action on the ball; members must carry pairwise
     distinct vertex weights (a unit-weight element acting freely would
     merge them, and such actions are rejected)."""
-    return _orbit_partition(*_weighted_ball(g, radius, "orbit computations"), action)
+    return _orbit_partition(*tracial_ball(g, radius, "orbit computations"), action)
 
 
 def _orbit_partition(b: TruncatedGraph, wv: VertexWeighting, action: GraphAction) -> tuple[Orbit, ...]:
     orbit_lists, _ = _orbits(b, action)
     orbits = []
     for members in orbit_lists:
-        for m1 in members:
-            for m2 in members:
-                if m1 is not m2 and wv[m1].eq(wv[m2]):
-                    raise ActionError(
-                        "orbit members %r and %r share weight %s"
-                        % (m1, m2, wv[m1].text())
-                    )
+        # sorted this way, equal exact weights and tolerance-equal float
+        # weights sit next to each other, so neighbours show any shared weight
+        ranked = sorted(members, key=lambda m: (wv[m].log_value, wv[m].key(), vid_key(m)))
+        if any(wv[m1].eq(wv[m2]) for m1, m2 in zip(ranked, ranked[1:])):
+            m1, m2 = next(
+                (m1, m2) for m1 in members for m2 in members if m1 is not m2 and wv[m1].eq(wv[m2])
+            )
+            raise ActionError(
+                "orbit members %r and %r share weight %s" % (m1, m2, wv[m1].text())
+            )
         key = lambda m: (wv[m].log_value, vid_key(m))
         inner = [m for m in members if m not in b.boundary]
         orbits.append(
@@ -250,16 +233,14 @@ def _orbit_partition(b: TruncatedGraph, wv: VertexWeighting, action: GraphAction
     return tuple(orbits)
 
 
-def quotient(
-    g: DeltaGraph | TruncatedGraph, action: GraphAction, radius: int
-) -> TruncatedGraph:
+def quotient(g: DeltaGraph, action: GraphAction, radius: int) -> TruncatedGraph:
     """Collapse a tracial graph to orbits of the action.
 
     One vertex per orbit meeting the ball, labeled by its minimal-weight
     member; outgoing edges copied from a minimal-weight interior member.
     Orbits with no interior member become boundary vertices.
     """
-    b, wv = _weighted_ball(g, radius, "action checks")
+    b, wv = tracial_ball(g, radius, "action checks")
     report = _check_action(b, wv, action)
     if not report.passed:
         raise ActionError("action check failed: " + "; ".join(report.failures))
@@ -339,7 +320,7 @@ def _pair_conjugates(raw: list[tuple], boundary: set) -> list[Edge]:
     return edges
 
 
-def recover(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
+def recover(g: DeltaGraph, radius: int) -> TruncatedGraph:
     """Rebuild a graph from its tracial cover.
 
     The loop-weight group acts on the cover by rescaling the path-class

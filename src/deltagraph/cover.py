@@ -22,7 +22,6 @@ from .graph import (
     Path,
     TruncatedGraph,
     VertexWeighting,
-    _as_graph,
     ball,
     loop_weight_counts,
     vid_key,
@@ -97,7 +96,7 @@ class _Interner:
         return cv
 
 
-def tracial_cover(g: DeltaGraph | TruncatedGraph, radius: int) -> CoverResult:
+def tracial_cover(g: DeltaGraph, radius: int) -> CoverResult:
     """The ball of the given radius in the cover.
 
     Returns the cover as a truncated graph over :class:`CoverVertex` ids,
@@ -106,7 +105,6 @@ def tracial_cover(g: DeltaGraph | TruncatedGraph, radius: int) -> CoverResult:
     ``(cv, e.eid)``, whose conjugate is ``(cv2, e.conjugate)`` at the class
     ``cv2`` it reaches; a class is on the frontier when its target is.
     """
-    g = _as_graph(g)
     intern = _Interner(g.context.tolerance)
 
     def out_edges(cv):
@@ -128,17 +126,12 @@ def tracial_cover(g: DeltaGraph | TruncatedGraph, radius: int) -> CoverResult:
     return CoverResult(b, VertexWeighting({cv: cv.weight for cv in b.distance}))
 
 
-def lift_loop(
-    g: DeltaGraph | TruncatedGraph,
-    l: Path,
-    cover: TruncatedGraph | None = None,
-) -> Path:
+def lift_loop(g: DeltaGraph, l: Path, cover: TruncatedGraph | None = None) -> Path:
     """Trace a weight-1 based loop through the tracial cover.
 
     The lift is injective on weight-1 loops and multiplicative under
     concatenation; loops of non-unit weight are rejected.
     """
-    g = _as_graph(g)
     ctx = g.context
     if not l.weight.eq(ctx.identity()):
         raise LoopLiftError(l.weight)
@@ -175,14 +168,13 @@ class LoopWeightGroup:
         return not self.generators
 
 
-def loop_weight_group(g: DeltaGraph | TruncatedGraph, max_len: int) -> LoopWeightGroup:
+def loop_weight_group(g: DeltaGraph, max_len: int) -> LoopWeightGroup:
     """Collect the distinct non-unit loop weights of each length up to
     max_len and reduce them to generators.
 
     The weights come from walk counts (:func:`loop_weight_counts`), not from
     enumerating loops; the reduction is canonical, so repeated weights do
     not change the generators."""
-    g = _as_graph(g)
     ctx = g.context
     identity = ctx.identity()
     weights = []

@@ -6,6 +6,10 @@ weight, and outgoing weight sum equal to ``delta`` at every vertex.  Graphs
 may be infinite: adjacency is a pure function from a vertex to its outgoing
 edges, and all computations work on a finite ball around the basepoint.
 
+A ball is itself a delta graph: a :class:`TruncatedGraph` is a
+:class:`DeltaGraph` whose frontier is its boundary, so every function here
+takes either, and a ball of a ball is cut from the stored edges.
+
 One breadth-first search, :func:`bfs_tree`, fixes the discovery order along
 stored edges: :func:`ball` is its traversal cut at the radius,
 :func:`bfs_distances` reads depths off it, and :func:`vertex_weighting`
@@ -194,11 +198,13 @@ class DeltaGraph:
         return "DeltaGraph(%s, delta=%g)" % (self.label or "?", self.delta)
 
 
-class TruncatedGraph:
+class TruncatedGraph(DeltaGraph):
     """A finite window onto a delta graph: the ball of a given radius.
 
-    Boundary vertices (at full radius, or sitting on the underlying graph's
-    own frontier) have incomplete adjacency and are exempt from fairness.
+    It is a delta graph whose frontier is its boundary: boundary vertices
+    (at full radius, or sitting on the underlying graph's own frontier) have
+    incomplete adjacency, are exempt from fairness and are never expanded
+    past.  Its vertices are its declared vertices, in ``vid_key`` order.
     """
 
     def __init__(
@@ -214,16 +220,21 @@ class TruncatedGraph:
         exhausted: bool = False,
         label: str = "",
     ):
-        self.delta = float(delta)
-        self.context = context
-        self.basepoint = basepoint
-        self.radius = int(radius)
         self._out = {v: tuple(es) for v, es in out.items()}
-        self.distance = dict(distance)
-        self.vertices = tuple(sorted(self._out, key=vid_key))
         self.boundary = frozenset(boundary)
+        super().__init__(
+            delta,
+            context,
+            basepoint,
+            self._out.__getitem__,
+            declared_vertices=sorted(self._out, key=vid_key),
+            frontier=self.boundary.__contains__,
+            label=label,
+        )
+        self.vertices = self.declared_vertices
+        self.radius = int(radius)
+        self.distance = dict(distance)
         self.exhausted = exhausted
-        self.label = label
         self._edges: dict[EdgeId, Edge] = {}
         self._sorted_edges: tuple[Edge, ...] | None = None
         for es in self._out.values():
@@ -262,24 +273,8 @@ class TruncatedGraph:
             )
         return got
 
-    def is_frontier(self, v: VertexId) -> bool:
-        return v in self.boundary
-
     def __contains__(self, v: VertexId) -> bool:
         return v in self._out
-
-    def as_graph(self) -> DeltaGraph:
-        """View this truncation as a delta graph (boundary marked as frontier)."""
-        out = self._out
-        return DeltaGraph(
-            self.delta,
-            self.context,
-            self.basepoint,
-            lambda v: out[v],
-            declared_vertices=self.vertices,
-            frontier=self.boundary.__contains__,
-            label=self.label + "|trunc",
-        )
 
     def __repr__(self):
         return "TruncatedGraph(%s, radius=%d, %d vertices)" % (
@@ -287,10 +282,6 @@ class TruncatedGraph:
             self.radius,
             len(self.vertices),
         )
-
-
-def _as_graph(g) -> DeltaGraph:
-    return g.as_graph() if isinstance(g, TruncatedGraph) else g
 
 
 def bfs_tree(
@@ -309,7 +300,7 @@ def bfs_tree(
     return tree
 
 
-def ball(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
+def ball(g: DeltaGraph, radius: int) -> TruncatedGraph:
     """All vertices within ``radius`` of the basepoint and all edges among them.
 
     The vertices are those of the BFS tree (:func:`bfs_tree`) that expands
@@ -318,7 +309,6 @@ def ball(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    g = _as_graph(g)
     # expand records a depth the first time it sees a vertex, scanning edges
     # in the order bfs_tree does, so dist is keyed in the tree's discovery order
     dist = {g.basepoint: 0}
@@ -359,6 +349,16 @@ def ball(g: DeltaGraph | TruncatedGraph, radius: int) -> TruncatedGraph:
         exhausted=exhausted,
         label=g.label,
     )
+
+
+def window(g: DeltaGraph, radius: int | None = None) -> TruncatedGraph:
+    """The truncation ``g`` itself when no radius is given, else its ball of
+    ``radius``; a graph that is not a truncation needs the radius."""
+    if radius is not None:
+        return ball(g, radius)
+    if isinstance(g, TruncatedGraph):
+        return g
+    raise ValueError("radius required for a non-truncated graph")
 
 
 def bfs_distances(
@@ -403,7 +403,7 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def validate(g: DeltaGraph | TruncatedGraph, radius: int | None = None) -> ValidationReport:
+def validate(g: DeltaGraph, radius: int | None = None) -> ValidationReport:
     """Check the delta-graph axioms on the ball of the given radius.
 
     Checks: the conjugation involution is well formed, conjugate weight
@@ -411,15 +411,8 @@ def validate(g: DeltaGraph | TruncatedGraph, radius: int | None = None) -> Valid
     and (for graphs with a declared finite vertex set) connectivity from the
     basepoint.
     """
-    if isinstance(g, TruncatedGraph) and radius is None:
-        b = g
-        radius = g.radius
-        declared = None
-    else:
-        if radius is None:
-            raise ValueError("radius required for a non-truncated graph")
-        declared = _as_graph(g).declared_vertices
-        b = ball(g, radius)
+    b = window(g, radius)
+    declared = None if b is g else g.declared_vertices
 
     inv_bad: list[str] = []
     wprod_bad: list[str] = []
@@ -458,7 +451,7 @@ def validate(g: DeltaGraph | TruncatedGraph, radius: int | None = None) -> Valid
         CheckResult("fairness", not fair_bad, tuple(fair_bad)),
         CheckResult("connectivity", not conn_bad, tuple(conn_bad)),
     )
-    return ValidationReport(radius=radius, checks=checks)
+    return ValidationReport(radius=b.radius, checks=checks)
 
 
 @dataclass(frozen=True)
@@ -488,9 +481,7 @@ class WeightingResult:
         return self.weighting is not None
 
 
-def vertex_weighting(
-    g: DeltaGraph | TruncatedGraph, radius: int | None = None
-) -> WeightingResult:
+def vertex_weighting(g: DeltaGraph, radius: int | None = None) -> WeightingResult:
     """Assign w(basepoint)=1 and extend along the BFS tree; detect inconsistency.
 
     The potential follows the edges of :func:`bfs_tree`, and every other
@@ -499,7 +490,7 @@ def vertex_weighting(
     of weight != 1: out along the tree, over the first inconsistent edge,
     and back along the tree.
     """
-    b = g if isinstance(g, TruncatedGraph) and radius is None else ball(g, radius)
+    b = window(g, radius)
     tree = bfs_tree(b.out_edges, b.basepoint)
     w: dict[VertexId, Weight] = {}
     for v, e in tree.items():
@@ -520,23 +511,38 @@ def vertex_weighting(
     return WeightingResult(VertexWeighting(w), None)
 
 
-def enumerate_loops(g: DeltaGraph | TruncatedGraph, n: int) -> tuple[Path, ...]:
+def tracial_ball(
+    g: DeltaGraph, radius: int, what: str
+) -> tuple[TruncatedGraph, VertexWeighting]:
+    """The ball and its vertex weighting; ``what`` names the caller in the
+    :class:`NonTracialGraphError` raised when the ball is not tracial."""
+    b = ball(g, radius)
+    wr = vertex_weighting(b)
+    if not wr:
+        raise NonTracialGraphError(
+            "%s need a tracial graph; witness loop of weight %s"
+            % (what, wr.witness.weight.text()),
+            wr.witness,
+        )
+    return b, wr.weighting
+
+
+def enumerate_loops(g: DeltaGraph, n: int) -> tuple[Path, ...]:
     """Every based loop of length exactly ``n``, lexicographic by edge ids."""
     if n < 0:
         raise ValueError("loop length must be nonnegative")
-    graph = _as_graph(g)
-    ctx = graph.context
+    ctx = g.context
     if n == 0:
-        return (Path.empty(ctx, graph.basepoint),)
-    b = ball(graph, (n + 1) // 2)
+        return (Path.empty(ctx, g.basepoint),)
+    b = ball(g, (n + 1) // 2)
     dist = b.distance
     loops: list[Path] = []
     stack: list[Edge] = []
 
     def walk(v: VertexId, remaining: int):
         if remaining == 0:
-            if v == graph.basepoint:
-                loops.append(Path.of(ctx, graph.basepoint, tuple(stack)))
+            if v == g.basepoint:
+                loops.append(Path.of(ctx, g.basepoint, tuple(stack)))
             return
         for e in sorted(b.out_edges(v), key=lambda e: vid_key(e.eid)):
             d = dist.get(e.target)
@@ -546,11 +552,11 @@ def enumerate_loops(g: DeltaGraph | TruncatedGraph, n: int) -> tuple[Path, ...]:
             walk(e.target, remaining - 1)
             stack.pop()
 
-    walk(graph.basepoint, n)
+    walk(g.basepoint, n)
     return tuple(loops)
 
 
-def loop_weight_counts(g: DeltaGraph | TruncatedGraph, n: int) -> tuple[tuple[Weight, int], ...]:
+def loop_weight_counts(g: DeltaGraph, n: int) -> tuple[tuple[Weight, int], ...]:
     """The weights of the based loops of length exactly ``n``, each with the
     number of loops that have it, without enumerating the loops.
 
@@ -563,10 +569,9 @@ def loop_weight_counts(g: DeltaGraph | TruncatedGraph, n: int) -> tuple[tuple[We
     """
     if n < 0:
         raise ValueError("loop length must be nonnegative")
-    graph = _as_graph(g)
-    states = {(graph.basepoint, graph.context.identity()): 1}
+    states = {(g.basepoint, g.context.identity()): 1}
     if n:
-        b = ball(graph, (n + 1) // 2)
+        b = ball(g, (n + 1) // 2)
         dist = b.distance
         for remaining in range(n - 1, -1, -1):
             nxt: dict = {}

@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import (
-    DeltaGraph,
-    NonTracialGraphError,
-    TruncatedGraph,
-    VertexId,
-    ball,
-    vertex_weighting,
-)
+from .graph import DeltaGraph, VertexId, ball, tracial_ball
 from .isomorphism import matchings
 from .weights import Weight, group_weights, reduce_generators
 
@@ -47,7 +40,7 @@ class InvariantReport:
 
 
 def partial_automorphisms(
-    g: DeltaGraph | TruncatedGraph, radius: int, shift_bound: int
+    g: DeltaGraph, radius: int, shift_bound: int
 ) -> tuple[PartialAutomorphism, ...]:
     """All weight-preserving injections of ball(radius) into
     ball(radius + shift_bound), with the basepoint sent within distance
@@ -58,15 +51,7 @@ def partial_automorphisms(
     vertices keep their full outgoing weight multiset, while boundary
     vertices of the small ball may gain edges in the image.
     """
-    big = ball(g, radius + shift_bound)
-    wr = vertex_weighting(big)
-    if not wr:
-        raise NonTracialGraphError(
-            "automorphism invariants need a tracial graph; witness loop of weight %s"
-            % wr.witness.weight.text(),
-            wr.witness,
-        )
-    wv = wr.weighting
+    big, wv = tracial_ball(g, radius + shift_bound, "automorphism invariants")
     small = ball(g, radius)
     roots = [v for v in big.vertices if big.distance[v] <= shift_bound]
     return tuple(
@@ -75,7 +60,7 @@ def partial_automorphisms(
     )
 
 
-def t0(g: DeltaGraph | TruncatedGraph, radius: int, shift_bound: int) -> InvariantReport:
+def t0(g: DeltaGraph, radius: int, shift_bound: int) -> InvariantReport:
     """Certified basepoint-image weights of all partial automorphisms,
     deduplicated and reduced to a generating set."""
     autos = partial_automorphisms(g, radius, shift_bound)

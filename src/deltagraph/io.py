@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionGenerator, GraphAction, shift_generator
-from .graph import DeltaGraph, Edge, TruncatedGraph, VertexWeighting, ball, bfs_distances
+from .graph import DeltaGraph, Edge, TruncatedGraph, VertexWeighting, bfs_distances, window
 from .weights import GeneratorContext, Weight, WeightFormatError, parse_weight
 
 HEADER = "delta-graph v1"
@@ -45,7 +45,7 @@ def _bfs_names(t: TruncatedGraph):
 
 
 def serialize_graph(
-    g: DeltaGraph | TruncatedGraph,
+    g: DeltaGraph,
     radius: int | None = None,
     *,
     weighting: VertexWeighting | None = None,
@@ -56,7 +56,7 @@ def serialize_graph(
     ``weighting`` adds per-vertex weight fields; ``actions`` append map-table
     blocks restricted to the serialized ball.
     """
-    t = g if isinstance(g, TruncatedGraph) and radius is None else ball(g, radius)
+    t = window(g, radius)
     order, vname, ename = _bfs_names(t)
     lines = [HEADER, "delta %s" % _fmt(t.delta)]
     for name, value in t.context.generators:

@@ -31,7 +31,7 @@ def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
         basepoint=t.basepoint,
         radius=t.radius,
         out=out,
-        distance={v: t.distance[v] for v in keep},
+        distance={v: d for v, d in t.distance.items() if v in keep},
         boundary=(),
         exhausted=True,
         label=t.label + "|interior",

@@ -142,10 +142,6 @@ class Weight:
         return self.num is not None
 
     @property
-    def mode(self) -> str:
-        return "exact" if self.is_exact else "float"
-
-    @property
     def exponents(self) -> tuple[tuple[str, Fraction], ...] | None:
         """Nonzero exponents as ``(name, Fraction)`` in context order; None
         in float mode."""

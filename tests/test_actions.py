@@ -105,6 +105,14 @@ class TestQuotient:
         with pytest.raises(ActionError):
             quotient(cycle4_flat, GraphAction((gen,)), 3)
 
+    def test_orbit_weights_distinct_names_first_pair(self, cycle4_flat):
+        from deltagraph import orbit_partition
+
+        gen = ActionGenerator("r", cycle4_flat.context.identity(), lambda v: (v + 1) % 4)
+        with pytest.raises(ActionError) as err:
+            orbit_partition(cycle4_flat, GraphAction((gen,)), 3)
+        assert str(err.value) == "orbit members 0 and 1 share weight 1"
+
     def test_orbit_partition(self, chain):
         from deltagraph import orbit_partition, vertex_weighting
 

@@ -118,9 +118,9 @@ class TestBall:
         assert b.exhausted
         assert b.boundary == frozenset()
 
-    def test_truncation_as_graph_keeps_frontier(self, chain):
+    def test_ball_of_truncation_keeps_frontier(self, chain):
         t = ball(chain, 2)
-        again = ball(t.as_graph(), 2)
+        again = ball(t, 2)
         assert set(again.boundary) == set(t.boundary)
 
 
@@ -188,6 +188,10 @@ class TestVertexWeighting:
         wr = vertex_weighting(cycle4_flat, 4)
         assert wr
         assert all(w.is_identity() for w in wr.weighting.weights.values())
+
+    def test_plain_graph_needs_radius(self, chain):
+        with pytest.raises(ValueError, match="radius required"):
+            vertex_weighting(chain)
 
     def test_weighting_recheck_on_edges(self, grid23):
         b = ball(grid23, 3)

@@ -44,6 +44,10 @@ class TestRoundtrip:
         assert doc.vertex_weights is not None
         assert doc.vertex_weights["v0"].is_identity()
 
+    def test_plain_graph_needs_radius(self, chain):
+        with pytest.raises(ValueError, match="radius required"):
+            serialize_graph(chain)
+
     def test_action_blocks_roundtrip(self, chain):
         act = chain_shift_action(chain, 3)
         text = serialize_graph(chain, 4, actions=act)

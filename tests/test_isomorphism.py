@@ -11,8 +11,11 @@ from deltagraph import (
     deformed_chain,
     double_chain,
     grid,
+    interior_restriction,
     iso_check,
+    parse_graph,
     partial_automorphisms,
+    serialize_graph,
     single_chain,
     tracial_cover,
     vertex_weighting,
@@ -102,6 +105,13 @@ class TestIsoCheck:
         m = iso_check(cov, bg, interior_only=True)
         assert m is not None
         assert_carries_edges(cov, bg, m)
+
+    def test_interior_restriction_keeps_distance_order(self):
+        # string vertex ids: a set's order would follow the hash seed
+        g = parse_graph(serialize_graph(grid(2, 3), 4)).graph
+        t = ball(g, 3)
+        inner = interior_restriction(t)
+        assert list(inner.distance) == [v for v in t.distance if v not in t.boundary]
 
     def test_free_basepoint(self, cycle4_flat):
         b = ball(cycle4_flat, 2)
