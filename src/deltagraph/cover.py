@@ -12,7 +12,6 @@ graph's edges.  :func:`tracial_cover` cuts its ball out with
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,41 +56,50 @@ class CoverResult(NamedTuple):
 
 
 class _Interner:
-    """Canonicalizes cover vertices; float weights are bucketed on log(value).
+    """Canonicalizes cover vertices: one per class of equal weights at a target.
 
-    Every lookup returns the stored instance, so dict lookups and the source
-    check of :meth:`DeltaGraph.out_edges` compare by identity first.  The
-    exact identity at the root is registered in both branches: in a
-    float-weighted graph every loop returns to the basepoint with a float
-    weight near 1 and must land on the root, not split it.
+    Two exact weights are equal when they are the same monomial, so grid(2,2)'s
+    ``a`` and ``b`` stay apart.  Otherwise weights are equal when their
+    ``log_value`` lie within the tolerance, and a weight lands on the first
+    class at its target that it matches.  So a float loop weight near 1 lands
+    on the root, and an exact class and its float twin are one.  The classes
+    (``buckets``, per target, in creation order) are made at the first float
+    weight, so exact-only graphs compute no log.
 
-    ``ball`` also steps one edge past its radius, and interns the states it
-    reaches there.  They are created after every state inside the ball, so
-    they come last in each bucket and never capture a lookup that a state
-    inside the ball matches.
+    ``known`` maps every vertex looked up to its class, and every lookup
+    returns the stored instance, so dict lookups and the source check of
+    :meth:`DeltaGraph.out_edges` compare by identity first.  ``ball`` also
+    steps one edge past its radius, and interns the states it reaches there.
+    They are created after every state inside the ball, so they come last in
+    each bucket and never capture a lookup that a state inside the ball
+    matches.
     """
 
     def __init__(self, tolerance: float):
         self.tolerance = tolerance
         self.known: dict[CoverVertex, CoverVertex] = {}
-        self.buckets: dict[object, list[tuple[float, CoverVertex]]] = {}
-
-    def root(self, target, weight: Weight) -> CoverVertex:
-        cv = CoverVertex(target, weight)
-        self.known[cv] = cv
-        self.buckets.setdefault(target, []).append((math.log(weight.value), cv))
-        return cv
+        self.buckets: dict[object, list[tuple[float, CoverVertex]]] | None = None
 
     def get(self, target, weight: Weight) -> CoverVertex:
-        if weight.is_exact:
-            cv = CoverVertex(target, weight)
-            return self.known.setdefault(cv, cv)
-        lw = math.log(weight.value)
-        bucket = self.buckets.setdefault(target, [])
-        for lv, cv in bucket:
-            if abs(lw - lv) <= self.tolerance:
-                return cv
         cv = CoverVertex(target, weight)
+        got = self.known.get(cv)
+        if got is None:
+            got = self.known[cv] = self._match(cv)
+        return got
+
+    def _match(self, cv: CoverVertex) -> CoverVertex:
+        w = cv.weight
+        if self.buckets is None:
+            if w.is_exact:
+                return cv
+            self.buckets = {}
+            for k in self.known:
+                self.buckets.setdefault(k.target, []).append((k.weight.log_value, k))
+        lw = w.log_value
+        bucket = self.buckets.setdefault(cv.target, [])
+        for lv, other in bucket:
+            if abs(lw - lv) <= self.tolerance and not (w.is_exact and other.weight.is_exact):
+                return other
         bucket.append((lw, cv))
         return cv
 
@@ -117,7 +125,7 @@ def tracial_cover(g: DeltaGraph, radius: int) -> CoverResult:
     cover = DeltaGraph(
         g.delta,
         g.context,
-        intern.root(g.basepoint, g.context.identity()),
+        intern.get(g.basepoint, g.context.identity()),
         out_edges,
         frontier=lambda cv: g.is_frontier(cv.target),
         label=(g.label + "|cover") if g.label else "cover",
@@ -150,7 +158,7 @@ def lift_loop(g: DeltaGraph, l: Path, cover: TruncatedGraph | None = None) -> Pa
         cv = ce.target
     if cv != cover.basepoint:
         raise AssertionError("weight-1 loop failed to close in the cover")
-    return Path(cover.basepoint, tuple(edges), ctx.identity())
+    return Path(cover.basepoint, tuple(edges), ctx)
 
 
 @dataclass(frozen=True)

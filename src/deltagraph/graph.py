@@ -17,8 +17,10 @@ assigns its potential along the tree's edges.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .weights import GeneratorContext, Weight
@@ -72,27 +74,36 @@ class Edge:
 
 @dataclass(frozen=True)
 class Path:
-    """Edge sequence starting at ``start``; consecutive edges must compose."""
+    """Edge sequence starting at ``start``; consecutive edges must compose.
+
+    A path is its edges: ``weight`` is their product, left to right from
+    ``context``'s identity, computed on first use.
+    """
 
     start: VertexId
     edges: tuple[Edge, ...]
-    weight: Weight
+    context: GeneratorContext
 
     @classmethod
     def empty(cls, context: GeneratorContext, start: VertexId) -> "Path":
-        return cls(start, (), context.identity())
+        return cls(start, (), context)
 
     @classmethod
     def of(cls, context: GeneratorContext, start: VertexId, edges: Sequence[Edge]) -> "Path":
         edges = tuple(edges)
         at = start
-        w = context.identity()
         for e in edges:
             if e.source != at:
                 raise ValueError("edges do not compose at %r" % (at,))
             at = e.target
+        return cls(start, edges, context)
+
+    @cached_property
+    def weight(self) -> Weight:
+        w = self.context.identity()
+        for e in self.edges:
             w = w * e.weight
-        return cls(start, edges, w)
+        return w
 
     @property
     def target(self) -> VertexId:
@@ -107,12 +118,12 @@ class Path:
     def __mul__(self, other: "Path") -> "Path":
         if other.start != self.target:
             raise ValueError("paths do not compose")
-        return Path(self.start, self.edges + other.edges, self.weight * other.weight)
+        return Path(self.start, self.edges + other.edges, self.context)
 
     def reversed_in(self, graph) -> "Path":
         """The conjugate path: reversed edge order, each edge conjugated."""
         rev = tuple(graph.conjugate_edge(e) for e in reversed(self.edges))
-        return Path(self.target, rev, self.weight.inverse())
+        return Path(self.target, rev, self.context)
 
     def edge_ids(self) -> tuple[EdgeId, ...]:
         return tuple(e.eid for e in self.edges)
@@ -155,6 +166,8 @@ class DeltaGraph:
     ):
         if not (delta >= 2):
             raise ValueError("delta must be >= 2, got %r" % delta)
+        if math.isinf(delta):
+            raise ValueError("delta must be finite, got %r" % delta)
         self.delta = float(delta)
         self.context = context
         self.basepoint = basepoint
@@ -305,7 +318,9 @@ def ball(g: DeltaGraph, radius: int) -> TruncatedGraph:
 
     The vertices are those of the BFS tree (:func:`bfs_tree`) that expands
     every vertex short of the radius and off the graph's frontier, in its
-    discovery order.
+    discovery order.  The ball is ``exhausted`` when no edge leaves it and
+    it reaches no frontier vertex, or only those of a truncation that is
+    itself exhausted.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -325,15 +340,17 @@ def ball(g: DeltaGraph, radius: int) -> TruncatedGraph:
     bfs_tree(expand, g.basepoint)
     out = {}
     boundary = set()
+    # only a vertex that was not expanded can have edges leaving the ball; a
+    # frontier vertex may have more than g shows, unless g is a truncation
+    # that holds the whole graph
+    complete = isinstance(g, TruncatedGraph) and g.exhausted
     exhausted = True
     for v, d in dist.items():
         es = g.out_edges(v)
         frontier = g.is_frontier(v)
         if d == radius or frontier:
-            # only a vertex that was not expanded can have edges leaving the
-            # ball; one at the radius off the frontier shows what lies beyond
             kept = tuple(e for e in es if e.target in dist)
-            if not frontier and len(kept) < len(es):
+            if len(kept) < len(es) or frontier and not complete:
                 exhausted = False
             boundary.add(v)
             es = kept
@@ -497,16 +514,16 @@ def vertex_weighting(g: DeltaGraph, radius: int | None = None) -> WeightingResul
         w[v] = b.context.identity() if e is None else w[e.source] * e.weight
 
     def tree_path(v) -> Path:
-        end, edges = v, []
+        edges = []
         while tree[v] is not None:
             edges.append(tree[v])
             v = tree[v].source
-        return Path(b.basepoint, tuple(reversed(edges)), w[end])
+        return Path(b.basepoint, tuple(reversed(edges)), b.context)
 
     for v in tree:
         for e in b.out_edges(v):
             if tree[e.target] is not e and not w[e.target].eq(w[v] * e.weight):
-                witness = tree_path(v) * Path(v, (e,), e.weight) * tree_path(e.target).reversed_in(b)
+                witness = tree_path(v) * Path(v, (e,), b.context) * tree_path(e.target).reversed_in(b)
                 return WeightingResult(None, witness)
     return WeightingResult(VertexWeighting(w), None)
 

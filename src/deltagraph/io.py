@@ -8,6 +8,7 @@ so serialize(parse(doc)) is the identity on canonical documents.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .actions import ActionGenerator, GraphAction, shift_generator
@@ -189,6 +190,8 @@ def parse_graph(text: str) -> GraphDocument:
         raise GraphFormatError("missing 'delta' line")
     if not (delta >= 2):
         fail(delta_ln, "delta must be >= 2, got %r" % delta)
+    if math.isinf(delta):
+        fail(delta_ln, "delta must be finite, got %r" % delta)
     if basepoint_tok is None:
         raise GraphFormatError("missing 'basepoint' line")
     try:

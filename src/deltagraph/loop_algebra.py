@@ -4,14 +4,20 @@ counts, verified by trie walks), and the TLJ relation suite behind
 ``tl-check``.
 
 Vectors of length n are finitely supported linear combinations of based
-loops of length n.  Cup inserts a conjugate edge pair after position i
-(0 <= i <= n, position 0 anchoring at the basepoint) with coefficient
-w(e)^(1/2); cap contracts positions i, i+1 (1 <= i <= n-1) when they are a
-conjugate pair, with coefficient w(e_i)^(1/2).  With these conventions
-cap_(i+1) o cup_i = delta * id and both zig-zag composites are the identity.
+loops of length n, with real coefficients.  Cup inserts a conjugate edge
+pair after position i (0 <= i <= n, position 0 anchoring at the basepoint)
+with coefficient w(e)^(1/2); cap contracts positions i, i+1
+(1 <= i <= n-1) when they are a conjugate pair, with coefficient
+w(e_i)^(1/2).  With these conventions cap_(i+1) o cup_i = delta * id and
+both zig-zag composites are the identity.
+
+Since w(e) w(e-bar) = 1, cup and cap leave a loop's weight unchanged, so a
+loop is its edges and its weight is read off them only where an output asks
+for it.  Every map builds its result through one accumulator, ``_vec``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -52,16 +58,16 @@ class Coefficient:
     equal coefficients have equal terms; products multiply weights, and no
     ``Fraction`` is made while scalars stay integral.  Text and ``value``
     visit terms in order of ``Weight.exponents``.  Float mode: ``terms`` is
-    None and ``cvalue`` holds one complex value.  Immutable.
+    None and ``fvalue`` holds one float.  Immutable.
     """
 
-    __slots__ = ("context", "terms", "cvalue")
+    __slots__ = ("context", "terms", "fvalue")
 
     def __init__(self, context: GeneratorContext, terms: tuple | None,
-                 cvalue: complex | None = None):
+                 fvalue: float | None = None):
         self.context = context
         self.terms = terms
-        self.cvalue = cvalue
+        self.fvalue = fvalue
 
     @classmethod
     def zero(cls, context: GeneratorContext) -> "Coefficient":
@@ -76,7 +82,7 @@ class Coefficient:
         if w.is_exact:
             s = scalar if type(scalar) is int else _scalar(Fraction(scalar))
             return cls(w.context, ((w, s),) if s else ())
-        return cls(w.context, None, complex(scalar) * w.value)
+        return _real(w.context, float(scalar) * w.value)
 
     @property
     def is_exact(self) -> bool:
@@ -85,7 +91,7 @@ class Coefficient:
     def is_zero(self) -> bool:
         if self.is_exact:
             return not self.terms
-        return self.cvalue == 0
+        return self.fvalue == 0
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
         a, b = self.terms, other.terms
@@ -99,7 +105,7 @@ class Coefficient:
                 got = acc.get(w)
                 acc[w] = s if got is None else got + s
             return Coefficient(self.context, _canonical(acc))
-        return Coefficient(self.context, None, self.value() + other.value())
+        return _real(self.context, self.value() + other.value())
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         a, b = self.terms, other.terms
@@ -114,25 +120,20 @@ class Coefficient:
                     got = acc.get(w)
                     acc[w] = s1 * s2 if got is None else got + s1 * s2
             return Coefficient(self.context, _canonical(acc))
-        return Coefficient(self.context, None, self.value() * other.value())
+        return _real(self.context, self.value() * other.value())
 
     def __neg__(self) -> "Coefficient":
         if self.is_exact:
             return Coefficient(self.context, tuple((w, -s) for w, s in self.terms))
-        return Coefficient(self.context, None, -self.cvalue)
+        return Coefficient(self.context, None, -self.fvalue)
 
-    def conjugate(self) -> "Coefficient":
-        if self.is_exact:
-            return self  # rational combinations of positive reals are real
-        return Coefficient(self.context, None, self.cvalue.conjugate())
-
-    def value(self) -> complex:
+    def value(self) -> float:
         if not self.is_exact:
-            return self.cvalue
+            return self.fvalue
         total = 0.0
         for w, r in _by_exponents(self.terms):
             total += float(r) * w.value
-        return complex(total)
+        return total
 
     def isclose(self, other: "Coefficient") -> bool:
         a, b = self.value(), other.value()
@@ -147,10 +148,7 @@ class Coefficient:
 
     def text(self) -> str:
         if not self.is_exact:
-            v = self.cvalue
-            if v.imag == 0:
-                return format(v.real, ".17g")
-            return format(v, ".17g")
+            return format(self.fvalue, ".17g")
         if not self.terms:
             return "0"
         parts = []
@@ -166,15 +164,22 @@ class Coefficient:
             return NotImplemented
         return (
             self.terms == other.terms
-            and self.cvalue == other.cvalue
+            and self.fvalue == other.fvalue
             and (self.context is other.context or self.context == other.context)
         )
 
     def __hash__(self):
-        return hash((self.terms, self.cvalue))
+        return hash((self.terms, self.fvalue))
 
     def __repr__(self):
         return "Coefficient(%s)" % self.text()
+
+
+def _real(context: GeneratorContext, v: float) -> Coefficient:
+    """The float-mode coefficient ``v``; ``OverflowError`` unless it is finite."""
+    if not -math.inf < v < math.inf:
+        raise OverflowError("coefficient %r is outside the float range" % v)
+    return Coefficient(context, None, v)
 
 
 @dataclass(frozen=True, eq=True)
@@ -200,14 +205,10 @@ class LoopVector:
     def __add__(self, other: "LoopVector") -> "LoopVector":
         if other.length != self.length:
             raise ValueError("length mismatch")
-        acc = dict(self.terms)
-        for l, c in other.terms.items():
-            got = acc.get(l)
-            acc[l] = c if got is None else got + c
-        return _vec(self.length, acc)
+        return _vec(self.length, [*self.terms.items(), *other.terms.items()])
 
     def scaled(self, c: Coefficient) -> "LoopVector":
-        return _vec(self.length, {l: c0 * c for l, c0 in self.terms.items()})
+        return _vec(self.length, ((l, c0 * c) for l, c0 in self.terms.items()))
 
     def eq(self, other: "LoopVector") -> bool:
         """Coefficient-wise ``Coefficient.eq``, an absent loop counting as zero."""
@@ -227,8 +228,15 @@ class LoopVector:
         return True
 
 
-def _vec(length: int, terms: dict) -> LoopVector:
-    return LoopVector(length, {l: c for l, c in terms.items() if not c.is_zero()})
+def _vec(length: int, pairs) -> LoopVector:
+    """The sum of the ``(loop, coefficient)`` pairs, in their order, as a
+    vector of the given length; loops whose coefficients sum to zero are
+    dropped."""
+    acc: dict[Path, Coefficient] = {}
+    for l, c in pairs:
+        got = acc.get(l)
+        acc[l] = c if got is None else got + c
+    return LoopVector(length, {l: c for l, c in acc.items() if not c.is_zero()})
 
 
 def zero_vector(length: int) -> LoopVector:
@@ -236,8 +244,8 @@ def zero_vector(length: int) -> LoopVector:
 
 
 def loop_vector(l: Path, coeff: Coefficient | None = None) -> LoopVector:
-    c = coeff if coeff is not None else Coefficient.one(l.weight.context)
-    return _vec(len(l), {l: c})
+    c = coeff if coeff is not None else Coefficient.one(l.context)
+    return _vec(len(l), ((l, c),))
 
 
 def basis(graph, n: int) -> tuple[LoopVector, ...]:
@@ -261,8 +269,8 @@ def cup(graph, v: LoopVector, i: int) -> LoopVector:
     """Insert a summed conjugate pair after edge i, weighted by w(e)^(1/2)."""
     if not 0 <= i <= v.length:
         raise IndexError("cup index %d out of range 0..%d" % (i, v.length))
-    acc: dict[Path, Coefficient] = {}
-    inserts: dict = {}  # per-anchor: (e, e-bar, pair weight, sqrt coefficient)
+    pairs = []
+    inserts: dict = {}  # per anchor: (e, e-bar, w(e)^(1/2) as a coefficient)
     for l, c in v.terms.items():
         at = _anchor(graph, l, i)
         if graph.is_frontier(at):
@@ -274,32 +282,23 @@ def cup(graph, v: LoopVector, i: int) -> LoopVector:
             rows = []
             for e in graph.out_edges(at):
                 ebar = graph.conjugate_edge(e)
-                rows.append(
-                    (e, ebar, e.weight * ebar.weight, Coefficient.of_weight(e.weight.sqrt()))
-                )
+                rows.append((e, ebar, Coefficient.of_weight(e.weight.sqrt())))
             inserts[at] = rows
-        for e, ebar, pair_w, sq in rows:
-            nl = Path(l.start, l.edges[:i] + (e, ebar) + l.edges[i:], l.weight * pair_w)
-            coeff = c * sq
-            got = acc.get(nl)
-            acc[nl] = coeff if got is None else got + coeff
-    return _vec(v.length + 2, acc)
+        for e, ebar, sq in rows:
+            pairs.append((Path(l.start, l.edges[:i] + (e, ebar) + l.edges[i:], l.context), c * sq))
+    return _vec(v.length + 2, pairs)
 
 
 def _contraction(e1: Edge, e2: Edge, memo: dict):
     """The cap rule for the adjacent edges e1, e2: None unless they are a
-    conjugate pair, else ``(w(e1) w(e2))^-1``, the weight the cap removes,
-    and the coefficient ``w(e1)^(1/2)``.  ``memo`` keeps the pair by e1's id
-    for the rest of one computation.  ``cap`` and the trie walk of
+    conjugate pair, else the coefficient ``w(e1)^(1/2)``.  ``memo`` keeps it
+    by e1's id for the rest of one computation.  ``cap`` and the trie walk of
     ``_inner_pairs`` both contract through here."""
     if e1.conjugate != e2.eid or e2.conjugate != e1.eid:
         return None
     got = memo.get(e1.eid)
     if got is None:
-        got = memo[e1.eid] = (
-            (e1.weight * e2.weight).inverse(),
-            Coefficient.of_weight(e1.weight.sqrt()),
-        )
+        got = memo[e1.eid] = Coefficient.of_weight(e1.weight.sqrt())
     return got
 
 
@@ -309,41 +308,29 @@ def cap(v: LoopVector, i: int) -> LoopVector:
         raise IndexError("cap needs length >= 2")
     if not 1 <= i <= v.length - 1:
         raise IndexError("cap index %d out of range 1..%d" % (i, v.length - 1))
-    acc: dict[Path, Coefficient] = {}
+    pairs = []
     memo: dict = {}
     for l, c in v.terms.items():
-        got = _contraction(l.edges[i - 1], l.edges[i], memo)
-        if got is None:
-            continue
-        inv_w, sq = got
-        nl = Path(l.start, l.edges[: i - 1] + l.edges[i + 1 :], l.weight * inv_w)
-        coeff = c * sq
-        got = acc.get(nl)
-        acc[nl] = coeff if got is None else got + coeff
-    return _vec(v.length - 2, acc)
+        sq = _contraction(l.edges[i - 1], l.edges[i], memo)
+        if sq is not None:
+            pairs.append((Path(l.start, l.edges[: i - 1] + l.edges[i + 1 :], l.context), c * sq))
+    return _vec(v.length - 2, pairs)
 
 
 def star(graph, v: LoopVector) -> LoopVector:
-    """Conjugate-linear involution: l -> w(l-bar)^(1/2) l-bar."""
-    acc: dict[Path, Coefficient] = {}
-    for l, c in v.terms.items():
-        lbar = l.reversed_in(graph)
-        coeff = c.conjugate() * Coefficient.of_weight(lbar.weight.sqrt())
-        got = acc.get(lbar)
-        acc[lbar] = coeff if got is None else got + coeff
-    return _vec(v.length, acc)
+    """The involution l -> w(l-bar)^(1/2) l-bar, with w(l-bar) = w(l)^-1; it
+    is conjugate-linear, and coefficients are real."""
+    return _vec(v.length, (
+        (l.reversed_in(graph), c * Coefficient.of_weight(l.weight.inverse().sqrt()))
+        for l, c in v.terms.items()
+    ))
 
 
 def concat(u: LoopVector, v: LoopVector) -> LoopVector:
     """Bilinear extension of loop concatenation."""
-    acc: dict[Path, Coefficient] = {}
-    for l1, c1 in u.terms.items():
-        for l2, c2 in v.terms.items():
-            nl = l1 * l2
-            coeff = c1 * c2
-            got = acc.get(nl)
-            acc[nl] = coeff if got is None else got + coeff
-    return _vec(u.length + v.length, acc)
+    return _vec(u.length + v.length, (
+        (l1 * l2, c1 * c2) for l1, c1 in u.terms.items() for l2, c2 in v.terms.items()
+    ))
 
 
 def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
@@ -369,10 +356,7 @@ def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
 
 def apply_modular(v: LoopVector) -> LoopVector:
     """The diagonal modular operator: l -> w(l) * l."""
-    acc = {}
-    for l, c in v.terms.items():
-        acc[l] = c * Coefficient.of_weight(l.weight)
-    return _vec(v.length, acc)
+    return _vec(v.length, ((l, c * Coefficient.of_weight(l.weight)) for l, c in v.terms.items()))
 
 
 @dataclass(frozen=True)
@@ -456,8 +440,8 @@ def _inner_pairs(graph, vecs):
                     a = lsq is not None and _contraction(e, e2, memo)
                     b = rsq is not None and _contraction(e2, e, memo)
                     if a or b:
-                        nxt.append((child, lsq + (a[1],) if a else None,
-                                    rsq + (b[1],) if b else None))
+                        nxt.append((child, lsq + (a,) if a else None,
+                                    rsq + (b,) if b else None))
             live = nxt
         rows = {}
         for node, lsq, rsq in live:

@@ -40,7 +40,7 @@ class GeneratorContext:
     """Declares the ambient group: named positive generators and a tolerance.
 
     The tolerance governs all float-mode comparisons: two values are equal
-    when ``|v1 - v2| <= tolerance * max(v1, v2)``.
+    when ``|v1 - v2| <= tolerance * max(v1, v2)`` and both are finite.
     """
 
     generators: tuple[tuple[str, float], ...]
@@ -100,7 +100,7 @@ class GeneratorContext:
         return Weight(self, None, 1, value)
 
     def close(self, v1: float, v2: float) -> bool:
-        return abs(v1 - v2) <= self.tolerance * max(v1, v2)
+        return abs(v1 - v2) <= self.tolerance * max(v1, v2) < math.inf
 
 
 def _exact(context: GeneratorContext, num: tuple[int, ...], den: int) -> "Weight":

@@ -97,13 +97,17 @@ class TestQuotient:
         q = quotient(grid23, lattice_shift_action(grid23, (1, -1)), 4)
         assert iso_check(q, ball(dchain, 4), fix_basepoint=True, interior_only=True)
 
-    def test_orbit_weights_distinct_enforced(self, cycle4_flat):
-        # a flat cycle's rotation scales weights by 1: orbits would repeat
+    def test_unit_weight_generator_rejected_before_orbits(self, cycle4_flat):
+        # a flat cycle's rotation scales weights by 1 but moves vertices, so
+        # quotient's action check rejects it before any orbit is formed
         gen = ActionGenerator(
             "r", cycle4_flat.context.identity(), lambda v: (v + 1) % 4
         )
-        with pytest.raises(ActionError):
+        with pytest.raises(ActionError) as err:
             quotient(cycle4_flat, GraphAction((gen,)), 3)
+        assert str(err.value) == (
+            "action check failed: generator r has unit weight but acts nontrivially"
+        )
 
     def test_orbit_weights_distinct_names_first_pair(self, cycle4_flat):
         from deltagraph import orbit_partition

@@ -41,6 +41,41 @@ class TestBasics:
         code, out, err = run(capsys, "validate", str(p))
         assert code == 2
 
+    def test_infinite_delta_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "inf.dg"
+        p.write_text(
+            "delta-graph v1\n"
+            "delta inf\n"
+            "vertex 0\n"
+            "edge e0 0 0 weight 1 conjugate e0\n"
+            "basepoint 0\n"
+        )
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: delta must be finite, got inf\n"
+
+    def test_overflowing_out_sum_fails_fairness(self, tmp_path, capsys):
+        p = tmp_path / "big.dg"
+        p.write_text(
+            "delta-graph v1\n"
+            "delta 5.0\n"
+            "vertex 0\nvertex 1\nvertex 2\n"
+            "edge e0 0 1 weight 1e308 conjugate e2\n"
+            "edge e1 0 2 weight 1e308 conjugate e3\n"
+            "edge e2 1 0 weight 1e-308 conjugate e0\n"
+            "edge e3 2 0 weight 1e-308 conjugate e1\n"
+            "basepoint 0\n"
+        )
+        code, out, _ = run(capsys, "validate", str(p), "--radius", "1")
+        assert code == 1
+        assert "FAIL fairness vertex 0: outgoing sum inf != delta 5" in out.splitlines()
+        # the delooping check sums the same out-weights as a coefficient
+        code, out, err = run(capsys, "tl-check", str(p), "--max-len", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "error: float overflow: coefficient inf is outside the float range\n"
+
     def test_unknown_builder_parameter_exit_2(self, capsys):
         code, out, err = run(capsys, "validate", "grid:a=2,b=3,tolerence=1e-6")
         assert code == 2
@@ -129,6 +164,17 @@ class TestPipeline:
         assert out.startswith("digraph")
         # the radius-2 cover of the double chain is the grid ball: 13 vertices
         assert out.count('label="[') == 13
+
+    def test_cover_of_mixed_exact_float_file(self, tmp_path, capsys):
+        out_file = tmp_path / "g.dg"
+        run(capsys, "build", "double_chain", "a=2", "b=3", "--radius", "4",
+            "--out", str(out_file))
+        out_file.write_text(out_file.read_text().replace("weight a^1 ", "weight 2.0 "))
+        code, out, _ = run(capsys, "validate", str(out_file))
+        assert code == 0
+        code, out, _ = run(capsys, "cover", str(out_file), "--radius", "2")
+        assert code == 0
+        assert out.count("\nvertex ") == 13
 
     def test_no_input_mutation(self, tmp_path, capsys):
         out_file = tmp_path / "g.dg"
@@ -262,7 +308,7 @@ class TestOutputs:
 
         def doubled(e1, e2, memo):
             got = contraction(e1, e2, memo)
-            return got and (got[0], got[1] + got[1])
+            return got and got + got
 
         monkeypatch.setattr(loop_algebra, "_contraction", doubled)
         code, out, _ = run(capsys, "tl-check", "single_chain:q=2", "--max-len", "2")

@@ -19,6 +19,8 @@ from deltagraph import (
     iso_check,
     lift_loop,
     loop_weight_group,
+    parse_graph,
+    serialize_graph,
     single_chain,
     tracial_cover,
     validate,
@@ -78,6 +80,24 @@ class TestTracialCover:
         cov, _ = tracial_cover(cycle4_flat, 3)
         assert cov.exhausted
         assert len(cov.vertices) == 4
+
+    def test_cover_of_open_truncation_not_exhausted(self, chain):
+        # the cover ball reaches the truncation's boundary, past which the
+        # chain goes on
+        cov, _ = tracial_cover(ball(chain, 2), 5)
+        assert not cov.exhausted
+
+    @pytest.mark.parametrize("r, count", [(2, 13), (3, 25), (4, 41)])
+    def test_mixed_exact_float_weights(self, dchain, r, count):
+        # the a^1 edges written as the float 2.0: an exact class and its
+        # float twin are one cover vertex, so the cover stays the grid
+        text = serialize_graph(dchain, 4)
+        assert "weight a^1 " in text
+        mixed = parse_graph(text.replace("weight a^1 ", "weight 2.0 ")).graph
+        assert validate(mixed, 4).passed
+        cov, _ = tracial_cover(mixed, r)
+        assert len(cov.vertices) == count
+        assert validate(cov).check("involution").passed
 
     def test_cover_validates_fair(self, dchain):
         cov, _ = tracial_cover(dchain, 3)

@@ -58,6 +58,24 @@ class TestValidate:
         report = validate(g, 2)
         assert not report.check("fairness").passed
 
+    def test_infinite_delta_rejected(self):
+        with pytest.raises(ValueError, match="delta must be finite, got inf"):
+            DeltaGraph(float("inf"), GeneratorContext(()), 0, lambda v: ())
+
+    def test_overflowing_out_sum_fails_fairness(self):
+        # two edges of weight 1e308 sum to inf, which is not delta = 5
+        ctx = GeneratorContext(())
+        big, small = ctx.float_weight(1e308), ctx.float_weight(1e-308)
+        out = {
+            0: (Edge("a", 0, 1, big, "c"), Edge("b", 0, 2, big, "d")),
+            1: (Edge("c", 1, 0, small, "a"),),
+            2: (Edge("d", 2, 0, small, "b"),),
+        }
+        report = validate(DeltaGraph(5.0, ctx, 0, out.__getitem__), 1)
+        fair = report.check("fairness")
+        assert not fair.passed
+        assert fair.details == ("vertex 0: outgoing sum inf != delta 5",)
+
     def test_disconnected_explicit_graph(self):
         ctx = GeneratorContext(())
         one = ctx.identity()
@@ -122,6 +140,19 @@ class TestBall:
         t = ball(chain, 2)
         again = ball(t, 2)
         assert set(again.boundary) == set(t.boundary)
+
+    def test_ball_reaching_open_frontier_not_exhausted(self, chain):
+        # the chain goes on past t's boundary, so no ball of t holds it all
+        t = ball(chain, 2)
+        assert not t.exhausted
+        assert not ball(t, 2).exhausted
+        assert not ball(t, 5).exhausted
+
+    def test_ball_of_exhausted_truncation(self, cycle4_flat):
+        t = ball(cycle4_flat, 2)
+        assert t.exhausted
+        assert ball(t, 2).exhausted
+        assert not ball(t, 1).exhausted
 
 
 def _level_oracle(g, r):
