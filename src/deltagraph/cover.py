@@ -66,6 +66,11 @@ class _Interner:
     (``buckets``, per target, in creation order) are made at the first float
     weight, so exact-only graphs compute no log.
 
+    Where two distinct exact classes at one target lie within the tolerance,
+    a float weight near both has no class of its own: ``ValueError`` when a
+    float weight matches both, or when an exact class would be made beside
+    one that a float weight already took (``floated``).
+
     ``known`` maps every vertex looked up to its class, and every lookup
     returns the stored instance, so dict lookups and the source check of
     :meth:`DeltaGraph.out_edges` compare by identity first.  ``ball`` also
@@ -79,6 +84,7 @@ class _Interner:
         self.tolerance = tolerance
         self.known: dict[CoverVertex, CoverVertex] = {}
         self.buckets: dict[object, list[tuple[float, CoverVertex]]] | None = None
+        self.floated: dict[CoverVertex, Weight] = {}  # exact class -> a float weight it took
 
     def get(self, target, weight: Weight) -> CoverVertex:
         cv = CoverVertex(target, weight)
@@ -97,11 +103,27 @@ class _Interner:
                 self.buckets.setdefault(k.target, []).append((k.weight.log_value, k))
         lw = w.log_value
         bucket = self.buckets.setdefault(cv.target, [])
-        for lv, other in bucket:
-            if abs(lw - lv) <= self.tolerance and not (w.is_exact and other.weight.is_exact):
-                return other
+        near = [other for lv, other in bucket if abs(lw - lv) <= self.tolerance]
+        hits = [other for other in near if not (w.is_exact and other.weight.is_exact)]
+        exact = [other.weight for other in hits if other.weight.is_exact]
+        if len(exact) > 1:
+            raise _ambiguity(w, cv.target, *exact[:2])
+        if hits:
+            if not w.is_exact and hits[0].weight.is_exact:
+                self.floated.setdefault(hits[0], w)
+            return hits[0]
+        for other in near:  # exact classes that a new exact class would sit beside
+            if other in self.floated:
+                raise _ambiguity(self.floated[other], cv.target, other.weight, w)
         bucket.append((lw, cv))
         return cv
+
+
+def _ambiguity(w: Weight, target, w1: Weight, w2: Weight) -> ValueError:
+    return ValueError(
+        "float weight %s at %r is within tolerance of the distinct exact weights %s and %s"
+        % (w.text(), target, w1.text(), w2.text())
+    )
 
 
 def tracial_cover(g: DeltaGraph, radius: int) -> CoverResult:

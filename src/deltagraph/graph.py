@@ -184,6 +184,8 @@ class DeltaGraph:
         if got is None:
             try:
                 got = tuple(self._fn(v))
+            except OverflowError:
+                raise  # a weight left the float range: not a construction fault
             except Exception as exc:
                 raise GraphConstructionError(
                     "adjacency function failed at vertex %r: %s" % (v, exc)

@@ -13,212 +13,210 @@ both zig-zag composites are the identity.
 
 Since w(e) w(e-bar) = 1, cup and cap leave a loop's weight unchanged, so a
 loop is its edges and its weight is read off them only where an output asks
-for it.  Every map builds its result through one accumulator, ``_vec``.
+for it.  A vector keys each loop by the tuple of its edges' int indices in
+an edge table kept with the graph, which also holds each edge's conjugate
+and w(e)^(1/2), so the maps hash and compare only ints.  Every map builds
+its result through one accumulator, ``_vec``.
 """
 from __future__ import annotations
 
-import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
 
 from .graph import Edge, Path, VertexId, enumerate_loops, loop_weight_counts, vid_key
-from .weights import GeneratorContext, Weight, group_weights
+from .weights import Coefficient, GeneratorContext, Weight, group_weights
 
 
-def _scalar(s):
-    """A rational scalar as an ``int`` when it is integral."""
-    return s.numerator if type(s) is Fraction and s.denominator == 1 else s
+class _EdgeTable:
+    """The edges that loop vectors key their terms by.
 
-
-def _term_order(term):
-    w = term[0]
-    return w.num, w.den
-
-
-def _canonical(acc: dict) -> tuple:
-    """Terms of a weight -> scalar dict: zero scalars dropped, sorted."""
-    items = [(w, _scalar(s)) for w, s in acc.items() if s]
-    if len(items) > 1:
-        items.sort(key=_term_order)
-    return tuple(items)
-
-
-def _by_exponents(terms) -> list:
-    return sorted(terms, key=lambda t: t[0].exponents)
-
-
-class Coefficient:
-    """Scalar closed under the sums the cup map produces.
-
-    Exact mode: a rational linear combination of exact monomial weights,
-    stored in ``terms`` as ``(Weight, scalar)`` pairs, one per weight, with
-    nonzero scalars that are ``int`` when integral and ``Fraction``
-    otherwise.  Terms are kept sorted by the weight's ``(num, den)``, so
-    equal coefficients have equal terms; products multiply weights, and no
-    ``Fraction`` is made while scalars stay integral.  Text and ``value``
-    visit terms in order of ``Weight.exponents``.  Float mode: ``terms`` is
-    None and ``fvalue`` holds one float.  Immutable.
+    Each edge gets an int index when first seen, kept for the table's
+    lifetime; ``edges``, ``conj`` and ``sqrt`` hold, per index, the
+    :class:`Edge`, the index of the edge its ``conjugate`` id names (-1
+    while that edge is not in the table) and w(e)^(1/2) as a coefficient
+    (None until :meth:`root` first builds it).  Edge ids are unique within
+    a table.  A graph's table (:func:`_table`) also memoizes the cup rows
+    of each anchor off the frontier; a table without a graph holds the
+    edges of vectors built from bare paths.
     """
 
-    __slots__ = ("context", "terms", "fvalue")
+    __slots__ = ("context", "graph", "edges", "conj", "sqrt", "_index", "_waiting", "_rows")
 
-    def __init__(self, context: GeneratorContext, terms: tuple | None,
-                 fvalue: float | None = None):
+    def __init__(self, context: GeneratorContext, graph=None):
         self.context = context
-        self.terms = terms
-        self.fvalue = fvalue
+        self.graph = graph
+        self.edges: list[Edge] = []
+        self.conj: list[int] = []
+        self.sqrt: list[Coefficient | None] = []
+        self._index: dict = {}  # edge id -> index
+        self._waiting: dict = {}  # edge id -> indices whose conjugate it names
+        self._rows: dict = {}  # anchor -> cup rows
 
-    @classmethod
-    def zero(cls, context: GeneratorContext) -> "Coefficient":
-        return cls(context, ())
+    def index(self, e: Edge) -> int:
+        k = self._index.get(e.eid)
+        if k is None:
+            k = self._index[e.eid] = len(self.edges)
+            self.edges.append(e)
+            self.sqrt.append(None)
+            j = self._index.get(e.conjugate, -1)
+            self.conj.append(j)
+            if j < 0:
+                self._waiting.setdefault(e.conjugate, []).append(k)
+            for i in self._waiting.pop(e.eid, ()):
+                self.conj[i] = k
+        elif self.edges[k] is not e and self.edges[k] != e:
+            raise ValueError("edge id %r names two different edges" % (e.eid,))
+        return k
 
-    @classmethod
-    def one(cls, context: GeneratorContext) -> "Coefficient":
-        return cls(context, ((context.identity(), 1),))
+    def find(self, edges) -> tuple[int, ...] | None:
+        """The key of these edges, or None unless the table holds each one."""
+        key = []
+        for e in edges:
+            k = self._index.get(e.eid)
+            if k is None or self.edges[k] != e:
+                return None
+            key.append(k)
+        return tuple(key)
 
-    @classmethod
-    def of_weight(cls, w: Weight, scalar=1) -> "Coefficient":
-        if w.is_exact:
-            s = scalar if type(scalar) is int else _scalar(Fraction(scalar))
-            return cls(w.context, ((w, s),) if s else ())
-        return _real(w.context, float(scalar) * w.value)
+    def root(self, k: int) -> Coefficient:
+        """w(e)^(1/2) of edge k, as a coefficient."""
+        got = self.sqrt[k]
+        if got is None:
+            got = self.sqrt[k] = Coefficient.of_weight(self.edges[k].weight.sqrt())
+        return got
 
-    @property
-    def is_exact(self) -> bool:
-        return self.terms is not None
+    def conjugate(self, k: int) -> int:
+        """The index of edge k's conjugate, looked up in the graph on first use."""
+        j = self.conj[k]
+        if j < 0:
+            j = self.index(self.graph.conjugate_edge(self.edges[k]))
+        return j
 
-    def is_zero(self) -> bool:
-        if self.is_exact:
-            return not self.terms
-        return self.fvalue == 0
+    def rows(self, at: VertexId) -> tuple:
+        """``(e, e-bar, w(e)^(1/2))`` for each edge e out of ``at``, the
+        edges as indices; memoized, except that a frontier anchor raises
+        every time."""
+        got = self._rows.get(at)
+        if got is None:
+            if self.graph.is_frontier(at):
+                raise ValueError(
+                    "cup anchored at %r, whose adjacency is truncated; enlarge the ball" % (at,)
+                )
+            got = []
+            for e in self.graph.out_edges(at):
+                k = self.index(e)
+                got.append((k, self.conjugate(k), self.root(k)))
+            got = self._rows[at] = tuple(got)
+        return got
 
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        a, b = self.terms, other.terms
-        if a is not None and b is not None:
-            if not b:
-                return self
-            if not a:
-                return other
-            acc = dict(a)
-            for w, s in b:
-                got = acc.get(w)
-                acc[w] = s if got is None else got + s
-            return Coefficient(self.context, _canonical(acc))
-        return _real(self.context, self.value() + other.value())
+    def weight(self, key: tuple[int, ...]) -> Weight:
+        """The weight of the path with these edges, as :attr:`Path.weight`."""
+        w = self.context.identity()
+        for k in key:
+            w = w * self.edges[k].weight
+        return w
 
-    def __mul__(self, other: "Coefficient") -> "Coefficient":
-        a, b = self.terms, other.terms
-        if a is not None and b is not None:
-            if len(a) == 1 and len(b) == 1:
-                ((w1, s1),), ((w2, s2),) = a, b
-                return Coefficient(self.context, ((w1 * w2, _scalar(s1 * s2)),))
-            acc: dict = {}
-            for w1, s1 in a:
-                for w2, s2 in b:
-                    w = w1 * w2
-                    got = acc.get(w)
-                    acc[w] = s1 * s2 if got is None else got + s1 * s2
-            return Coefficient(self.context, _canonical(acc))
-        return _real(self.context, self.value() * other.value())
-
-    def __neg__(self) -> "Coefficient":
-        if self.is_exact:
-            return Coefficient(self.context, tuple((w, -s) for w, s in self.terms))
-        return Coefficient(self.context, None, -self.fvalue)
-
-    def value(self) -> float:
-        if not self.is_exact:
-            return self.fvalue
-        total = 0.0
-        for w, r in _by_exponents(self.terms):
-            total += float(r) * w.value
-        return total
-
-    def isclose(self, other: "Coefficient") -> bool:
-        a, b = self.value(), other.value()
-        scale = max(abs(a), abs(b), 1.0)
-        return abs(a - b) <= self.context.tolerance * scale
-
-    def eq(self, other: "Coefficient") -> bool:
-        """Exact term comparison when both exact, else tolerance on value."""
-        if self.terms is not None and other.terms is not None:
-            return self.terms == other.terms
-        return self.isclose(other)
-
-    def text(self) -> str:
-        if not self.is_exact:
-            return format(self.fvalue, ".17g")
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, r in _by_exponents(self.terms):
-            if w.is_identity():
-                parts.append("%s" % r)
-            else:
-                parts.append(w.text() if r == 1 else "%s %s" % (r, w.text()))
-        return " + ".join(parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Coefficient):
-            return NotImplemented
-        return (
-            self.terms == other.terms
-            and self.fvalue == other.fvalue
-            and (self.context is other.context or self.context == other.context)
-        )
-
-    def __hash__(self):
-        return hash((self.terms, self.fvalue))
-
-    def __repr__(self):
-        return "Coefficient(%s)" % self.text()
+    def path(self, start: VertexId, key: tuple[int, ...]) -> Path:
+        return Path(start, tuple(self.edges[k] for k in key), self.context)
 
 
-def _real(context: GeneratorContext, v: float) -> Coefficient:
-    """The float-mode coefficient ``v``; ``OverflowError`` unless it is finite."""
-    if not -math.inf < v < math.inf:
-        raise OverflowError("coefficient %r is outside the float range" % v)
-    return Coefficient(context, None, v)
+def _table(graph) -> _EdgeTable:
+    """The graph's edge table, made on first use and kept with the graph as
+    its ``_edge_table`` attribute."""
+    t = getattr(graph, "_edge_table", None)
+    if t is None:
+        t = graph._edge_table = _EdgeTable(graph.context, graph)
+    return t
 
 
-@dataclass(frozen=True, eq=True)
+class _Terms(Mapping):
+    """A vector's terms as a read-only ``{Path: Coefficient}`` mapping; each
+    path is built when it is reached, and ``len`` builds none."""
+
+    __slots__ = ("_v",)
+
+    def __init__(self, v: "LoopVector"):
+        self._v = v
+
+    def __len__(self):
+        return len(self._v.keyed)
+
+    def __iter__(self):
+        v = self._v
+        return (v.table.path(v.start, key) for key in v.keyed)
+
+    def __getitem__(self, l):
+        v = self._v
+        if isinstance(l, Path) and v.keyed and l.start == v.start:
+            got = v.keyed.get(v.table.find(l.edges))
+            if got is not None:
+                return got
+        raise KeyError(l)
+
+
 class LoopVector:
-    """Finitely supported linear combination of based loops of one length."""
+    """Finitely supported linear combination of based loops of one length.
 
-    length: int
-    terms: Mapping[Path, Coefficient]
+    A vector holds its ``length``, the ``start`` vertex its loops share, an
+    edge table and ``keyed``, a dict from tuples of edge indices into the
+    table to coefficients.  Vectors made by the maps here share the table of
+    the graph they were given, or of their left operand; a vector from
+    another table is re-keyed into it first.  ``LoopVector(length,
+    {Path: Coefficient})`` builds a vector with a table of its own, and
+    ``terms`` reads it back as such a mapping.
+    """
 
+    __slots__ = ("length", "start", "table", "keyed")
     __hash__ = None  # mapping-valued; never used as a key
 
-    def __post_init__(self):
-        for l in self.terms:
-            if len(l) != self.length:
-                raise ValueError("loop of length %d in a length-%d vector" % (len(l), self.length))
+    def __init__(self, length: int, terms: Mapping[Path, Coefficient]):
+        keyed: dict = {}
+        start = table = None
+        for l, c in terms.items():
+            if len(l) != length:
+                raise ValueError("loop of length %d in a length-%d vector" % (len(l), length))
+            if table is None:
+                start, table = l.start, _EdgeTable(l.context)
+            elif l.start != start:
+                raise ValueError("the loops of a vector share one start vertex")
+            keyed[tuple(map(table.index, l.edges))] = c
+        self.length, self.start, self.table, self.keyed = length, start, table, keyed
+
+    @property
+    def terms(self) -> Mapping[Path, Coefficient]:
+        return _Terms(self)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keyed
 
     def support(self) -> tuple[Path, ...]:
-        return tuple(sorted(self.terms, key=lambda l: tuple(vid_key(e) for e in l.edge_ids())))
+        return tuple(self.table.path(self.start, key) for key in _sorted_keys(self))
 
     def __add__(self, other: "LoopVector") -> "LoopVector":
         if other.length != self.length:
             raise ValueError("length mismatch")
-        return _vec(self.length, [*self.terms.items(), *other.terms.items()])
+        t = self.table or other.table
+        b = _keyed_in(other, t)
+        if self.keyed and b and self.start != other.start:
+            raise ValueError("the loops of a vector share one start vertex")
+        start = self.start if self.keyed else other.start
+        return _vec(self.length, start, t, [*self.keyed.items(), *b.items()])
 
     def scaled(self, c: Coefficient) -> "LoopVector":
-        return _vec(self.length, ((l, c0 * c) for l, c0 in self.terms.items()))
+        return _vec(self.length, self.start, self.table,
+                    [(key, c0 * c) for key, c0 in self.keyed.items()])
 
     def eq(self, other: "LoopVector") -> bool:
         """Coefficient-wise ``Coefficient.eq``, an absent loop counting as zero."""
         if self.length != other.length:
             return False
-        a, b = self.terms, other.terms
-        if a == b:
+        a, b = self.keyed, _keyed_in(other, self.table or other.table)
+        if a and b and self.start != other.start:
+            b = {(None,) + key: c for key, c in b.items()}  # no loop in common
+        elif a == b:
             return True
-        for l in a.keys() | b.keys():
-            x, y = a.get(l), b.get(l)
+        for key in a.keys() | b.keys():
+            x, y = a.get(key), b.get(key)
             if x is None:
                 x = Coefficient.zero(y.context)
             elif y is None:
@@ -227,79 +225,105 @@ class LoopVector:
                 return False
         return True
 
+    def __eq__(self, other):
+        if not isinstance(other, LoopVector):
+            return NotImplemented
+        return self.length == other.length and self.terms == other.terms
 
-def _vec(length: int, pairs) -> LoopVector:
-    """The sum of the ``(loop, coefficient)`` pairs, in their order, as a
+    def __repr__(self):
+        return "LoopVector(%d, %r)" % (self.length, dict(self.terms.items()))
+
+
+def _make(length: int, start: VertexId, table: _EdgeTable | None, keyed: dict) -> LoopVector:
+    v = object.__new__(LoopVector)
+    v.length, v.start, v.table, v.keyed = length, start, table, keyed
+    return v
+
+
+def _vec(length: int, start: VertexId, table: _EdgeTable | None, pairs) -> LoopVector:
+    """The sum of the ``(key, coefficient)`` pairs, in their order, as a
     vector of the given length; loops whose coefficients sum to zero are
     dropped."""
-    acc: dict[Path, Coefficient] = {}
-    for l, c in pairs:
-        got = acc.get(l)
-        acc[l] = c if got is None else got + c
-    return LoopVector(length, {l: c for l, c in acc.items() if not c.is_zero()})
+    acc: dict = {}
+    for key, c in pairs:
+        got = acc.get(key)
+        acc[key] = c if got is None else got + c
+    return _make(length, start, table, {key: c for key, c in acc.items() if not c.is_zero()})
+
+
+def _keyed_in(v: LoopVector, table: _EdgeTable | None) -> dict:
+    """v's terms keyed by indices into ``table``, re-keyed when v has another."""
+    if v.table is table or not v.keyed:
+        return v.keyed
+    index, src = table.index, v.table.edges
+    return {tuple(index(src[k]) for k in key): c for key, c in v.keyed.items()}
+
+
+def _in(v: LoopVector, table: _EdgeTable) -> LoopVector:
+    return v if v.table is table else _make(v.length, v.start, table, _keyed_in(v, table))
+
+
+def _sorted_keys(v: LoopVector) -> list:
+    edges = v.table.edges if v.keyed else ()
+    return sorted(v.keyed, key=lambda key: tuple(vid_key(edges[k].eid) for k in key))
 
 
 def zero_vector(length: int) -> LoopVector:
-    return LoopVector(length, {})
+    return _make(length, None, None, {})
 
 
 def loop_vector(l: Path, coeff: Coefficient | None = None) -> LoopVector:
     c = coeff if coeff is not None else Coefficient.one(l.context)
-    return _vec(len(l), ((l, c),))
+    t = _EdgeTable(l.context)
+    return _vec(len(l), l.start, t, ((tuple(map(t.index, l.edges)), c),))
 
 
 def basis(graph, n: int) -> tuple[LoopVector, ...]:
-    return tuple(loop_vector(l) for l in enumerate_loops(graph, n))
+    t = _table(graph)
+    one = Coefficient.one(graph.context)
+    return tuple(
+        _make(n, l.start, t, {tuple(map(t.index, l.edges)): one})
+        for l in enumerate_loops(graph, n)
+    )
 
 
 def format_vector(v: LoopVector) -> str:
     """One line per term: ``(coefficient-text) eid eid ...``."""
     lines = []
-    for l in v.support():
-        ids = " ".join(str(e) for e in l.edge_ids()) or "-"
-        lines.append("(%s) %s" % (v.terms[l].text(), ids))
+    for key in _sorted_keys(v):
+        ids = " ".join(str(v.table.edges[k].eid) for k in key) or "-"
+        lines.append("(%s) %s" % (v.keyed[key].text(), ids))
     return "\n".join(lines) if lines else "(0)"
 
 
-def _anchor(graph, l: Path, i: int) -> VertexId:
-    return l.edges[i - 1].target if i else l.start
+def _anchor(v: LoopVector, key: tuple[int, ...], i: int) -> VertexId:
+    """The vertex that the first i edges of the loop ``key`` lead to."""
+    return v.table.edges[key[i - 1]].target if i else v.start
 
 
 def cup(graph, v: LoopVector, i: int) -> LoopVector:
     """Insert a summed conjugate pair after edge i, weighted by w(e)^(1/2)."""
     if not 0 <= i <= v.length:
         raise IndexError("cup index %d out of range 0..%d" % (i, v.length))
+    t = _table(graph)
+    v = _in(v, t)
     pairs = []
-    inserts: dict = {}  # per anchor: (e, e-bar, w(e)^(1/2) as a coefficient)
-    for l, c in v.terms.items():
-        at = _anchor(graph, l, i)
-        if graph.is_frontier(at):
-            raise ValueError(
-                "cup anchored at %r, whose adjacency is truncated; enlarge the ball" % (at,)
-            )
-        rows = inserts.get(at)
-        if rows is None:
-            rows = []
-            for e in graph.out_edges(at):
-                ebar = graph.conjugate_edge(e)
-                rows.append((e, ebar, Coefficient.of_weight(e.weight.sqrt())))
-            inserts[at] = rows
-        for e, ebar, sq in rows:
-            pairs.append((Path(l.start, l.edges[:i] + (e, ebar) + l.edges[i:], l.context), c * sq))
-    return _vec(v.length + 2, pairs)
+    for key, c in v.keyed.items():
+        head, tail = key[:i], key[i:]
+        for e, ebar, sq in t.rows(_anchor(v, key, i)):
+            pairs.append((head + (e, ebar) + tail, c * sq))
+    return _vec(v.length + 2, v.start, t, pairs)
 
 
-def _contraction(e1: Edge, e2: Edge, memo: dict):
-    """The cap rule for the adjacent edges e1, e2: None unless they are a
-    conjugate pair, else the coefficient ``w(e1)^(1/2)``.  ``memo`` keeps it
-    by e1's id for the rest of one computation.  ``cap`` and the trie walk of
-    ``_inner_pairs`` both contract through here."""
-    if e1.conjugate != e2.eid or e2.conjugate != e1.eid:
+def _contraction(e1: int, e2: int, table: _EdgeTable):
+    """The cap rule for the adjacent edges e1, e2 (indices into ``table``):
+    None unless they are a conjugate pair, else the coefficient
+    ``w(e1)^(1/2)``.  ``cap`` and the trie walk of ``_inner_pairs`` both
+    contract through here."""
+    conj = table.conj
+    if conj[e1] != e2 or conj[e2] != e1:
         return None
-    got = memo.get(e1.eid)
-    if got is None:
-        got = memo[e1.eid] = Coefficient.of_weight(e1.weight.sqrt())
-    return got
+    return table.root(e1)
 
 
 def cap(v: LoopVector, i: int) -> LoopVector:
@@ -308,29 +332,40 @@ def cap(v: LoopVector, i: int) -> LoopVector:
         raise IndexError("cap needs length >= 2")
     if not 1 <= i <= v.length - 1:
         raise IndexError("cap index %d out of range 1..%d" % (i, v.length - 1))
+    t = v.table
     pairs = []
-    memo: dict = {}
-    for l, c in v.terms.items():
-        sq = _contraction(l.edges[i - 1], l.edges[i], memo)
+    for key, c in v.keyed.items():
+        sq = _contraction(key[i - 1], key[i], t)
         if sq is not None:
-            pairs.append((Path(l.start, l.edges[: i - 1] + l.edges[i + 1 :], l.context), c * sq))
-    return _vec(v.length - 2, pairs)
+            pairs.append((key[: i - 1] + key[i + 1 :], c * sq))
+    return _vec(v.length - 2, v.start, t, pairs)
 
 
 def star(graph, v: LoopVector) -> LoopVector:
     """The involution l -> w(l-bar)^(1/2) l-bar, with w(l-bar) = w(l)^-1; it
     is conjugate-linear, and coefficients are real."""
-    return _vec(v.length, (
-        (l.reversed_in(graph), c * Coefficient.of_weight(l.weight.inverse().sqrt()))
-        for l, c in v.terms.items()
-    ))
+    t = _table(graph)
+    v = _in(v, t)
+    pairs = []
+    ends = set()
+    for key, c in v.keyed.items():
+        rev = tuple(map(t.conjugate, reversed(key)))
+        pairs.append((rev, c * Coefficient.of_weight(t.weight(key).inverse().sqrt())))
+        ends.add(_anchor(v, key, v.length))
+    if len(ends) > 1:
+        raise ValueError("the loops of a vector share one start vertex")
+    return _vec(v.length, ends.pop() if ends else v.start, t, pairs)
 
 
 def concat(u: LoopVector, v: LoopVector) -> LoopVector:
     """Bilinear extension of loop concatenation."""
-    return _vec(u.length + v.length, (
-        (l1 * l2, c1 * c2) for l1, c1 in u.terms.items() for l2, c2 in v.terms.items()
-    ))
+    t = u.table or v.table
+    b = _keyed_in(v, t)
+    if b and any(_anchor(u, key, u.length) != v.start for key in u.keyed):
+        raise ValueError("paths do not compose")
+    return _vec(u.length + v.length, u.start, t, [
+        (k1 + k2, c1 * c2) for k1, c1 in u.keyed.items() for k2, c2 in b.items()
+    ])
 
 
 def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
@@ -346,17 +381,20 @@ def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     n = f.length
+    f = _in(f, _table(graph))
     word = concat(f, star(graph, g)) if side == "left" else concat(star(graph, g), f)
     for k in range(n, 0, -1):
         word = cap(word, k)
-    ctx = graph.context
-    empty = Path.empty(ctx, graph.basepoint)
-    return word.terms.get(empty, Coefficient.zero(ctx))
+    got = word.keyed.get(()) if word.start == graph.basepoint else None
+    return got if got is not None else Coefficient.zero(graph.context)
 
 
 def apply_modular(v: LoopVector) -> LoopVector:
     """The diagonal modular operator: l -> w(l) * l."""
-    return _vec(v.length, ((l, c * Coefficient.of_weight(l.weight)) for l, c in v.terms.items()))
+    t = v.table
+    return _vec(v.length, v.start, t, [
+        (key, c * Coefficient.of_weight(t.weight(key))) for key, c in v.keyed.items()
+    ])
 
 
 @dataclass(frozen=True)
@@ -414,31 +452,32 @@ def _inner_pairs(graph, vecs):
     cap coefficients in the order of ``inner``'s nested caps: outward for
     left, inward for right.
     """
+    t = _table(graph)
     zero = Coefficient.zero(graph.context)
     stars = []
-    root = [{}, None]  # node: [edge id -> (edge, child node), basis index of a word's end]
+    root = [{}, None]  # node: [edge index -> child node, basis index of a word's end]
     for j, h in enumerate(vecs):
-        ((word, c),) = star(graph, h).terms.items()
+        ((word, c),) = star(graph, h).keyed.items()
         stars.append(c)
         node = root
-        for e in word.edges:
-            got = node[0].get(e.eid)
+        for e in word:
+            got = node[0].get(e)
             if got is None:
-                got = node[0][e.eid] = (e, [{}, None])
-            node = got[1]
+                got = node[0][e] = [{}, None]
+            node = got
         node[1] = j
-    memo: dict = {}
     for i, f in enumerate(vecs):
-        ((l, cf),) = f.terms.items()
-        ((_, cdf),) = apply_modular(f).terms.items()
+        f = _in(f, t)
+        ((key, cf),) = f.keyed.items()
+        ((_, cdf),) = apply_modular(f).keyed.items()
         # (node, left coefficients, right coefficients); None once a side dies
         live = [(root, (), ())]
-        for e in reversed(l.edges):
+        for e in reversed(key):
             nxt = []
             for node, lsq, rsq in live:
-                for e2, child in node[0].values():
-                    a = lsq is not None and _contraction(e, e2, memo)
-                    b = rsq is not None and _contraction(e2, e, memo)
+                for e2, child in node[0].items():
+                    a = lsq is not None and _contraction(e, e2, t)
+                    b = rsq is not None and _contraction(e2, e, t)
                     if a or b:
                         nxt.append((child, lsq + (a,) if a else None,
                                     rsq + (b,) if b else None))
@@ -504,11 +543,11 @@ def relations(graph, max_len: int):
             detail = None
             ok_zig = True
             for v in vecs:
-                (l,) = v.terms
+                (key,) = v.keyed
                 for i in range(n + 1):
                     up = cup(graph, v, i)
                     anchor_sum = Coefficient.zero(ctx)
-                    for e in graph.out_edges(_anchor(graph, l, i)):
+                    for e in graph.out_edges(_anchor(v, key, i)):
                         anchor_sum = anchor_sum + Coefficient.of_weight(e.weight)
                     want = v.scaled(anchor_sum)
                     got = cap(up, i + 1)
@@ -526,9 +565,9 @@ def relations(graph, max_len: int):
             ok_gram = ok_mod = True
             for i, j, lhs, right, rhs in _inner_pairs(graph, vecs):
                 if i == j:
-                    (lf,) = vecs[i].terms
+                    (key,) = vecs[i].keyed
                     want_l = Coefficient.one(ctx)
-                    want_r = Coefficient.of_weight(lf.weight.inverse())
+                    want_r = Coefficient.of_weight(vecs[i].table.weight(key).inverse())
                 else:
                     want_l = want_r = Coefficient.zero(ctx)
                 ok_gram = ok_gram and lhs.eq(want_l) and right.eq(want_r)

@@ -14,6 +14,9 @@ weights stay exact for any exponent.  ``==``, ``hash``, :meth:`Weight.key`
 and :meth:`Weight.text` read only ``(num, den)``.  The float ``value`` of an
 exact weight is computed on first use and raises ``OverflowError`` when it
 leaves the positive float range.
+
+A :class:`Coefficient`, the scalar of the loop algebra, is a rational linear
+combination of exact weights, or one float.
 """
 from __future__ import annotations
 
@@ -113,6 +116,14 @@ def _exact(context: GeneratorContext, num: tuple[int, ...], den: int) -> "Weight
     return Weight(context, num, den)
 
 
+def _float_result(context: GeneratorContext, value: float) -> "Weight":
+    """The float weight ``value`` computed from valid weights;
+    ``OverflowError`` when it has left the positive float range."""
+    if not 0.0 < value < math.inf:
+        raise OverflowError("weight %r is outside the float range" % value)
+    return Weight(context, None, 1, value)
+
+
 class Weight:
     """A positive real, exact (integer exponent vector over a common
     denominator) or float.
@@ -198,12 +209,12 @@ class Weight:
             g = math.gcd(da, db)
             ma, mb = db // g, da // g
             return _exact(ctx, tuple(x * ma + y * mb for x, y in zip(a, b)), da * ma)
-        return ctx.float_weight(self.value * other.value)
+        return _float_result(ctx, self.value * other.value)
 
     def inverse(self) -> "Weight":
         if self.is_exact:
             return Weight(self.context, tuple(-n for n in self.num), self.den)
-        return self.context.float_weight(1.0 / self.value)
+        return _float_result(self.context, 1.0 / self.value)
 
     def __pow__(self, k) -> "Weight":
         if self.is_exact:
@@ -211,12 +222,12 @@ class Weight:
             return _exact(
                 self.context, tuple(n * k.numerator for n in self.num), self.den * k.denominator
             )
-        return self.context.float_weight(self.value ** float(k))
+        return _float_result(self.context, self.value ** float(k))
 
     def sqrt(self) -> "Weight":
         if self.is_exact:
             return _exact(self.context, self.num, 2 * self.den)
-        return self.context.float_weight(math.sqrt(self.value))
+        return _float_result(self.context, math.sqrt(self.value))
 
     def eq(self, other: "Weight") -> bool:
         """Exact exponent comparison when both exact, else tolerance on value."""
@@ -261,6 +272,162 @@ class Weight:
 
     def __repr__(self):
         return "Weight(%s)" % self.text()
+
+
+def _scalar(s):
+    """A rational scalar as an ``int`` when it is integral."""
+    return s.numerator if type(s) is Fraction and s.denominator == 1 else s
+
+
+def _term_order(term):
+    w = term[0]
+    return w.num, w.den
+
+
+def _canonical(acc: dict) -> tuple:
+    """Terms of a weight -> scalar dict: zero scalars dropped, sorted."""
+    items = [(w, _scalar(s)) for w, s in acc.items() if s]
+    if len(items) > 1:
+        items.sort(key=_term_order)
+    return tuple(items)
+
+
+def _by_exponents(terms) -> list:
+    return sorted(terms, key=lambda t: t[0].exponents)
+
+
+class Coefficient:
+    """Scalar closed under the sums the cup map produces.
+
+    Exact mode: a rational linear combination of exact monomial weights,
+    stored in ``terms`` as ``(Weight, scalar)`` pairs, one per weight, with
+    nonzero scalars that are ``int`` when integral and ``Fraction``
+    otherwise.  Terms are kept sorted by the weight's ``(num, den)``, so
+    equal coefficients have equal terms; products multiply weights, and no
+    ``Fraction`` is made while scalars stay integral.  Text and ``value``
+    visit terms in order of ``Weight.exponents``.  Float mode: ``terms`` is
+    None and ``fvalue`` holds one float.  Immutable.
+    """
+
+    __slots__ = ("context", "terms", "fvalue")
+
+    def __init__(self, context: GeneratorContext, terms: tuple | None,
+                 fvalue: float | None = None):
+        self.context = context
+        self.terms = terms
+        self.fvalue = fvalue
+
+    @classmethod
+    def zero(cls, context: GeneratorContext) -> "Coefficient":
+        return cls(context, ())
+
+    @classmethod
+    def one(cls, context: GeneratorContext) -> "Coefficient":
+        return cls(context, ((context.identity(), 1),))
+
+    @classmethod
+    def of_weight(cls, w: Weight, scalar=1) -> "Coefficient":
+        if w.is_exact:
+            s = scalar if type(scalar) is int else _scalar(Fraction(scalar))
+            return cls(w.context, ((w, s),) if s else ())
+        return _real(w.context, float(scalar) * w.value)
+
+    @property
+    def is_exact(self) -> bool:
+        return self.terms is not None
+
+    def is_zero(self) -> bool:
+        if self.is_exact:
+            return not self.terms
+        return self.fvalue == 0
+
+    def __add__(self, other: "Coefficient") -> "Coefficient":
+        a, b = self.terms, other.terms
+        if a is not None and b is not None:
+            if not b:
+                return self
+            if not a:
+                return other
+            acc = dict(a)
+            for w, s in b:
+                got = acc.get(w)
+                acc[w] = s if got is None else got + s
+            return Coefficient(self.context, _canonical(acc))
+        return _real(self.context, self.value() + other.value())
+
+    def __mul__(self, other: "Coefficient") -> "Coefficient":
+        a, b = self.terms, other.terms
+        if a is not None and b is not None:
+            if len(a) == 1 and len(b) == 1:
+                ((w1, s1),), ((w2, s2),) = a, b
+                return Coefficient(self.context, ((w1 * w2, _scalar(s1 * s2)),))
+            acc: dict = {}
+            for w1, s1 in a:
+                for w2, s2 in b:
+                    w = w1 * w2
+                    got = acc.get(w)
+                    acc[w] = s1 * s2 if got is None else got + s1 * s2
+            return Coefficient(self.context, _canonical(acc))
+        return _real(self.context, self.value() * other.value())
+
+    def __neg__(self) -> "Coefficient":
+        if self.is_exact:
+            return Coefficient(self.context, tuple((w, -s) for w, s in self.terms))
+        return Coefficient(self.context, None, -self.fvalue)
+
+    def value(self) -> float:
+        if not self.is_exact:
+            return self.fvalue
+        total = 0.0
+        for w, r in _by_exponents(self.terms):
+            total += float(r) * w.value
+        return total
+
+    def isclose(self, other: "Coefficient") -> bool:
+        a, b = self.value(), other.value()
+        scale = max(abs(a), abs(b), 1.0)
+        return abs(a - b) <= self.context.tolerance * scale
+
+    def eq(self, other: "Coefficient") -> bool:
+        """Exact term comparison when both exact, else tolerance on value."""
+        if self.terms is not None and other.terms is not None:
+            return self.terms == other.terms
+        return self.isclose(other)
+
+    def text(self) -> str:
+        if not self.is_exact:
+            return format(self.fvalue, ".17g")
+        if not self.terms:
+            return "0"
+        parts = []
+        for w, r in _by_exponents(self.terms):
+            if w.is_identity():
+                parts.append("%s" % r)
+            else:
+                parts.append(w.text() if r == 1 else "%s %s" % (r, w.text()))
+        return " + ".join(parts)
+
+    def __eq__(self, other):
+        if not isinstance(other, Coefficient):
+            return NotImplemented
+        return (
+            self.terms == other.terms
+            and self.fvalue == other.fvalue
+            and (self.context is other.context or self.context == other.context)
+        )
+
+    def __hash__(self):
+        return hash((self.terms, self.fvalue))
+
+    def __repr__(self):
+        return "Coefficient(%s)" % self.text()
+
+
+def _real(context: GeneratorContext, v: float) -> Coefficient:
+    """The float-mode coefficient ``v``; ``OverflowError`` unless it is finite."""
+    if not -math.inf < v < math.inf:
+        raise OverflowError("coefficient %r is outside the float range" % v)
+    return Coefficient(context, None, v)
 
 
 def group_weights(counts: Iterable[tuple[Weight, int]]) -> tuple[tuple[Weight, int], ...]:

@@ -13,6 +13,18 @@ from deltagraph import (
 from deltagraph.cli import main
 
 
+_OVERFLOW_CHAIN = (
+    "delta-graph v1\n"
+    "delta 2.5\n"
+    "vertex 0\nvertex 1\nvertex 2\n"
+    "edge e0 0 1 weight 1e200 conjugate e2\n"
+    "edge e1 1 2 weight 1e200 conjugate e3\n"
+    "edge e2 1 0 weight 1e-200 conjugate e0\n"
+    "edge e3 2 1 weight 1e-200 conjugate e1\n"
+    "basepoint 0\n"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -75,6 +87,28 @@ class TestBasics:
         assert code == 3
         assert out == ""
         assert err == "error: float overflow: coefficient inf is outside the float range\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["loops", "--n", "4"], ["spectrum", "--n", "4"], ["cover", "--radius", "2"]]
+    )
+    def test_float_weight_product_overflow_exit_3(self, tmp_path, capsys, argv):
+        # every weight is finite, but the loop e0 e1 e3 e2 and the cover
+        # vertex two steps out multiply 1e200 by 1e200
+        p = tmp_path / "chain.dg"
+        p.write_text(_OVERFLOW_CHAIN)
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert err == "error: float overflow: weight inf is outside the float range\n"
+
+    @pytest.mark.parametrize("literal", ["1e400", "0"])
+    def test_out_of_range_weight_literal_exit_2(self, tmp_path, capsys, literal):
+        p = tmp_path / "chain.dg"
+        p.write_text(_OVERFLOW_CHAIN.replace("1e200 conjugate e2", literal + " conjugate e2"))
+        code, out, err = run(capsys, "loops", str(p), "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 6: weights must be positive finite reals")
 
     def test_unknown_builder_parameter_exit_2(self, capsys):
         code, out, err = run(capsys, "validate", "grid:a=2,b=3,tolerence=1e-6")
@@ -175,6 +209,20 @@ class TestPipeline:
         code, out, _ = run(capsys, "cover", str(out_file), "--radius", "2")
         assert code == 0
         assert out.count("\nvertex ") == 13
+
+    def test_cover_of_ambiguous_mixed_file_exit_2(self, tmp_path, capsys):
+        # a = b = 2: the float 2.0 is within tolerance of a^1 and of b^1
+        out_file = tmp_path / "g.dg"
+        run(capsys, "build", "double_chain", "a=2", "b=2", "--radius", "4",
+            "--out", str(out_file))
+        out_file.write_text(out_file.read_text().replace("weight a^1 ", "weight 2.0 "))
+        code, out, _ = run(capsys, "validate", str(out_file))
+        assert code == 0
+        code, out, err = run(capsys, "cover", str(out_file), "--radius", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "within tolerance of the distinct exact weights" in err
 
     def test_no_input_mutation(self, tmp_path, capsys):
         out_file = tmp_path / "g.dg"

@@ -13,8 +13,10 @@ Core claims:
 import pytest
 
 from deltagraph import (
+    GraphConstructionError,
     ball,
     cycle,
+    double_chain,
     enumerate_loops,
     iso_check,
     lift_loop,
@@ -26,7 +28,8 @@ from deltagraph import (
     validate,
     vertex_weighting,
 )
-from deltagraph.cover import CoverVertex, LoopLiftError
+from deltagraph.cover import CoverVertex, LoopLiftError, _Interner
+from deltagraph.weights import GeneratorContext
 
 
 class TestPathGraph:
@@ -98,6 +101,33 @@ class TestTracialCover:
         cov, _ = tracial_cover(mixed, r)
         assert len(cov.vertices) == count
         assert validate(cov).check("involution").passed
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_ambiguous_mixed_weights_rejected(self, r):
+        # with a = b = 2, the float 2.0 written for a^1 is within tolerance
+        # of both a^1 and b^1, so no cover class can take it
+        text = serialize_graph(double_chain(2, 2), 4).replace("weight a^1 ", "weight 2.0 ")
+        mixed = parse_graph(text).graph
+        assert validate(mixed, 4).passed
+        with pytest.raises(GraphConstructionError, match="distinct exact weights"):
+            tracial_cover(mixed, r)
+
+    def test_interner_rejects_float_between_exact_classes(self):
+        ctx = GeneratorContext((("a", 2.0), ("b", 2.0)))
+        intern = _Interner(ctx.tolerance)
+        a, b = intern.get("v", ctx.gen("a")), intern.get("v", ctx.gen("b"))
+        assert a is not b  # exact classes compare structurally
+        with pytest.raises(ValueError, match="float weight 2 at 'v' .* a\\^1 and b\\^1"):
+            intern.get("v", ctx.float_weight(2.0))
+
+    def test_interner_rejects_exact_class_beside_a_floated_one(self):
+        ctx = GeneratorContext((("a", 2.0), ("b", 2.0)))
+        intern = _Interner(ctx.tolerance)
+        a = intern.get("v", ctx.gen("a"))
+        assert intern.get("v", ctx.float_weight(2.0)) is a
+        assert intern.get("w", ctx.gen("b")) is not a  # another target is unaffected
+        with pytest.raises(ValueError, match="float weight 2 at 'v' .* a\\^1 and b\\^1"):
+            intern.get("v", ctx.gen("b"))
 
     def test_cover_validates_fair(self, dchain):
         cov, _ = tracial_cover(dchain, 3)

@@ -16,6 +16,8 @@ Core claims:
     - oracles: the walk-count spectrum equals the grouped enumerated loop
       weights, the trie-walk inner products equal pairwise ``inner``, and
       ``loop_weight_group`` equals the reduction of enumerated loop weights
+    - vectors keyed by different edge tables (a bare path's, a graph's, a
+      ball's) combine as the loops they hold; ``terms`` reads the loops back
 """
 
 from fractions import Fraction
@@ -26,6 +28,7 @@ from collections import Counter
 
 from deltagraph import (
     Coefficient,
+    LoopVector,
     apply_modular,
     ball,
     basis,
@@ -52,6 +55,7 @@ from deltagraph import (
     vertex_weighting,
     zero_vector,
 )
+from deltagraph import loop_algebra
 from deltagraph.graph import Path
 from deltagraph.loop_algebra import VERIFY_LIMIT, _inner_pairs
 from deltagraph.weights import GeneratorContext, group_weights
@@ -415,3 +419,92 @@ class TestOracles:
                 weights += [l.weight for l in loops if not l.weight.eq(identity)]
             got = loop_weight_group(g, max_len).generators
             assert got == reduce_generators(weights, g.context)
+
+
+def _ids(v):
+    return {l.edge_ids(): c for l, c in v.terms.items()}
+
+
+class TestEdgeTables:
+    def test_terms_round_trip_edge_ids(self, dchain):
+        loops = enumerate_loops(dchain, 2)
+        vecs = basis(dchain, 2)
+        assert [next(iter(v.terms)).edge_ids() for v in vecs] == [l.edge_ids() for l in loops]
+        for l, v in zip(loops, vecs):
+            ((got, c),) = v.terms.items()
+            assert got == l and got.start == l.start
+            assert c == Coefficient.one(dchain.context)
+            assert l in v.terms and v.terms[l] is c
+        with pytest.raises(KeyError):
+            vecs[0].terms[loops[1]]
+        c = Coefficient.of_weight(dchain.context.gen("a"))
+        v = LoopVector(2, {loops[1]: c, loops[3]: c})
+        assert {l.edge_ids() for l in v.terms} == {loops[1].edge_ids(), loops[3].edge_ids()}
+        assert v.eq(vecs[1].scaled(c) + vecs[3].scaled(c))
+        with pytest.raises(ValueError):
+            LoopVector(4, {loops[0]: c})
+
+    def test_terms_len_builds_no_path(self, dchain, monkeypatch):
+        v = cup(dchain, basis(dchain, 2)[0], 1)
+
+        def no_path(*args):
+            raise AssertionError("len(terms) built a Path")
+
+        monkeypatch.setattr(loop_algebra, "Path", no_path)
+        assert len(v.terms) == 4
+
+    def test_equal_indices_of_different_tables(self, chain, rr, ll):
+        # the chain's table indexes (l0, r-1) as (0, 1), and the bare
+        # vector's table indexes (r0, l1) the same way; they are other loops
+        (vll,) = [v for v in basis(chain, 2) if next(iter(v.terms)) == ll]
+        vrr = loop_vector(rr)
+        assert not vrr.eq(vll) and not vll.eq(vrr)
+        assert _ids(vrr + vll).keys() == {rr.edge_ids(), ll.edge_ids()}
+        assert _ids(vll + vrr).keys() == {rr.edge_ids(), ll.edge_ids()}
+
+    def test_bare_graph_and_ball_vectors_combine(self, dchain):
+        ctx = dchain.context
+        b = ball(dchain, 3)
+        from_graph, from_ball = basis(dchain, 2), basis(b, 2)
+        two = Coefficient.of_weight(ctx.identity(), 2)
+        for u, w in zip(from_graph, from_ball):
+            assert u.eq(w) and w.eq(u) and u == w
+            assert (u + w).eq(u.scaled(two)) and (w + u).eq(u.scaled(two))
+        mixed = from_graph[0] + from_ball[1]
+        assert _ids(mixed) == {**_ids(from_graph[0]), **_ids(from_graph[1])}
+        unit = loop_vector(Path.empty(ctx, 0))
+        assert concat(unit, from_ball[2]).eq(from_graph[2])
+        assert concat(from_ball[2], unit).eq(from_graph[2])
+        uv = concat(from_graph[0], from_ball[1])
+        ((l, c),) = uv.terms.items()
+        assert l.edge_ids() == _loop_ids(from_graph[0]) + _loop_ids(from_graph[1])
+        assert uv.eq(concat(from_graph[0], from_graph[1]))
+        for i in range(3):
+            want = cup(dchain, from_graph[1], i)
+            assert cup(dchain, from_ball[1], i).eq(want)
+            assert cup(b, from_graph[1], i).eq(want)
+        assert cup(dchain, unit, 0).eq(cup(dchain, basis(dchain, 0)[0], 0))
+        assert cup(b, unit, 0).eq(cup(dchain, unit, 0))
+
+    def test_loops_of_a_vector_share_a_start(self, chain):
+        ctx = chain.context
+        at0, at1 = loop_vector(Path.empty(ctx, 0)), loop_vector(Path.empty(ctx, 1))
+        assert not at0.eq(at1) and at0 != at1
+        with pytest.raises(ValueError, match="start vertex"):
+            at0 + at1
+        with pytest.raises(ValueError, match="start vertex"):
+            LoopVector(0, {Path.empty(ctx, 0): Coefficient.one(ctx),
+                           Path.empty(ctx, 1): Coefficient.one(ctx)})
+
+    def test_frontier_anchor_raises_on_every_call(self, chain):
+        b = ball(chain, 1)
+        v = basis(b, 2)[0]
+        assert not cup(b, v, 0).is_zero()  # the basepoint's rows are memoized
+        for _ in range(2):
+            with pytest.raises(ValueError, match="truncated"):
+                cup(b, v, 1)
+
+
+def _loop_ids(v):
+    (l,) = v.terms
+    return l.edge_ids()

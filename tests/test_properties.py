@@ -5,19 +5,28 @@
     - the cover of a shift quotient reproduces the ball on interiors
     - serialize(parse(text)) == text for balls and for weighted covers
     - ``parse_graph`` on a mutated document raises only ``GraphFormatError``
+    - on integer combinations of basis loops of length n <= 4: delooping
+      scales each loop by its anchor's out-sum, both zig-zags and star o star
+      are the identity, and ``inner`` equals the trie rows of ``_inner_pairs``
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from deltagraph import (
+    Coefficient,
     VertexWeighting,
+    apply_modular,
     ball,
+    basis,
+    cap,
     chain_shift_action,
     cayley,
+    cup,
     cycle,
     deformed_chain,
     double_chain,
     grid,
+    inner,
     iso_check,
     lattice_shift_action,
     parse_graph,
@@ -25,10 +34,13 @@ from deltagraph import (
     recover,
     serialize_graph,
     single_chain,
+    star,
     tracial_cover,
     vertex_weighting,
+    zero_vector,
 )
 from deltagraph.io import GraphFormatError
+from deltagraph.loop_algebra import _inner_pairs
 
 WEIGHTS = st.sampled_from([2, 3, 0.5, 1.5])
 graphs = st.one_of(
@@ -162,3 +174,61 @@ def test_parse_raises_only_format_errors(text):
         parse_graph(text)
     except GraphFormatError:
         pass
+
+
+def _scalar(g, k):
+    return Coefficient.of_weight(g.context.identity(), k)
+
+
+def _combination(g, n, vecs, ks):
+    v = zero_vector(n)
+    for b, k in zip(vecs, ks):
+        v = v + b.scaled(_scalar(g, k))
+    return v
+
+
+def _out_sum(g, v):
+    total = Coefficient.zero(g.context)
+    for e in g.out_edges(v):
+        total = total + Coefficient.of_weight(e.weight)
+    return total
+
+
+def _draw_combination(data, g, n, vecs):
+    ks = data.draw(st.lists(st.integers(-3, 3), min_size=len(vecs), max_size=len(vecs)))
+    return ks, _combination(g, n, vecs, ks)
+
+
+@PROPERTY
+@given(graphs, st.integers(0, 4), st.data())
+def test_cup_cap_relations_on_combinations(g, n, data):
+    vecs = basis(g, n)
+    ks, v = _draw_combination(data, g, n, vecs)
+    for i in range(n + 1):
+        up = cup(g, v, i)
+        want = zero_vector(n)
+        for b, k in zip(vecs, ks):
+            (l,) = b.terms
+            at = l.edges[i - 1].target if i else l.start
+            want = want + b.scaled(_scalar(g, k) * _out_sum(g, at))
+        assert cap(up, i + 1).eq(want)
+        if i >= 1:
+            assert cap(up, i).eq(v)
+        if i <= n - 1:
+            assert cap(up, i + 2).eq(v)
+    assert star(g, star(g, v)).eq(v)
+
+
+@PROPERTY
+@given(graphs, st.integers(0, 4), st.data())
+def test_inner_matches_trie_rows_on_combinations(g, n, data):
+    vecs = basis(g, n)
+    xs, f = _draw_combination(data, g, n, vecs)
+    ys, h = _draw_combination(data, g, n, vecs)
+    want = [Coefficient.zero(g.context)] * 3
+    for i, j, *row in _inner_pairs(g, vecs):
+        xy = _scalar(g, xs[i] * ys[j])
+        want = [w + c * xy for w, c in zip(want, row)]
+    assert inner(g, f, h, "left").eq(want[0])
+    assert inner(g, f, h, "right").eq(want[1])
+    assert inner(g, apply_modular(f), h, "right").eq(want[2])
