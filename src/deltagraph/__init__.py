@@ -49,7 +49,6 @@ from .graph import (
     Path,
     TruncatedGraph,
     ValidationReport,
-    VertexWeighting,
     WeightingResult,
     ball,
     enumerate_loops,

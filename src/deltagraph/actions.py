@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 from .cover import tracial_cover
 from .graph import (
@@ -18,7 +18,6 @@ from .graph import (
     Edge,
     TruncatedGraph,
     VertexId,
-    VertexWeighting,
     bfs_distances,
     tracial_ball,
     vid_key,
@@ -111,7 +110,9 @@ def check_action(g: DeltaGraph, action: GraphAction, radius: int) -> ActionRepor
     return _check_action(*tracial_ball(g, radius, "action checks"), action)
 
 
-def _check_action(b: TruncatedGraph, wv: VertexWeighting, action: GraphAction) -> ActionReport:
+def _check_action(
+    b: TruncatedGraph, wv: Mapping[VertexId, Weight], action: GraphAction
+) -> ActionReport:
     failures: list[str] = []
     checked = 0
     skipped = 0
@@ -207,7 +208,9 @@ def orbit_partition(g: DeltaGraph, action: GraphAction, radius: int) -> tuple[Or
     return _orbit_partition(*tracial_ball(g, radius, "orbit computations"), action)
 
 
-def _orbit_partition(b: TruncatedGraph, wv: VertexWeighting, action: GraphAction) -> tuple[Orbit, ...]:
+def _orbit_partition(
+    b: TruncatedGraph, wv: Mapping[VertexId, Weight], action: GraphAction
+) -> tuple[Orbit, ...]:
     orbit_lists, _ = _orbits(b, action)
     orbits = []
     for members in orbit_lists:

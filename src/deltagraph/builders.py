@@ -17,13 +17,13 @@ from .weights import GeneratorContext
 DEFAULT_TOLERANCE = 1e-9
 
 
-def single_chain(q: float, *, name: str = "q", tolerance: float = DEFAULT_TOLERANCE) -> DeltaGraph:
+def single_chain(q: float, *, tolerance: float = DEFAULT_TOLERANCE) -> DeltaGraph:
     """Bi-infinite chain on the integers: weight q rightward, 1/q leftward."""
     q = float(q)
     if q <= 0 or q == 1.0:
         raise ValueError("single_chain needs q > 0, q != 1 (so that delta > 2)")
-    ctx = GeneratorContext(((name, q),), tolerance)
-    wq = ctx.gen(name)
+    ctx = GeneratorContext((("q", q),), tolerance)
+    wq = ctx.gen("q")
     wqi = wq.inverse()
 
     def out(m: int):
@@ -35,17 +35,14 @@ def single_chain(q: float, *, name: str = "q", tolerance: float = DEFAULT_TOLERA
     return DeltaGraph(q + 1 / q, ctx, 0, out, label="single_chain(q=%g)" % q)
 
 
-def double_chain(
-    a: float, b: float, *, names: tuple[str, str] = ("a", "b"), tolerance: float = DEFAULT_TOLERANCE
-) -> DeltaGraph:
+def double_chain(a: float, b: float, *, tolerance: float = DEFAULT_TOLERANCE) -> DeltaGraph:
     """Chain on the integers with two parallel edge families of weights a, b."""
     a, b = float(a), float(b)
     delta = a + 1 / a + b + 1 / b
     if a <= 0 or b <= 0 or delta <= 4:
         raise ValueError("double_chain needs a, b > 0 with a + 1/a + b + 1/b > 4")
-    na, nb = names
-    ctx = GeneratorContext(((na, a), (nb, b)), tolerance)
-    wa, wb = ctx.gen(na), ctx.gen(nb)
+    ctx = GeneratorContext((("a", a), ("b", b)), tolerance)
+    wa, wb = ctx.gen("a"), ctx.gen("b")
     wai, wbi = wa.inverse(), wb.inverse()
 
     def out(m: int):
@@ -105,7 +102,7 @@ def grid(a: float, b: float, *, tolerance: float = DEFAULT_TOLERANCE) -> DeltaGr
     )
 
 
-def cycle(n: int, q: float, *, name: str = "q", tolerance: float = DEFAULT_TOLERANCE) -> DeltaGraph:
+def cycle(n: int, q: float, *, tolerance: float = DEFAULT_TOLERANCE) -> DeltaGraph:
     """Finite n-cycle, weight q forward and 1/q backward.
 
     With q = 1 all weights are the unit weight (the graph is tracial).
@@ -118,8 +115,8 @@ def cycle(n: int, q: float, *, name: str = "q", tolerance: float = DEFAULT_TOLER
         ctx = GeneratorContext((), tolerance)
         wq = ctx.identity()
     else:
-        ctx = GeneratorContext(((name, q),), tolerance)
-        wq = ctx.gen(name)
+        ctx = GeneratorContext((("q", q),), tolerance)
+        wq = ctx.gen("q")
     wqi = wq.inverse()
 
     def out(i: int):
@@ -162,19 +159,19 @@ def deformed_chain(q: float, x: float, *, tolerance: float = DEFAULT_TOLERANCE) 
     return DeltaGraph(q + 1 / q, ctx, 0, out, label="deformed_chain(q=%g,x=%g)" % (q, x))
 
 
-def chain_shift_action(g: DeltaGraph, steps: int, label: str = "s") -> GraphAction:
-    """Translation by ``steps`` on an integer chain; weight q^steps for the
+def chain_shift_action(g: DeltaGraph, steps: int) -> GraphAction:
+    """Translation ``s`` by ``steps`` on an integer chain; weight q^steps for the
     first generator q.  Raises ``ValueError`` unless the basepoint is an
     integer and the graph has a generator."""
     steps = int(steps)
     if not isinstance(g.basepoint, int) or not g.context.names:
         raise ValueError("a chain shift needs an integer basepoint and a generator")
     h = g.context.gen(g.context.names[0], steps)
-    return GraphAction((shift_generator(label, h, (steps,)),))
+    return GraphAction((shift_generator("s", h, (steps,)),))
 
 
-def lattice_shift_action(g: DeltaGraph, vec: Sequence[int], label: str = "t") -> GraphAction:
-    """Translation by an integer vector on a Cayley/grid graph; weight
+def lattice_shift_action(g: DeltaGraph, vec: Sequence[int]) -> GraphAction:
+    """Translation ``t`` by an integer vector on a Cayley/grid graph; weight
     is the product of generator weights along the vector, coordinate i
     pairing with generator i.  Raises ``ValueError`` unless the basepoint is
     a tuple of the vector's length and there is a generator per coordinate."""
@@ -184,7 +181,7 @@ def lattice_shift_action(g: DeltaGraph, vec: Sequence[int], label: str = "t") ->
         raise ValueError("a %d-coordinate shift needs a %d-tuple basepoint and %d generators"
                          % (k, k, k))
     h = g.context.exact({n: c for n, c in zip(g.context.names, vec)})
-    return GraphAction((shift_generator(label, h, vec),))
+    return GraphAction((shift_generator("t", h, vec),))
 
 
 @dataclass(frozen=True)

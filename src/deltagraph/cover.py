@@ -13,14 +13,13 @@ graph's edges.  :func:`tracial_cover` cuts its ball out with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .graph import (
     DeltaGraph,
     Edge,
     Path,
     TruncatedGraph,
-    VertexWeighting,
     ball,
     loop_weight_counts,
     vid_key,
@@ -52,7 +51,7 @@ class CoverVertex:
 
 class CoverResult(NamedTuple):
     graph: TruncatedGraph
-    weighting: VertexWeighting
+    weighting: Mapping[CoverVertex, Weight]
 
 
 class _Interner:
@@ -153,7 +152,7 @@ def tracial_cover(g: DeltaGraph, radius: int) -> CoverResult:
         label=(g.label + "|cover") if g.label else "cover",
     )
     b = ball(cover, radius)
-    return CoverResult(b, VertexWeighting({cv: cv.weight for cv in b.distance}))
+    return CoverResult(b, {cv: cv.weight for cv in b.distance})
 
 
 def lift_loop(g: DeltaGraph, l: Path, cover: TruncatedGraph | None = None) -> Path:

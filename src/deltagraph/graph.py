@@ -134,11 +134,7 @@ class Path:
         return self.start == other.start and self.edges == other.edges
 
     def __hash__(self):
-        got = self.__dict__.get("_hash")
-        if got is None:
-            got = hash((self.start, tuple(e.eid for e in self.edges)))
-            object.__setattr__(self, "_hash", got)
-        return got
+        return hash((self.start, self.edge_ids()))
 
     def __repr__(self):
         return "Path(%r, [%s])" % (self.start, ", ".join(repr(e.eid) for e in self.edges))
@@ -474,26 +470,14 @@ def validate(g: DeltaGraph, radius: int | None = None) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class VertexWeighting:
-    """Vertex weights inducing the edge weighting: w(e) = w(target)/w(source)."""
-
-    weights: Mapping[VertexId, Weight]
-
-    def __getitem__(self, v: VertexId) -> Weight:
-        return self.weights[v]
-
-    def __contains__(self, v: VertexId) -> bool:
-        return v in self.weights
-
-    def items(self):
-        return self.weights.items()
-
-
-@dataclass(frozen=True)
 class WeightingResult:
-    """Either a vertex weighting, or a witness loop of non-unit weight."""
+    """Either a vertex weighting, or a witness loop of non-unit weight.
 
-    weighting: VertexWeighting | None
+    A vertex weighting maps each vertex to its weight, inducing the edge
+    weighting w(e) = w(target)/w(source).
+    """
+
+    weighting: Mapping[VertexId, Weight] | None
     witness: Path | None
 
     def __bool__(self):
@@ -527,12 +511,12 @@ def vertex_weighting(g: DeltaGraph, radius: int | None = None) -> WeightingResul
             if tree[e.target] is not e and not w[e.target].eq(w[v] * e.weight):
                 witness = tree_path(v) * Path(v, (e,), b.context) * tree_path(e.target).reversed_in(b)
                 return WeightingResult(None, witness)
-    return WeightingResult(VertexWeighting(w), None)
+    return WeightingResult(w, None)
 
 
 def tracial_ball(
     g: DeltaGraph, radius: int, what: str
-) -> tuple[TruncatedGraph, VertexWeighting]:
+) -> tuple[TruncatedGraph, Mapping[VertexId, Weight]]:
     """The ball and its vertex weighting; ``what`` names the caller in the
     :class:`NonTracialGraphError` raised when the ball is not tracial."""
     b = ball(g, radius)

@@ -49,8 +49,11 @@ def partial_automorphisms(
     These are the injective mappings of the engine behind ``iso_check``
     (:func:`deltagraph.isomorphism.matchings`), in its order: interior
     vertices keep their full outgoing weight multiset, while boundary
-    vertices of the small ball may gain edges in the image.
+    vertices of the small ball may gain edges in the image.  A negative
+    ``shift_bound`` raises ``ValueError``.
     """
+    if shift_bound < 0:
+        raise ValueError("shift bound must be nonnegative")
     big, wv = tracial_ball(g, radius + shift_bound, "automorphism invariants")
     small = ball(g, radius)
     roots = [v for v in big.vertices if big.distance[v] <= shift_bound]

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 from .actions import ActionGenerator, GraphAction, shift_generator
-from .graph import DeltaGraph, Edge, TruncatedGraph, VertexWeighting, bfs_distances, window
+from .graph import DeltaGraph, Edge, TruncatedGraph, VertexId, bfs_distances, window
 from .weights import GeneratorContext, Weight, WeightFormatError, parse_weight
 
 HEADER = "delta-graph v1"
@@ -49,7 +50,7 @@ def serialize_graph(
     g: DeltaGraph,
     radius: int | None = None,
     *,
-    weighting: VertexWeighting | None = None,
+    weighting: Mapping[VertexId, Weight] | None = None,
     actions: GraphAction | None = None,
 ) -> str:
     """Materialize a ball and write it in the v1 format.
@@ -270,13 +271,11 @@ def parse_graph(text: str) -> GraphDocument:
     return GraphDocument(graph, action, vertex_weights or None)
 
 
-def export_dot(
-    t: TruncatedGraph, *, weighting: VertexWeighting | None = None, name: str = "deltagraph"
-) -> str:
+def export_dot(t: TruncatedGraph, *, weighting: Mapping[VertexId, Weight] | None = None) -> str:
     """Deterministic DOT rendering: basepoint double-circled, boundary dashed,
     each directed edge labeled by its weight text."""
     order, vname, ename = _bfs_names(t)
-    lines = ["digraph %s {" % name, "  rankdir=LR;"]
+    lines = ["digraph deltagraph {", "  rankdir=LR;"]
     for v in order:
         attrs = ['label="%s"' % idtext(v)]
         if v == t.basepoint:

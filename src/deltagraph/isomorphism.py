@@ -38,10 +38,6 @@ def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
     )
 
 
-def _is_exact(t: TruncatedGraph) -> bool:
-    return all(e.weight.is_exact for v in t.vertices for e in t.out_edges(v))
-
-
 def _weq(w1, w2) -> bool:
     """Weight equality that also works across generator contexts, where it
     falls back to a value comparison at the tighter tolerance."""
@@ -51,11 +47,8 @@ def _weq(w1, w2) -> bool:
     return abs(w1.value - w2.value) <= tol * max(w1.value, w2.value)
 
 
-def _signature(t: TruncatedGraph, v: VertexId, exact: bool):
-    es = t.out_edges(v)
-    if exact:
-        return (v in t.boundary, tuple(sorted(e.weight.key() for e in es)))
-    return (v in t.boundary, len(es))
+def _signature(t: TruncatedGraph, v: VertexId):
+    return (v in t.boundary, len(t.out_edges(v)))
 
 
 def edges_inject(small: Sequence[Edge], big: Sequence[Edge], bijective: bool) -> bool:
@@ -183,8 +176,8 @@ def iso_check(
 
     Returns the mapping g1 -> g2, or None: the first mapping of
     :func:`matchings` in bijective mode, after cheap count and signature
-    prefilters.  With ``interior_only`` both sides are first restricted to
-    their interior-induced subgraphs.
+    (boundary flag, out-degree) prefilters.  With ``interior_only`` both
+    sides are first restricted to their interior-induced subgraphs.
     """
     if g1.radius != g2.radius:
         raise ValueError("truncations have different radii (%d vs %d)" % (g1.radius, g2.radius))
@@ -195,9 +188,8 @@ def iso_check(
         return None
     if g1.edge_count() != g2.edge_count():
         return None
-    exact = _is_exact(g1) and _is_exact(g2) and g1.context == g2.context
-    sig2 = {_signature(g2, v, exact) for v in g2.vertices}
-    if any(_signature(g1, v, exact) not in sig2 for v in g1.vertices):
+    sig2 = {_signature(g2, v) for v in g2.vertices}
+    if any(_signature(g1, v) not in sig2 for v in g1.vertices):
         return None
     roots = [g2.basepoint] if fix_basepoint else g2.vertices
     return next(matchings(g1, g2, roots, bijective=True), None)

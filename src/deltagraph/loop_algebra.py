@@ -32,15 +32,15 @@ class _EdgeTable:
 
     Each edge gets an int index when first seen, kept for the table's
     lifetime; ``edges``, ``conj`` and ``sqrt`` hold, per index, the
-    :class:`Edge`, the index of the edge its ``conjugate`` id names (-1
-    while that edge is not in the table) and w(e)^(1/2) as a coefficient
+    :class:`Edge`, the index of its conjugate (-1 until both edges of the
+    pair are in the table) and w(e)^(1/2) as a coefficient
     (None until :meth:`root` first builds it).  Edge ids are unique within
     a table.  A graph's table (:func:`_table`) also memoizes the cup rows
     of each anchor off the frontier; a table without a graph holds the
     edges of vectors built from bare paths.
     """
 
-    __slots__ = ("context", "graph", "edges", "conj", "sqrt", "_index", "_waiting", "_rows")
+    __slots__ = ("context", "graph", "edges", "conj", "sqrt", "_index", "_rows")
 
     def __init__(self, context: GeneratorContext, graph=None):
         self.context = context
@@ -49,7 +49,6 @@ class _EdgeTable:
         self.conj: list[int] = []
         self.sqrt: list[Coefficient | None] = []
         self._index: dict = {}  # edge id -> index
-        self._waiting: dict = {}  # edge id -> indices whose conjugate it names
         self._rows: dict = {}  # anchor -> cup rows
 
     def index(self, e: Edge) -> int:
@@ -60,10 +59,8 @@ class _EdgeTable:
             self.sqrt.append(None)
             j = self._index.get(e.conjugate, -1)
             self.conj.append(j)
-            if j < 0:
-                self._waiting.setdefault(e.conjugate, []).append(k)
-            for i in self._waiting.pop(e.eid, ()):
-                self.conj[i] = k
+            if j >= 0 and self.edges[j].conjugate == e.eid:
+                self.conj[j] = k
         elif self.edges[k] is not e and self.edges[k] != e:
             raise ValueError("edge id %r names two different edges" % (e.eid,))
         return k
@@ -162,15 +159,16 @@ class LoopVector:
     table to coefficients.  Vectors made by the maps here share the table of
     the graph they were given, or of their left operand; a vector from
     another table is re-keyed into it first.  ``LoopVector(length,
-    {Path: Coefficient})`` builds a vector with a table of its own, and
-    ``terms`` reads it back as such a mapping.
+    {Path: Coefficient})`` builds a vector with a table of its own, dropping
+    zero terms as every map here does, and ``terms`` reads it back as such a
+    mapping.
     """
 
     __slots__ = ("length", "start", "table", "keyed")
     __hash__ = None  # mapping-valued; never used as a key
 
     def __init__(self, length: int, terms: Mapping[Path, Coefficient]):
-        keyed: dict = {}
+        pairs = []
         start = table = None
         for l, c in terms.items():
             if len(l) != length:
@@ -179,8 +177,9 @@ class LoopVector:
                 start, table = l.start, _EdgeTable(l.context)
             elif l.start != start:
                 raise ValueError("the loops of a vector share one start vertex")
-            keyed[tuple(map(table.index, l.edges))] = c
-        self.length, self.start, self.table, self.keyed = length, start, table, keyed
+            pairs.append((tuple(map(table.index, l.edges)), c))
+        self.length, self.start, self.table = length, start, table
+        self.keyed = _vec(length, start, table, pairs).keyed
 
     @property
     def terms(self) -> Mapping[Path, Coefficient]:
@@ -188,9 +187,6 @@ class LoopVector:
 
     def is_zero(self) -> bool:
         return not self.keyed
-
-    def support(self) -> tuple[Path, ...]:
-        return tuple(self.table.path(self.start, key) for key in _sorted_keys(self))
 
     def __add__(self, other: "LoopVector") -> "LoopVector":
         if other.length != self.length:
@@ -273,9 +269,7 @@ def zero_vector(length: int) -> LoopVector:
 
 
 def loop_vector(l: Path, coeff: Coefficient | None = None) -> LoopVector:
-    c = coeff if coeff is not None else Coefficient.one(l.context)
-    t = _EdgeTable(l.context)
-    return _vec(len(l), l.start, t, ((tuple(map(t.index, l.edges)), c),))
+    return LoopVector(len(l), {l: coeff if coeff is not None else Coefficient.one(l.context)})
 
 
 def basis(graph, n: int) -> tuple[LoopVector, ...]:
@@ -534,8 +528,11 @@ def relations(graph, max_len: int):
       not reach are zero on every side.
 
     ``detail`` is the got/want text of the first failed delooping at n, else
-    None.  Comparisons are ``LoopVector.eq``/``Coefficient.eq``.
+    None.  Comparisons are ``LoopVector.eq``/``Coefficient.eq``.  A negative
+    ``max_len`` raises ``ValueError``.
     """
+    if max_len < 0:
+        raise ValueError("maximum loop length must be nonnegative")
     ctx = graph.context
     for n in range(max_len + 1):
         vecs = basis(graph, n)

@@ -1,11 +1,14 @@
 """Group actions, quotients, the cover roundtrip, and recovery.
 
 Core claims:
-    - built-in shift actions pass check_action; weight-scaling violations
-      and unit-weight nontrivial actions are rejected
+    - built-in shift actions pass check_action; weight-scaling violations,
+      non-injective maps, maps that break edges and unit-weight nontrivial
+      actions are rejected
     - quotienting the chain by the full shift gives one vertex with a
       conjugate pair of self-loops; by a 3-step shift, the weighted 3-cycle
     - quotienting the grid by the antidiagonal shift gives the double chain
+    - unit self-loops pair among themselves in a quotient, the odd one
+      self-conjugate
     - the tracial cover of a quotient is the original graph (roundtrip)
     - orbit members carry pairwise distinct weights; fairness transfers
     - recovery from the cover reproduces the graph on interiors
@@ -16,6 +19,8 @@ import pytest
 from deltagraph import (
     ActionError,
     ActionGenerator,
+    DeltaGraph,
+    Edge,
     GraphAction,
     NonTracialGraphError,
     ball,
@@ -26,10 +31,12 @@ from deltagraph import (
     double_chain,
     iso_check,
     lattice_shift_action,
+    orbit_partition,
     quotient,
     recover,
     single_chain,
     tracial_cover,
+    validate,
     vertex_weighting,
 )
 
@@ -55,6 +62,17 @@ class TestCheckAction:
         gen = ActionGenerator("s", chain.context.identity(), lambda v: v + 1)
         report = check_action(chain, GraphAction((gen,)), 3)
         assert not report.passed
+
+    def test_collapsing_map_rejected(self, chain):
+        # every vertex goes to 0: not injective, and the edges m -> m+1 have
+        # no image edge 0 -> 0
+        act = GraphAction((ActionGenerator("c", chain.context.gen("q"), lambda v: 0),))
+        report = check_action(chain, act, 3)
+        assert not report.passed
+        assert "generator c is not injective on the ball" in report.failures
+        assert "generator c does not preserve the edges 0 -> 1" in report.failures
+        with pytest.raises(ActionError, match="^generator c not invertible on the ball$"):
+            orbit_partition(chain, act, 3)
 
     def test_requires_tracial(self, dchain):
         act = chain_shift_action(single_chain(2), 1)
@@ -152,6 +170,29 @@ class TestQuotient:
         q = quotient(grid23, lattice_shift_action(grid23, (1, -1)), 4)
         cov, _ = tracial_cover(q, 4)
         assert iso_check(cov, ball(grid23, 4), fix_basepoint=True, interior_only=True)
+
+    def test_unit_self_loops_pair_among_themselves(self, chain):
+        # each vertex of the chain also carries unit self-loops x <-> y and a
+        # self-conjugate z; in the quotient the three pair up again, the
+        # middle one self-conjugate
+        ctx, one = chain.context, chain.context.identity()
+
+        def out(m):
+            return chain.out_edges(m) + (
+                Edge(("x", m), m, m, one, ("y", m)),
+                Edge(("y", m), m, m, one, ("x", m)),
+                Edge(("z", m), m, m, one, ("z", m)),
+            )
+
+        g = DeltaGraph(chain.delta + 3, ctx, 0, out)
+        q = quotient(g, chain_shift_action(g, 1), 4)
+        assert validate(q).passed
+        (v,) = q.vertices
+        loops = [e for e in q.out_edges(v) if e.target == v and e.weight.is_identity()]
+        assert len(loops) == 3
+        assert sum(e.conjugate == e.eid for e in loops) == 1
+        cov, _ = tracial_cover(q, 4)
+        assert iso_check(cov, ball(g, 4), interior_only=True) is not None
 
     def test_out_degree_preserved(self, grid23):
         q = quotient(grid23, lattice_shift_action(grid23, (1, -1)), 3)

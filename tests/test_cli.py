@@ -24,6 +24,16 @@ _OVERFLOW_CHAIN = (
     "basepoint 0\n"
 )
 
+_CHAIN_DOC = (
+    "delta-graph v1\n"
+    "delta 2.5\n"
+    "generator q 2.0\n"
+    "vertex 0\nvertex 1\n"
+    "edge r0 0 1 weight q^1 conjugate l1\n"
+    "edge l1 1 0 weight q^-1 conjugate r0\n"
+    "basepoint 0\n"
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -140,6 +150,38 @@ class TestBasics:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "shift needs" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["tl-check", "single_chain:q=2", "--max-len", "-1"], "maximum loop length"),
+            (["invariants", "grid:a=2,b=3", "--shift-bound", "-1"], "shift bound"),
+        ],
+    )
+    def test_negative_bound_exit_2(self, capsys, argv, what):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s must be nonnegative\n" % what
+
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            # r0 names l1, but l1 names itself
+            ("conjugate r0", "conjugate l1", 6, "edges r0 and l1 do not pair mutually"),
+            ("", "action s weight q^1\nshift 1,x\n", 10, "bad shift '1,x'"),
+            ("", "action s weight q^1\nmap 0 7\n", 10, "map references undeclared vertex"),
+        ],
+        ids=["non-mutual-conjugate", "bad-shift", "map-to-undeclared"],
+    )
+    def test_parse_error_names_its_line_exit_2(self, tmp_path, capsys, old, new, line, message):
+        text = _CHAIN_DOC.replace(old, new) if old else _CHAIN_DOC + new
+        p = tmp_path / "bad.dg"
+        p.write_text(text)
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line %d: %s" % (line, message)) and err.count("\n") == 1
 
     def test_float_overflow_exit_3(self, capsys):
         # --float prints the smallest eigenvalue b/a = 1e-400 first, and it

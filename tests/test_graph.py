@@ -218,7 +218,7 @@ class TestVertexWeighting:
     def test_flat_cycle_all_ones(self, cycle4_flat):
         wr = vertex_weighting(cycle4_flat, 4)
         assert wr
-        assert all(w.is_identity() for w in wr.weighting.weights.values())
+        assert all(w.is_identity() for w in wr.weighting.values())
 
     def test_plain_graph_needs_radius(self, chain):
         with pytest.raises(ValueError, match="radius required"):

@@ -80,6 +80,21 @@ class TestParse:
         assert doc.graph.basepoint == 0
         assert 1 in doc.graph.declared_vertices
 
+    def test_tuple_vertex_tokens(self):
+        text = (
+            "delta-graph v1\ndelta 2.5\ngenerator q 2.0\n"
+            "vertex (0,0)\nvertex (1,0)\nvertex (1,x)\n"
+            "edge r0 (0,0) (1,0) weight q^1 conjugate l1\n"
+            "edge l1 (1,0) (0,0) weight q^-1 conjugate r0\n"
+            "basepoint (0,0)\n"
+            "action t weight q^1\nshift 1,0\n"
+        )
+        doc = parse_graph(text)
+        assert doc.graph.basepoint == (0, 0)
+        assert doc.graph.declared_vertices == ((0, 0), (1, 0), "(1,x)")
+        assert doc.graph.out_edges((0, 0))[0].target == (1, 0)
+        assert doc.action.generator("t").act((0, 0)) == (1, 0)
+
     def test_weight_half_exponent(self):
         text = CHAIN_DOC.replace("q^1", "q^1/2").replace("q^-1", "q^-1/2")
         doc = parse_graph(text)

@@ -1,5 +1,6 @@
 """Basepoint isomorphism checks: identity, weight sensitivity, symmetry,
-and the mappings of the shared matcher carrying every edge."""
+non-isomorphic pairs that every prefilter passes, and the mappings of the
+shared matcher carrying every edge."""
 
 import pytest
 
@@ -18,6 +19,7 @@ from deltagraph import (
     serialize_graph,
     single_chain,
     tracial_cover,
+    validate,
     vertex_weighting,
 )
 
@@ -126,6 +128,41 @@ class TestIsoCheck:
         assert m is not None
         assert len(m) == len(b1.vertices) == 1201
         assert all(u == v for u, v in m.items())
+
+
+def _unit_graph(n, pairs):
+    """A unit-weight file on vertices 0..n-1, based at 0, with one
+    conjugate pair of edges per entry of ``pairs``."""
+    lines = ["delta-graph v1", "delta 3.0"] + ["vertex %d" % v for v in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        lines.append("edge f%d %d %d weight 1 conjugate b%d" % (i, u, v, i))
+        lines.append("edge b%d %d %d weight 1 conjugate f%d" % (i, v, u, i))
+    return parse_graph("\n".join(lines + ["basepoint 0"]) + "\n").graph
+
+
+K33 = _unit_graph(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)])
+PRISM = _unit_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+# two vertices with three edges each way, against one pair of self-loops at
+# each vertex and one edge each way
+PARALLEL = _unit_graph(2, [(0, 1)] * 3)
+SELF_LOOPS = _unit_graph(2, [(0, 0), (1, 1), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "g1, g2", [(K33, PRISM), (SELF_LOOPS, PARALLEL)], ids=["k33-prism", "self-loops-parallel"]
+)
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize("fix", [True, False])
+def test_regular_non_isomorphic_pairs(g1, g2, radius, fix):
+    # same vertex and edge counts, and every vertex signature of one side
+    # occurs on the other, so only the matcher's edge checks tell them apart
+    b1, b2 = ball(g1, radius), ball(g2, radius)
+    assert len(b1.vertices) == len(b2.vertices) and b1.edge_count() == b2.edge_count()
+    for g in (g1, g2):
+        assert validate(g, radius).passed
+    assert iso_check(b1, b2, fix_basepoint=fix) is None
+    assert iso_check(b2, b1, fix_basepoint=fix) is None
+    assert iso_check(b1, b1, fix_basepoint=fix) is not None
 
 
 BUILDERS = {

@@ -281,6 +281,13 @@ class TestEquality:
         assert (v + w.scaled(Coefficient.of_weight(ctx.float_weight(1e-12)))).eq(v)
         assert not v.eq(zero_vector(2)) and not v.eq(zero_vector(4))
 
+    def test_constructor_drops_zero_terms(self, chain, rr):
+        zero = Coefficient.zero(chain.context)
+        v = LoopVector(2, {rr: zero})
+        assert v.is_zero() and not v.terms
+        assert v == loop_vector(rr, zero) and v.eq(loop_vector(rr, zero))
+        assert v == zero_vector(2)
+
 
 class TestInner:
     @pytest.mark.parametrize("name", GRAPHS)

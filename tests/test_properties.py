@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from deltagraph import (
     Coefficient,
-    VertexWeighting,
     apply_modular,
     ball,
     basis,
@@ -61,7 +60,7 @@ def test_cover_is_tracial(g, r):
     cov, nu = tracial_cover(g, r)
     wr = vertex_weighting(cov)
     assert wr, wr.witness
-    assert set(wr.weighting.weights) == set(cov.vertices) == set(nu.weights)
+    assert set(wr.weighting) == set(cov.vertices) == set(nu)
     for cv in cov.vertices:
         assert wr.weighting[cv].eq(nu[cv])
 
@@ -114,7 +113,7 @@ def test_serialize_parse_identity(g, r):
     cov, nu = tracial_cover(g, r)
     text = serialize_graph(cov, weighting=nu)
     doc = parse_graph(text)
-    assert serialize_graph(doc.graph, r, weighting=VertexWeighting(doc.vertex_weights)) == text
+    assert serialize_graph(doc.graph, r, weighting=doc.vertex_weights) == text
 
 
 def _documents():
