@@ -15,8 +15,10 @@ Since w(e) w(e-bar) = 1, cup and cap leave a loop's weight unchanged, so a
 loop is its edges and its weight is read off them only where an output asks
 for it.  A vector keys each loop by the tuple of its edges' int indices in
 an edge table kept with the graph, which also holds each edge's conjugate
-and w(e)^(1/2), so the maps hash and compare only ints.  Every map builds
-its result through one accumulator, ``_vec``.
+and w(e)^(1/2), so the maps hash and compare only ints.  Where a loop's
+weight is asked for (star, the modular operator, the Gram check), it is the
+sum of the packed ints of its edges' w(e)^(1/2).  Every map builds its
+result through one accumulator, ``_vec``.
 """
 from __future__ import annotations
 
@@ -106,12 +108,17 @@ class _EdgeTable:
             got = self._rows[at] = tuple(got)
         return got
 
-    def weight(self, key: tuple[int, ...]) -> Weight:
-        """The weight of the path with these edges, as :attr:`Path.weight`."""
-        w = self.context.identity()
-        for k in key:
-            w = w * self.edges[k].weight
-        return w
+    def weight_power(self, key: tuple[int, ...], power: int) -> Coefficient:
+        """w(l)^(power/2), for ``power`` in -2, -1 and 2, of the path l with
+        these edges, as a coefficient.  Exact edges add the packed ints of
+        their w(e)^(1/2); otherwise it is taken of :attr:`Path.weight`."""
+        roots = [self.root(k) for k in key]
+        if all(r.is_exact for r in roots):
+            return Coefficient.product_power(self.context, roots, power)
+        w = self.path(None, key).weight
+        if power < 0:
+            w = w.inverse()
+        return Coefficient.of_weight(w.sqrt() if power % 2 else w)
 
     def path(self, start: VertexId, key: tuple[int, ...]) -> Path:
         return Path(start, tuple(self.edges[k] for k in key), self.context)
@@ -344,7 +351,7 @@ def star(graph, v: LoopVector) -> LoopVector:
     ends = set()
     for key, c in v.keyed.items():
         rev = tuple(map(t.conjugate, reversed(key)))
-        pairs.append((rev, c * Coefficient.of_weight(t.weight(key).inverse().sqrt())))
+        pairs.append((rev, c * t.weight_power(key, -1)))
         ends.add(_anchor(v, key, v.length))
     if len(ends) > 1:
         raise ValueError("the loops of a vector share one start vertex")
@@ -387,7 +394,7 @@ def apply_modular(v: LoopVector) -> LoopVector:
     """The diagonal modular operator: l -> w(l) * l."""
     t = v.table
     return _vec(v.length, v.start, t, [
-        (key, c * Coefficient.of_weight(t.weight(key))) for key, c in v.keyed.items()
+        (key, c * t.weight_power(key, 2)) for key, c in v.keyed.items()
     ])
 
 
@@ -564,7 +571,7 @@ def relations(graph, max_len: int):
                 if i == j:
                     (key,) = vecs[i].keyed
                     want_l = Coefficient.one(ctx)
-                    want_r = Coefficient.of_weight(vecs[i].table.weight(key).inverse())
+                    want_r = vecs[i].table.weight_power(key, -2)
                 else:
                     want_l = want_r = Coefficient.zero(ctx)
                 ok_gram = ok_gram and lhs.eq(want_l) and right.eq(want_r)

@@ -16,7 +16,13 @@ exact weight is computed on first use and raises ``OverflowError`` when it
 leaves the positive float range.
 
 A :class:`Coefficient`, the scalar of the loop algebra, is a rational linear
-combination of exact weights, or one float.
+combination of exact weights, or one float.  An exact coefficient stores each
+monomial as one int: its exponent numerators over a denominator D kept on the
+coefficient, packed by Kronecker substitution with balanced digits.  A
+product of monomials is then one int addition, and ``==`` compares ints.  A
+bound on the digits, kept on each coefficient, re-packs at a wider digit
+before a digit could carry into its neighbour.  ``Coefficient.terms`` builds
+the reduced ``(Weight, scalar)`` pairs when it is read.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class ContextMismatchError(ValueError):
-    """Weights from different generator contexts were combined."""
+    """Weights or coefficients from different generator contexts were combined."""
 
 
 class WeightFormatError(ValueError):
@@ -104,6 +110,11 @@ class GeneratorContext:
 
     def close(self, v1: float, v2: float) -> bool:
         return abs(v1 - v2) <= self.tolerance * max(v1, v2) < math.inf
+
+
+def _require_same_context(c1: GeneratorContext, c2: GeneratorContext):
+    if c1 is not c2 and c1 != c2:
+        raise ContextMismatchError("operands belong to different generator contexts")
 
 
 def _exact(context: GeneratorContext, num: tuple[int, ...], den: int) -> "Weight":
@@ -190,16 +201,10 @@ class Weight:
         gens = self.context.generators
         return sum(n * math.log(g) for (_, g), n in zip(gens, self.num) if n) / self.den
 
-    def _require_same_context(self, other: "Weight"):
-        if self.context is not other.context and self.context != other.context:
-            raise ContextMismatchError(
-                "weights belong to different generator contexts"
-            )
-
     def __mul__(self, other: "Weight") -> "Weight":
         ctx = self.context
         if other.context is not ctx:
-            self._require_same_context(other)
+            _require_same_context(ctx, other.context)
         a, b = self.num, other.num
         if a is not None and b is not None:
             da, db = self.den, other.den
@@ -232,7 +237,7 @@ class Weight:
     def eq(self, other: "Weight") -> bool:
         """Exact exponent comparison when both exact, else tolerance on value."""
         if other.context is not self.context:
-            self._require_same_context(other)
+            _require_same_context(self.context, other.context)
         if self.num is not None and other.num is not None:
             return self.num == other.num and self.den == other.den
         return self.context.close(self.value, other.value)
@@ -279,17 +284,41 @@ def _scalar(s):
     return s.numerator if type(s) is Fraction and s.denominator == 1 else s
 
 
-def _term_order(term):
-    w = term[0]
-    return w.num, w.den
+def _sorted_terms(acc: dict) -> tuple:
+    """The nonzero terms of a packed int -> scalar dict, sorted by the int."""
+    return tuple(sorted((k, s if type(s) is int else _scalar(s)) for k, s in acc.items() if s))
 
 
-def _canonical(acc: dict) -> tuple:
-    """Terms of a weight -> scalar dict: zero scalars dropped, sorted."""
-    items = [(w, _scalar(s)) for w, s in acc.items() if s]
-    if len(items) > 1:
-        items.sort(key=_term_order)
-    return tuple(items)
+# Packed digits start 32 bits wide, in [-2^31, 2^31); digits that need more
+# are re-packed at twice the width.
+_HALF = 1 << 31
+
+
+def _pack(num, half: int) -> int:
+    """``sum(n_i * B**i)`` for the base ``B = 2 * half``."""
+    bits = half.bit_length()
+    key = 0
+    for n in reversed(num):
+        key = (key << bits) + n
+    return key
+
+
+def _unpack(key: int, size: int, half: int) -> tuple[int, ...]:
+    """The ``size`` balanced digits, in ``[-half, half)``, of a packed key."""
+    bits, mask = half.bit_length(), 2 * half - 1
+    num = []
+    for _ in range(size):
+        d = ((key + half) & mask) - half
+        num.append(d)
+        key = (key - d) >> bits
+    return tuple(num)
+
+
+def _half_for(top: int, half: int = _HALF) -> int:
+    """``half``, doubled in width until digits of size ``top`` fit."""
+    while top >= half:
+        half = 1 << (2 * half.bit_length() - 1)
+    return half
 
 
 def _by_exponents(terms) -> list:
@@ -299,84 +328,153 @@ def _by_exponents(terms) -> list:
 class Coefficient:
     """Scalar closed under the sums the cup map produces.
 
-    Exact mode: a rational linear combination of exact monomial weights,
-    stored in ``terms`` as ``(Weight, scalar)`` pairs, one per weight, with
-    nonzero scalars that are ``int`` when integral and ``Fraction``
-    otherwise.  Terms are kept sorted by the weight's ``(num, den)``, so
-    equal coefficients have equal terms; products multiply weights, and no
-    ``Fraction`` is made while scalars stay integral.  Text and ``value``
-    visit terms in order of ``Weight.exponents``.  Float mode: ``terms`` is
-    None and ``fvalue`` holds one float.  Immutable.
+    Exact mode: a rational linear combination of exact monomial weights.
+    The exponent numerators of a monomial, over a denominator ``den`` kept on
+    the coefficient, are packed into one int by Kronecker substitution,
+    ``sum(n_i * B**i)`` over the generators in context order, with balanced
+    digits in ``[-B/2, B/2)``.  The coefficient stores ``(packed int,
+    scalar)`` pairs sorted by the int, with nonzero scalars that are ``int``
+    when integral and ``Fraction`` otherwise.  :meth:`of_weight` starts
+    ``den`` at ``lcm(2, w.den)`` and it is never reduced, so square roots of
+    integer-exponent weights and their products all share ``den == 2``, and
+    a product of single-term coefficients is one int addition.  Operands at
+    different denominators or digit widths are re-packed at the lcm of the
+    denominators (one int multiply per term while the width stays).
+
+    Digits never carry into their neighbour: each coefficient keeps ``top``,
+    a bound on its digits' size, below ``B/2``.  A product's bound is the sum
+    of its operands' (one int compare), and past ``B/2`` the operands are
+    re-packed, doubling the digit width until the bound fits, so results
+    stay exact for any exponent.  ``terms``, the ``(Weight, scalar)`` pairs with reduced
+    weights sorted by ``(num, den)``, is built on each read; text and
+    ``value`` visit them in order of ``Weight.exponents``.  ``==``, ``eq``
+    and ``hash`` agree across denominators and widths.  Float mode: ``terms``
+    is None and ``fvalue`` holds one float.  Immutable.
     """
 
-    __slots__ = ("context", "terms", "fvalue")
-
-    def __init__(self, context: GeneratorContext, terms: tuple | None,
-                 fvalue: float | None = None):
-        self.context = context
-        self.terms = terms
-        self.fvalue = fvalue
+    __slots__ = ("context", "fvalue", "_packed", "_den", "_half", "_top")
 
     @classmethod
     def zero(cls, context: GeneratorContext) -> "Coefficient":
-        return cls(context, ())
+        return _exact_coefficient(context, (), 2, _HALF, 0)
 
     @classmethod
     def one(cls, context: GeneratorContext) -> "Coefficient":
-        return cls(context, ((context.identity(), 1),))
+        return _exact_coefficient(context, ((0, 1),), 2, _HALF, 0)
 
     @classmethod
     def of_weight(cls, w: Weight, scalar=1) -> "Coefficient":
         if w.is_exact:
             s = scalar if type(scalar) is int else _scalar(Fraction(scalar))
-            return cls(w.context, ((w, s),) if s else ())
+            m = 1 if w.den % 2 == 0 else 2
+            num = tuple(n * m for n in w.num)
+            top = max(map(abs, num), default=0)
+            half = _half_for(top)
+            return _exact_coefficient(
+                w.context, ((_pack(num, half), s),) if s else (), w.den * m, half, top
+            )
         return _real(w.context, float(scalar) * w.value)
+
+    @classmethod
+    def product_power(cls, context: GeneratorContext, factors, power: int) -> "Coefficient":
+        """``(f_1 * ... * f_k) ** power`` for exact ``factors`` of one term
+        with scalar 1, such as w(e)^(1/2): one int addition per factor when
+        they share a denominator and digit width."""
+        key = top = 0
+        den, half = (factors[0]._den, factors[0]._half) if factors else (2, _HALF)
+        for f in factors:
+            if f._den != den or f._half != half:
+                break
+            ((k, _),) = f._packed
+            key += k
+            top += f._top
+        else:
+            top *= abs(power)
+            if top < half:
+                return _exact_coefficient(context, ((key * power, 1),), den, half, top)
+        w = context.identity()
+        for f in factors:
+            ((fw, _),) = f.terms
+            w = w * fw
+        return cls.of_weight(w ** power)
 
     @property
     def is_exact(self) -> bool:
-        return self.terms is not None
+        return self._packed is not None
+
+    @property
+    def terms(self) -> tuple | None:
+        packed = self._packed
+        if packed is None:
+            return None
+        ctx, den, half = self.context, self._den, self._half
+        size = len(ctx.names)
+        items = [(_exact(ctx, _unpack(k, size, half), den), s) for k, s in packed]
+        if len(items) > 1:
+            items.sort(key=lambda t: (t[0].num, t[0].den))
+        return tuple(items)
 
     def is_zero(self) -> bool:
-        if self.is_exact:
-            return not self.terms
+        if self._packed is not None:
+            return not self._packed
         return self.fvalue == 0
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        a, b = self.terms, other.terms
-        if a is not None and b is not None:
-            if not b:
-                return self
-            if not a:
-                return other
-            acc = dict(a)
-            for w, s in b:
-                got = acc.get(w)
-                acc[w] = s if got is None else got + s
-            return Coefficient(self.context, _canonical(acc))
-        return _real(self.context, self.value() + other.value())
+        a, b = self._packed, other._packed
+        if a is None or b is None:
+            return _real(self.context, self.value() + other.value())
+        ctx = self.context
+        if other.context is not ctx:
+            _require_same_context(ctx, other.context)
+        if not b:
+            return self
+        if not a:
+            return other
+        x, y = self, other
+        if y._den != x._den or y._half != x._half:
+            x, y = _aligned(x, y)
+            a, b = x._packed, y._packed
+        acc = dict(a)
+        for k, s in b:
+            got = acc.get(k)
+            acc[k] = s if got is None else got + s
+        return _exact_coefficient(ctx, _sorted_terms(acc), x._den, x._half, max(x._top, y._top))
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
-        a, b = self.terms, other.terms
-        if a is not None and b is not None:
-            if len(a) == 1 and len(b) == 1:
-                ((w1, s1),), ((w2, s2),) = a, b
-                return Coefficient(self.context, ((w1 * w2, _scalar(s1 * s2)),))
-            acc: dict = {}
-            for w1, s1 in a:
-                for w2, s2 in b:
-                    w = w1 * w2
-                    got = acc.get(w)
-                    acc[w] = s1 * s2 if got is None else got + s1 * s2
-            return Coefficient(self.context, _canonical(acc))
-        return _real(self.context, self.value() * other.value())
+        a, b = self._packed, other._packed
+        if a is None or b is None:
+            return _real(self.context, self.value() * other.value())
+        ctx = self.context
+        if other.context is not ctx:
+            _require_same_context(ctx, other.context)
+        x, y = self, other
+        half = x._half
+        top = x._top + y._top
+        if y._den != x._den or y._half != half or top >= half:
+            x, y = _aligned(x, y)
+            a, b, half, top = x._packed, y._packed, x._half, x._top + y._top
+        if len(a) == 1 and len(b) == 1:
+            ((k1, s1),), ((k2, s2),) = a, b
+            s = s1 * s2
+            if type(s) is not int:
+                s = _scalar(s)
+            return _exact_coefficient(ctx, ((k1 + k2, s),), x._den, half, top)
+        acc: dict = {}
+        for k1, s1 in a:
+            for k2, s2 in b:
+                k = k1 + k2
+                got = acc.get(k)
+                acc[k] = s1 * s2 if got is None else got + s1 * s2
+        return _exact_coefficient(ctx, _sorted_terms(acc), x._den, half, top)
 
     def __neg__(self) -> "Coefficient":
-        if self.is_exact:
-            return Coefficient(self.context, tuple((w, -s) for w, s in self.terms))
-        return Coefficient(self.context, None, -self.fvalue)
+        if self._packed is not None:
+            return _exact_coefficient(self.context, tuple((k, -s) for k, s in self._packed),
+                                      self._den, self._half, self._top)
+        return _real(self.context, -self.fvalue)
 
     def value(self) -> float:
-        if not self.is_exact:
+        if self._packed is None:
             return self.fvalue
         total = 0.0
         for w, r in _by_exponents(self.terms):
@@ -390,14 +488,14 @@ class Coefficient:
 
     def eq(self, other: "Coefficient") -> bool:
         """Exact term comparison when both exact, else tolerance on value."""
-        if self.terms is not None and other.terms is not None:
-            return self.terms == other.terms
+        if self._packed is not None and other._packed is not None:
+            return _exact_eq(self, other)
         return self.isclose(other)
 
     def text(self) -> str:
-        if not self.is_exact:
+        if self._packed is None:
             return format(self.fvalue, ".17g")
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
         for w, r in _by_exponents(self.terms):
@@ -410,11 +508,13 @@ class Coefficient:
     def __eq__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
-        return (
-            self.terms == other.terms
-            and self.fvalue == other.fvalue
-            and (self.context is other.context or self.context == other.context)
-        )
+        if self._packed is None or other._packed is None:
+            return (
+                self._packed is other._packed
+                and self.fvalue == other.fvalue
+                and (self.context is other.context or self.context == other.context)
+            )
+        return _exact_eq(self, other)
 
     def __hash__(self):
         return hash((self.terms, self.fvalue))
@@ -423,11 +523,56 @@ class Coefficient:
         return "Coefficient(%s)" % self.text()
 
 
+_new = object.__new__
+
+
+def _exact_coefficient(context: GeneratorContext, packed: tuple, den: int, half: int,
+                       top: int) -> Coefficient:
+    c = _new(Coefficient)
+    c.context, c.fvalue, c._packed, c._den, c._half, c._top = context, None, packed, den, half, top
+    return c
+
+
 def _real(context: GeneratorContext, v: float) -> Coefficient:
     """The float-mode coefficient ``v``; ``OverflowError`` unless it is finite."""
     if not -math.inf < v < math.inf:
         raise OverflowError("coefficient %r is outside the float range" % v)
-    return Coefficient(context, None, v)
+    c = _new(Coefficient)
+    c.context, c.fvalue, c._packed, c._den, c._half, c._top = context, v, None, 1, 1, 0
+    return c
+
+
+def _repacked(c: Coefficient, den: int, half: int) -> Coefficient:
+    """Exact ``c`` packed over ``den`` (a multiple of its own) at the digit
+    width of ``half``, which must exceed its scaled bound."""
+    m = den // c._den
+    if half == c._half:
+        packed = tuple((k * m, s) for k, s in c._packed)
+    else:
+        size, old = len(c.context.names), c._half
+        packed = tuple(sorted(
+            (_pack([n * m for n in _unpack(k, size, old)], half), s) for k, s in c._packed
+        ))
+    return _exact_coefficient(c.context, packed, den, half, c._top * m)
+
+
+def _aligned(x: Coefficient, y: Coefficient) -> tuple[Coefficient, Coefficient]:
+    """Exact x and y re-packed at one denominator, the lcm of theirs, and at
+    one digit width that holds the sum of their bounds, so that their sums
+    and products fit."""
+    den = math.lcm(x._den, y._den)
+    top = x._top * (den // x._den) + y._top * (den // y._den)
+    half = _half_for(top, max(x._half, y._half))
+    return _repacked(x, den, half), _repacked(y, den, half)
+
+
+def _exact_eq(x: Coefficient, y: Coefficient) -> bool:
+    """Exact x == y; False across unequal contexts."""
+    if x.context is not y.context and x.context != y.context:
+        return False
+    if x._den != y._den or x._half != y._half:
+        x, y = _aligned(x, y)
+    return x._packed == y._packed
 
 
 def group_weights(counts: Iterable[tuple[Weight, int]]) -> tuple[tuple[Weight, int], ...]:

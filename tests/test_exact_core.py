@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from deltagraph import (
     Coefficient,
+    ContextMismatchError,
     GeneratorContext,
     parse_weight,
     single_chain,
@@ -224,3 +225,132 @@ class TestBeyondFloatRange:
         with pytest.raises(OverflowError):
             w.inverse().value
         assert (w * w.inverse()).value == 1.0
+
+
+class TestContexts:
+    """Coefficients of unequal contexts never combine and never compare equal;
+    equal contexts combine as one."""
+
+    AB = GeneratorContext((("a", 2.0), ("b", 0.3)))
+    BA = GeneratorContext((("b", 0.3), ("a", 2.0)))
+
+    def test_add_and_mul_raise(self):
+        x = Coefficient.of_weight(self.AB.gen("a"))
+        y = Coefficient.of_weight(self.BA.gen("a"))
+        with pytest.raises(ContextMismatchError):
+            x + y
+        with pytest.raises(ContextMismatchError):
+            x * y
+
+    def test_eq_is_false(self):
+        x = Coefficient.of_weight(self.AB.gen("a"))
+        y = Coefficient.of_weight(self.BA.gen("a"))
+        assert not x == y
+        assert not x.eq(y)
+
+    def test_equal_contexts_combine(self):
+        same = GeneratorContext(self.AB.generators, self.AB.tolerance)
+        x = Coefficient.of_weight(self.AB.gen("a"))
+        y = Coefficient.of_weight(same.gen("a"))
+        assert x == y and x.eq(y)
+        assert (x + y).text() == "2 a^1"
+        assert (x * y).text() == "a^2"
+
+
+class TestDenominators:
+    """Equal coefficients built over different denominators compare and
+    hash equal, and read back the same reduced terms."""
+
+    def test_one_from_square_roots(self):
+        half = Fraction(1, 2)
+        c = Coefficient.of_weight(CTX.gen("a", half)) * Coefficient.of_weight(CTX.gen("a", -half))
+        one = Coefficient.one(CTX)
+        assert c == one and c.eq(one) and one == c
+        assert hash(c) == hash(one)
+        assert c.terms == one.terms == ((CTX.identity(), 1),)
+
+    def test_one_from_thirds(self):
+        third = Fraction(1, 3)
+        c = Coefficient.of_weight(CTX.gen("a", third)) * Coefficient.of_weight(CTX.gen("a", -third))
+        one = Coefficient.one(CTX)
+        assert c == one and c.eq(one) and hash(c) == hash(one)
+        assert c.terms == ((CTX.identity(), 1),)
+
+    def test_square_of_square_root(self):
+        r = Coefficient.of_weight(CTX.gen("a", Fraction(1, 2)))
+        a = Coefficient.of_weight(CTX.gen("a"))
+        assert r * r == a and (r * r).eq(a) and hash(r * r) == hash(a)
+        assert (r * r).terms == a.terms == ((CTX.gen("a"), 1),)
+
+    @given(coeff_pairs, coeff_pairs)
+    def test_equal_implies_equal_hash(self, p, q):
+        c, d = coeff(p), coeff(q)
+        if c == d:
+            assert hash(c) == hash(d)
+        # the same sum, with q's terms added and taken away again
+        e = coeff(q + p + [(x, -s) for x, s in q])
+        assert c == e and e == c and c.eq(e)
+        assert hash(c) == hash(e)
+        assert c.terms == e.terms
+
+
+def _near(k):
+    """Exponents whose numerators over 2 lie near +-2^k."""
+    return st.builds(
+        lambda d, sign, half: sign * Fraction(2 ** k + d, 2 if half else 1),
+        st.integers(-3, 3), st.sampled_from((1, -1)), st.booleans(),
+    )
+
+
+bound_exponent = st.one_of(*(_near(k) for k in (29, 30, 31, 32, 62, 63, 64, 70)), small)
+bound_models = st.dictionaries(st.sampled_from(NAMES), bound_exponent, max_size=3).map(
+    lambda d: {n: e for n, e in d.items() if e}
+)
+bound_pairs = st.lists(st.tuples(bound_models, rationals), max_size=3)
+
+
+def m_terms(c):
+    """The model's ``terms``: reduced weights sorted by ``(num, den)``."""
+    items = [(CTX.exact(dict(key)), s) for key, s in c.items()]
+    return tuple(sorted(items, key=lambda t: (t[0].num, t[0].den)))
+
+
+class TestPackingBound:
+    """Exponents near and past the packed digit's bound stay exact: digits
+    never carry into their neighbour, including in products whose digits
+    cross the bound only once they are formed."""
+
+    def test_fixed_case(self):
+        a, b = CTX.gen("a"), CTX.gen("b")
+        c = Coefficient.of_weight((a ** 2 ** 63 * b ** -(2 ** 63)).sqrt())
+        got = c * c * Coefficient.of_weight(b ** 5)
+        assert got.text() == "a^9223372036854775808 * b^-9223372036854775803"
+        assert got == Coefficient.of_weight(CTX.exact(a=2 ** 63, b=5 - 2 ** 63))
+
+    def test_square_crosses_bound(self):
+        for k in (30, 31, 62, 63):
+            x = Coefficient.of_weight(CTX.exact(a=Fraction(2 ** k - 1, 2), b=-1, c=1))
+            assert (x * x).text() == "a^%d * b^-2 * c^2" % (2 ** k - 1)
+            assert (x * x * x).terms == ((CTX.exact(a=Fraction(3 * (2 ** k - 1), 2), b=-3, c=3), 1),)
+
+    @given(bound_pairs, bound_pairs)
+    def test_against_model(self, p, q):
+        c, d = coeff(p), coeff(q)
+        mc, md = m_coeff(p), m_coeff(q)
+        for got, want in ((c, mc), (c + d, m_coeff(p + q)), (c * d, m_coeff_mul(mc, md)),
+                          (c * d * c, m_coeff_mul(m_coeff_mul(mc, md), mc))):
+            assert got.text() == m_coeff_text(want)
+            assert got.terms == m_terms(want)
+            assert got.is_zero() == (not want)
+        assert (c == d) == (mc == md)
+        assert (c * d == d * c) and (c + d == d + c)
+
+    @given(st.lists(bound_models, max_size=4), st.sampled_from((-2, -1, 2)))
+    def test_product_power(self, xs, power):
+        roots = [Coefficient.of_weight(weight(x).sqrt()) for x in xs]
+        want = {}
+        for x in xs:
+            want = m_mul(want, m_scale(x, Fraction(power, 2)))
+        got = Coefficient.product_power(CTX, roots, power)
+        assert got == Coefficient.of_weight(weight(want))
+        assert got.text() == m_text(want)
