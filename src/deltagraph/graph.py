@@ -540,22 +540,29 @@ def enumerate_loops(g: DeltaGraph, n: int) -> tuple[Path, ...]:
     b = ball(g, (n + 1) // 2)
     dist = b.distance
     loops: list[Path] = []
-    stack: list[Edge] = []
 
-    def walk(v: VertexId, remaining: int):
-        if remaining == 0:
-            if v == g.basepoint:
-                loops.append(Path.of(ctx, g.basepoint, tuple(stack)))
-            return
-        for e in sorted(b.out_edges(v), key=lambda e: vid_key(e.eid)):
-            d = dist.get(e.target)
-            if d is None or d > remaining - 1:
-                continue
-            stack.append(e)
-            walk(e.target, remaining - 1)
-            stack.pop()
+    def steps(v: VertexId, remaining: int):
+        """The edges out of v, by ``vid_key`` of their ids, whose target is
+        within ``remaining - 1`` steps of the basepoint."""
+        es = sorted(b.out_edges(v), key=lambda e: vid_key(e.eid))
+        return iter([e for e in es if dist.get(e.target, remaining) < remaining])
 
-    walk(g.basepoint, n)
+    # depth first from an explicit stack of edge iterators, so the loop
+    # length is not bounded by the recursion limit; an edge taken with one
+    # step left ends at the basepoint, the one vertex at distance 0
+    path: list[Edge] = []
+    todo = [steps(g.basepoint, n)]
+    while todo:
+        e = next(todo[-1], None)
+        if e is None:
+            todo.pop()
+            if path:
+                path.pop()
+        elif len(path) == n - 1:
+            loops.append(Path.of(ctx, g.basepoint, (*path, e)))
+        else:
+            path.append(e)
+            todo.append(steps(e.target, n - len(path)))
     return tuple(loops)
 
 

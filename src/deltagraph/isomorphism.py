@@ -111,13 +111,10 @@ def matchings(
     mapping: dict[VertexId, VertexId] = {}
     inverse: dict[VertexId, VertexId] = {}
 
-    def exact(x) -> bool:
-        return bijective or x not in g1.boundary
-
     def compatible(u, v) -> bool:
         if bijective and (u in g1.boundary) != (v in g2.boundary):
             return False
-        onto = exact(u)
+        onto = bijective or u not in g1.boundary
         if onto and not edges_inject(g1.out_edges(u), g2.out_edges(v), True):
             return False
         if not edges_inject(_between(g1, u, u), _between(g2, v, v), onto):
@@ -126,11 +123,13 @@ def matchings(
         # either side, so only these mapped vertices need checking
         near = {m for m in nbrs1[u] if m in mapping}
         near.update(inverse[w] for w in nbrs2[v] if w in inverse)
+        # The edges m -> u need no check of their own.  Each is the conjugate
+        # of an edge u -> m of inverse weight, so the check below injects
+        # them class by class; and where m is matched exactly, onto follows
+        # once all of m's targets are mapped, since m's whole out-multiset
+        # was matched onto.
         for m in near:
-            w = mapping[m]
-            if not edges_inject(_between(g1, u, m), _between(g2, v, w), onto):
-                return False
-            if not edges_inject(_between(g1, m, u), _between(g2, w, v), exact(m)):
+            if not edges_inject(_between(g1, u, m), _between(g2, v, mapping[m]), onto):
                 return False
         return True
 

@@ -16,9 +16,10 @@ loop is its edges and its weight is read off them only where an output asks
 for it.  A vector keys each loop by the tuple of its edges' int indices in
 an edge table kept with the graph, which also holds each edge's conjugate
 and w(e)^(1/2), so the maps hash and compare only ints.  Where a loop's
-weight is asked for (star, the modular operator, the Gram check), it is the
-sum of the packed ints of its edges' w(e)^(1/2).  Every map builds its
-result through one accumulator, ``_vec``.
+weight is asked for (star, the modular operator, the Gram check), it is read
+one way: the product of its edges' w(e)^(1/2) under ``Coefficient``'s ``*``,
+taken over the conjugate-reversed loop for w(l)^(-1/2).  Every map builds
+its result through one accumulator, ``_vec``.
 """
 from __future__ import annotations
 
@@ -108,17 +109,13 @@ class _EdgeTable:
             got = self._rows[at] = tuple(got)
         return got
 
-    def weight_power(self, key: tuple[int, ...], power: int) -> Coefficient:
-        """w(l)^(power/2), for ``power`` in -2, -1 and 2, of the path l with
-        these edges, as a coefficient.  Exact edges add the packed ints of
-        their w(e)^(1/2); otherwise it is taken of :attr:`Path.weight`."""
-        roots = [self.root(k) for k in key]
-        if all(r.is_exact for r in roots):
-            return Coefficient.product_power(self.context, roots, power)
-        w = self.path(None, key).weight
-        if power < 0:
-            w = w.inverse()
-        return Coefficient.of_weight(w.sqrt() if power % 2 else w)
+    def sqrt_weight(self, key: tuple[int, ...]) -> Coefficient:
+        """w(l)^(1/2) of the path l with these edges: the product of their
+        w(e)^(1/2).  Over the conjugate-reversed key it is w(l)^(-1/2)."""
+        c = Coefficient.one(self.context)
+        for k in key:
+            c = c * self.root(k)
+        return c
 
     def path(self, start: VertexId, key: tuple[int, ...]) -> Path:
         return Path(start, tuple(self.edges[k] for k in key), self.context)
@@ -351,7 +348,7 @@ def star(graph, v: LoopVector) -> LoopVector:
     ends = set()
     for key, c in v.keyed.items():
         rev = tuple(map(t.conjugate, reversed(key)))
-        pairs.append((rev, c * t.weight_power(key, -1)))
+        pairs.append((rev, c * t.sqrt_weight(rev)))
         ends.add(_anchor(v, key, v.length))
     if len(ends) > 1:
         raise ValueError("the loops of a vector share one start vertex")
@@ -393,9 +390,11 @@ def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
 def apply_modular(v: LoopVector) -> LoopVector:
     """The diagonal modular operator: l -> w(l) * l."""
     t = v.table
-    return _vec(v.length, v.start, t, [
-        (key, c * t.weight_power(key, 2)) for key, c in v.keyed.items()
-    ])
+    pairs = []
+    for key, c in v.keyed.items():
+        s = t.sqrt_weight(key)
+        pairs.append((key, c * (s * s)))
+    return _vec(v.length, v.start, t, pairs)
 
 
 @dataclass(frozen=True)
@@ -570,8 +569,10 @@ def relations(graph, max_len: int):
             for i, j, lhs, right, rhs in _inner_pairs(graph, vecs):
                 if i == j:
                     (key,) = vecs[i].keyed
+                    t = vecs[i].table
+                    s = t.sqrt_weight(tuple(map(t.conjugate, reversed(key))))
                     want_l = Coefficient.one(ctx)
-                    want_r = vecs[i].table.weight_power(key, -2)
+                    want_r = s * s
                 else:
                     want_l = want_r = Coefficient.zero(ctx)
                 ok_gram = ok_gram and lhs.eq(want_l) and right.eq(want_r)

@@ -375,29 +375,6 @@ class Coefficient:
             )
         return _real(w.context, float(scalar) * w.value)
 
-    @classmethod
-    def product_power(cls, context: GeneratorContext, factors, power: int) -> "Coefficient":
-        """``(f_1 * ... * f_k) ** power`` for exact ``factors`` of one term
-        with scalar 1, such as w(e)^(1/2): one int addition per factor when
-        they share a denominator and digit width."""
-        key = top = 0
-        den, half = (factors[0]._den, factors[0]._half) if factors else (2, _HALF)
-        for f in factors:
-            if f._den != den or f._half != half:
-                break
-            ((k, _),) = f._packed
-            key += k
-            top += f._top
-        else:
-            top *= abs(power)
-            if top < half:
-                return _exact_coefficient(context, ((key * power, 1),), den, half, top)
-        w = context.identity()
-        for f in factors:
-            ((fw, _),) = f.terms
-            w = w * fw
-        return cls.of_weight(w ** power)
-
     @property
     def is_exact(self) -> bool:
         return self._packed is not None

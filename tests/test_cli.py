@@ -111,6 +111,32 @@ class TestBasics:
         assert out == ""
         assert err == "error: float overflow: weight inf is outside the float range\n"
 
+    def test_overflowing_factors_of_a_unit_weight_loop(self, tmp_path, capsys):
+        # star, the modular operator and the Gram check multiply w(e)^(1/2),
+        # at most 1e100 here, so the loops of weight 1 stay in range
+        p = tmp_path / "chain.dg"
+        p.write_text(_OVERFLOW_CHAIN)
+        code, out, err = run(capsys, "tl-check", str(p), "--max-len", "4")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines and all(l.startswith("PASS ") for l in lines)
+        assert "PASS star-involution n=4" in lines
+
+    @pytest.mark.parametrize("cmd", ["loops", "spectrum"])
+    def test_loops_past_the_recursion_limit(self, tmp_path, capsys, cmd):
+        p = tmp_path / "self-loop.dg"
+        p.write_text(
+            "delta-graph v1\n"
+            "delta 2\n"
+            "vertex 0\n"
+            "edge e0 0 0 weight 1 conjugate e0\n"
+            "basepoint 0\n"
+        )
+        code, out, err = run(capsys, cmd, str(p), "--n", "1500")
+        assert code == 0 and err == ""
+        want = "e0 " * 1500 + "weight 1" if cmd == "loops" else "1:1"
+        assert out.splitlines() == [want]
+
     @pytest.mark.parametrize("literal", ["1e400", "0"])
     def test_out_of_range_weight_literal_exit_2(self, tmp_path, capsys, literal):
         p = tmp_path / "chain.dg"

@@ -346,11 +346,17 @@ class TestPackingBound:
         assert (c * d == d * c) and (c + d == d + c)
 
     @given(st.lists(bound_models, max_size=4), st.sampled_from((-2, -1, 2)))
-    def test_product_power(self, xs, power):
-        roots = [Coefficient.of_weight(weight(x).sqrt()) for x in xs]
+    def test_root_products(self, xs, power):
+        # w^(power/2) of a product, as the loop algebra reads a loop's weight:
+        # a ``*`` product of the factors' square roots (of their inverses for
+        # a negative power), squared for an even power
+        got = Coefficient.one(CTX)
         want = {}
         for x in xs:
+            w = weight(x) if power > 0 else weight(x).inverse()
+            got = got * Coefficient.of_weight(w.sqrt())
             want = m_mul(want, m_scale(x, Fraction(power, 2)))
-        got = Coefficient.product_power(CTX, roots, power)
+        if power % 2 == 0:
+            got = got * got
         assert got == Coefficient.of_weight(weight(want))
         assert got.text() == m_text(want)

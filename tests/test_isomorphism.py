@@ -194,3 +194,21 @@ def test_mappings_carry_edges(name, radius, assert_carries_edges):
     for a in autos:
         assert_carries_edges(b, big, a.mapping)
 
+
+def test_carries_edges_wants_exact_images(chain, assert_carries_edges):
+    # ball(chain, 1) less some edges, sent into the ball by the identity:
+    # every edge left is carried, but an image's extra out-edge fails the
+    # check at an interior vertex (0) and passes at a boundary one (1)
+    b = ball(chain, 1)
+    ident = {v: v for v in b.vertices}
+
+    def without(drop):
+        out = {v: tuple(e for e in b.out_edges(v) if (e.source, e.target) not in drop)
+               for v in b.vertices}
+        return TruncatedGraph(delta=b.delta, context=b.context, basepoint=b.basepoint,
+                              radius=1, out=out, distance=b.distance, boundary=b.boundary)
+
+    assert_carries_edges(b, b, ident)
+    assert_carries_edges(without({(1, 0)}), b, ident)
+    with pytest.raises(AssertionError, match="out-edges of no edge"):
+        assert_carries_edges(without({(0, 1), (1, 0)}), b, ident)

@@ -384,6 +384,27 @@ ORACLE_GRAPHS = {
 }
 
 
+class TestMixedWeights:
+    def test_loop_weight_readings_match_path_weight(self):
+        # star, the modular operator and the Gram check's w(l)^-1 multiply
+        # the edges' w(e)^(1/2); with exact and float edges in one loop they
+        # agree with Path.weight within tolerance
+        g = _mixed_grid()
+        t = loop_algebra._table(g)
+        for n in range(5):
+            for l, v in zip(enumerate_loops(g, n), basis(g, n)):
+                w = l.weight
+                ((key, _),) = v.keyed.items()
+                ((_, s),) = star(g, v).keyed.items()
+                assert s.isclose(Coefficient.of_weight(w.inverse().sqrt()))
+                assert star(g, star(g, v)).eq(v)
+                ((_, d),) = apply_modular(v).keyed.items()
+                assert d.isclose(Coefficient.of_weight(w))
+                r = t.sqrt_weight(tuple(map(t.conjugate, reversed(key))))
+                assert (r * r).isclose(Coefficient.of_weight(w.inverse()))
+        assert all(passed for _, _, passed, _ in relations(g, 4))
+
+
 class TestOracles:
     @pytest.mark.parametrize("name", ORACLE_GRAPHS)
     def test_walk_counts_match_enumeration(self, name):
