@@ -247,7 +247,6 @@ class TruncatedGraph(DeltaGraph):
         self.distance = dict(distance)
         self.exhausted = exhausted
         self._edges: dict[EdgeId, Edge] = {}
-        self._sorted_edges: tuple[Edge, ...] | None = None
         for es in self._out.values():
             for e in es:
                 if e.eid in self._edges:
@@ -268,10 +267,8 @@ class TruncatedGraph(DeltaGraph):
         return eid in self._edges
 
     def edges(self) -> tuple[Edge, ...]:
-        """Every edge, ordered by ``vid_key`` of its id; sorted once."""
-        if self._sorted_edges is None:
-            self._sorted_edges = tuple(self._edges[k] for k in sorted(self._edges, key=vid_key))
-        return self._sorted_edges
+        """Every edge, ordered by ``vid_key`` of its id; sorted on each call."""
+        return tuple(self._edges[k] for k in sorted(self._edges, key=vid_key))
 
     def edge_count(self) -> int:
         return len(self._edges)

@@ -73,7 +73,8 @@ def serialize_graph(
         for e in t.out_edges(v):
             lines.append(
                 "edge %s %s %s weight %s conjugate %s"
-                % (ename[e.eid], vname[v], vname[e.target], e.weight.text(), ename[e.conjugate])
+                % (ename[e.eid], vname[v], vname[e.target], e.weight.text(),
+                   ename[t.conjugate_edge(e).eid])
             )
     lines.append("basepoint %s" % vname[t.basepoint])
     if actions is not None:

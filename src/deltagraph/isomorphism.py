@@ -114,6 +114,7 @@ def matchings(
     def compatible(u, v) -> bool:
         if bijective and (u in g1.boundary) != (v in g2.boundary):
             return False
+        # partial mode: on a fair ball an interior vertex's out-sum is delta, so onto cannot fail
         onto = bijective or u not in g1.boundary
         if onto and not edges_inject(g1.out_edges(u), g2.out_edges(v), True):
             return False

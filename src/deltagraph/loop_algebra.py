@@ -36,11 +36,11 @@ class _EdgeTable:
     Each edge gets an int index when first seen, kept for the table's
     lifetime; ``edges``, ``conj`` and ``sqrt`` hold, per index, the
     :class:`Edge`, the index of its conjugate (-1 until both edges of the
-    pair are in the table) and w(e)^(1/2) as a coefficient
-    (None until :meth:`root` first builds it).  Edge ids are unique within
-    a table.  A graph's table (:func:`_table`) also memoizes the cup rows
-    of each anchor off the frontier; a table without a graph holds the
-    edges of vectors built from bare paths.
+    pair are in the table) and w(e)^(1/2) as a coefficient, built when the
+    edge is indexed.  Edge ids are unique within a table.  A graph's table
+    (:func:`_table`) also memoizes the cup rows of each anchor off the
+    frontier; a table without a graph holds the edges of vectors built from
+    bare paths.
     """
 
     __slots__ = ("context", "graph", "edges", "conj", "sqrt", "_index", "_rows")
@@ -50,7 +50,7 @@ class _EdgeTable:
         self.graph = graph
         self.edges: list[Edge] = []
         self.conj: list[int] = []
-        self.sqrt: list[Coefficient | None] = []
+        self.sqrt: list[Coefficient] = []
         self._index: dict = {}  # edge id -> index
         self._rows: dict = {}  # anchor -> cup rows
 
@@ -59,7 +59,7 @@ class _EdgeTable:
         if k is None:
             k = self._index[e.eid] = len(self.edges)
             self.edges.append(e)
-            self.sqrt.append(None)
+            self.sqrt.append(Coefficient.of_weight(e.weight.sqrt()))
             j = self._index.get(e.conjugate, -1)
             self.conj.append(j)
             if j >= 0 and self.edges[j].conjugate == e.eid:
@@ -67,23 +67,6 @@ class _EdgeTable:
         elif self.edges[k] is not e and self.edges[k] != e:
             raise ValueError("edge id %r names two different edges" % (e.eid,))
         return k
-
-    def find(self, edges) -> tuple[int, ...] | None:
-        """The key of these edges, or None unless the table holds each one."""
-        key = []
-        for e in edges:
-            k = self._index.get(e.eid)
-            if k is None or self.edges[k] != e:
-                return None
-            key.append(k)
-        return tuple(key)
-
-    def root(self, k: int) -> Coefficient:
-        """w(e)^(1/2) of edge k, as a coefficient."""
-        got = self.sqrt[k]
-        if got is None:
-            got = self.sqrt[k] = Coefficient.of_weight(self.edges[k].weight.sqrt())
-        return got
 
     def conjugate(self, k: int) -> int:
         """The index of edge k's conjugate, looked up in the graph on first use."""
@@ -105,7 +88,7 @@ class _EdgeTable:
             got = []
             for e in self.graph.out_edges(at):
                 k = self.index(e)
-                got.append((k, self.conjugate(k), self.root(k)))
+                got.append((k, self.conjugate(k), self.sqrt[k]))
             got = self._rows[at] = tuple(got)
         return got
 
@@ -114,11 +97,8 @@ class _EdgeTable:
         w(e)^(1/2).  Over the conjugate-reversed key it is w(l)^(-1/2)."""
         c = Coefficient.one(self.context)
         for k in key:
-            c = c * self.root(k)
+            c = c * self.sqrt[k]
         return c
-
-    def path(self, start: VertexId, key: tuple[int, ...]) -> Path:
-        return Path(start, tuple(self.edges[k] for k in key), self.context)
 
 
 def _table(graph) -> _EdgeTable:
@@ -128,31 +108,6 @@ def _table(graph) -> _EdgeTable:
     if t is None:
         t = graph._edge_table = _EdgeTable(graph.context, graph)
     return t
-
-
-class _Terms(Mapping):
-    """A vector's terms as a read-only ``{Path: Coefficient}`` mapping; each
-    path is built when it is reached, and ``len`` builds none."""
-
-    __slots__ = ("_v",)
-
-    def __init__(self, v: "LoopVector"):
-        self._v = v
-
-    def __len__(self):
-        return len(self._v.keyed)
-
-    def __iter__(self):
-        v = self._v
-        return (v.table.path(v.start, key) for key in v.keyed)
-
-    def __getitem__(self, l):
-        v = self._v
-        if isinstance(l, Path) and v.keyed and l.start == v.start:
-            got = v.keyed.get(v.table.find(l.edges))
-            if got is not None:
-                return got
-        raise KeyError(l)
 
 
 class LoopVector:
@@ -165,7 +120,7 @@ class LoopVector:
     another table is re-keyed into it first.  ``LoopVector(length,
     {Path: Coefficient})`` builds a vector with a table of its own, dropping
     zero terms as every map here does, and ``terms`` reads it back as such a
-    mapping.
+    dict, built when read.
     """
 
     __slots__ = ("length", "start", "table", "keyed")
@@ -186,8 +141,10 @@ class LoopVector:
         self.keyed = _vec(length, start, table, pairs).keyed
 
     @property
-    def terms(self) -> Mapping[Path, Coefficient]:
-        return _Terms(self)
+    def terms(self) -> dict[Path, Coefficient]:
+        t = self.table
+        return {Path(self.start, tuple(t.edges[k] for k in key), t.context): c
+                for key, c in self.keyed.items()}
 
     def is_zero(self) -> bool:
         return not self.keyed
@@ -231,7 +188,7 @@ class LoopVector:
         return self.length == other.length and self.terms == other.terms
 
     def __repr__(self):
-        return "LoopVector(%d, %r)" % (self.length, dict(self.terms.items()))
+        return "LoopVector(%d, %r)" % (self.length, self.terms)
 
 
 def _make(length: int, start: VertexId, table: _EdgeTable | None, keyed: dict) -> LoopVector:
@@ -321,7 +278,7 @@ def _contraction(e1: int, e2: int, table: _EdgeTable):
     conj = table.conj
     if conj[e1] != e2 or conj[e2] != e1:
         return None
-    return table.root(e1)
+    return table.sqrt[e1]
 
 
 def cap(v: LoopVector, i: int) -> LoopVector:

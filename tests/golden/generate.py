@@ -3,9 +3,11 @@
 Each record holds the run's ``argv``, its exit status, the sha256 of its
 stdout and the first line of its stderr ("" when there is none).  Runs are
 made in process, from this directory, so the file inputs named in ``argv``
-are the ``.dg`` files kept here.  An exception that escapes ``main`` is
-recorded as the console script would end: exit status 1 and the first line
-of a traceback.
+are the ``.dg`` files kept here.  A run with ``--out NAME`` writes NAME in a
+fresh temporary directory instead, and its record also holds the sha256 of
+the written file (None when none was written).  An exception that escapes
+``main`` is recorded as the console script would end: exit status 1 and the
+first line of a traceback.
 
 Regenerate the inputs and ``cli.json`` with::
 
@@ -21,6 +23,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 RECORDS = os.path.join(HERE, "cli.json")
@@ -37,7 +40,8 @@ SPECS = (
 )
 
 # the mixed file is written from the double_chain:a=2,b=3 ball of radius 4
-# with every a^1 edge weight given as the float 2.0
+# with every a^1 edge weight given as the float 2.0; the ambiguous file the
+# same way from double_chain:a=2,b=2, where 2.0 is both a^1 and b^1
 OVERFLOW = (
     "delta-graph v1\n"
     "delta 2.5\n"
@@ -55,6 +59,29 @@ SELF_LOOP = (
     "edge e0 0 0 weight 1 conjugate e0\n"
     "basepoint 0\n"
 )
+
+INF_DELTA = SELF_LOOP.replace("delta 2\n", "delta inf\n")
+HUGE_WEIGHT = OVERFLOW.replace("1e200 conjugate e2", "1e999 conjugate e2")
+
+
+def _pairs(edges: str) -> str:
+    """A two-vertex file at delta 2 with the given edge records; each of
+    these parses, and fails validate."""
+    return "delta-graph v1\ndelta 2\ngenerator q 2\nvertex 0\nvertex 1\n%sbasepoint 0\n" % edges
+
+
+SELF_CONJUGATE = _pairs(
+    "edge e0 0 1 weight 1 conjugate e0\nedge e1 1 0 weight 1 conjugate e1\n"
+    "edge e2 0 1 weight 1 conjugate e3\nedge e3 1 0 weight 1 conjugate e2\n"
+)
+WRONG_ENDPOINTS = _pairs(
+    "edge e0 0 1 weight 1 conjugate e1\nedge e1 0 1 weight 1 conjugate e0\n"
+    "edge e2 1 0 weight 1 conjugate e3\nedge e3 1 0 weight 1 conjugate e2\n"
+)
+NON_INVERSE = _pairs(
+    "edge e0 0 1 weight q^1 conjugate e1\nedge e1 1 0 weight q^1 conjugate e0\n"
+)
+BROKEN = ("self-conjugate.dg", "wrong-endpoints.dg", "non-inverse.dg")
 
 
 def runs() -> list[list[str]]:
@@ -83,6 +110,30 @@ def runs() -> list[list[str]]:
     out += [
         ["tl-check", "self-loop.dg", "--max-len", "4"],
         ["invariants", "self-loop.dg", "--radius", "1", "--shift-bound", "1"],
+        ["build", "double_chain", "a=2", "b=3", "--radius", "2", "--out", "built.dg"],
+        ["validate", "double_chain:a=2,b=3"],
+        ["validate", "mixed.dg"],
+    ]
+    for name in BROKEN:
+        out += [["validate", name], ["cover", name, "--radius", "2"]]
+    out += [
+        ["cover", "double_chain:a=2,b=3", "--radius", "2"],
+        ["cover", "mixed.dg", "--radius", "2", "--out", "cover.dg"],
+        ["cover", "single_chain:q=2", "--radius", "3", "--export-dot"],
+        ["cover", "ambiguous.dg", "--radius", "3"],
+        ["quotient", "single_chain:q=2", "--shift", "3", "--radius", "4"],
+        ["quotient", "grid:a=2,b=3", "--shift", "1,-1", "--radius", "3"],
+        ["quotient", "chain-action.dg", "--radius", "4"],
+        ["quotient", "chain-action.dg", "--action", "s", "--radius", "4", "--export-dot"],
+        ["quotient", "chain-action.dg", "--action", "zz"],
+        ["recover", "cycle:n=3,q=2", "--radius", "4"],
+        ["recover", "double_chain:a=2,b=3", "--radius", "3", "--export-dot"],
+        ["export-dot", "double_chain:a=2,b=3", "--radius", "2"],
+        ["validate", "inf-delta.dg"],
+        ["loops", "huge-weight.dg", "--n", "2"],
+        ["validate", "no_such:q=2"],
+        ["build", "single_chain", "q2", "--out", "unwritten.dg"],
+        ["loops", "single_chain:q=2"],
     ]
     return out
 
@@ -92,32 +143,55 @@ def run(argv: list[str]) -> dict:
     from deltagraph.cli import main
 
     out, err = io.StringIO(), io.StringIO()
+    call, written = list(argv), None
     cwd = os.getcwd()
-    os.chdir(HERE)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                status = main(list(argv))
-            except SystemExit as exc:
-                status = exc.code
-            except Exception:
-                status = 1
-                print("Traceback (most recent call last):", file=err)
-    finally:
-        os.chdir(cwd)
-    return {
-        "argv": list(argv),
-        "exit": status,
-        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-        "stderr": err.getvalue().partition("\n")[0],
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        if "--out" in call:
+            i = call.index("--out") + 1
+            written = call[i] = os.path.join(tmp, call[i])
+        os.chdir(HERE)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = main(call)
+                except SystemExit as exc:
+                    status = exc.code
+                except Exception:
+                    status = 1
+                    print("Traceback (most recent call last):", file=err)
+        finally:
+            os.chdir(cwd)
+        record = {
+            "argv": list(argv),
+            "exit": status,
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": err.getvalue().partition("\n")[0],
+        }
+        if written is not None:
+            record["out_sha256"] = None
+            if os.path.exists(written):
+                with open(written, "rb") as fh:
+                    record["out_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    return record
 
 
 def write_inputs():
     from deltagraph import builders, serialize_graph
 
     mixed = serialize_graph(builders.double_chain(2, 3), 4).replace("weight a^1 ", "weight 2.0 ")
-    for name, text in (("mixed.dg", mixed), ("overflow.dg", OVERFLOW), ("self-loop.dg", SELF_LOOP)):
+    ambiguous = serialize_graph(builders.double_chain(2, 2), 4).replace("weight a^1 ", "weight 2.0 ")
+    chain = builders.single_chain(2)
+    chain_action = serialize_graph(chain, 4, actions=builders.chain_shift_action(chain, 3))
+    for name, text in (
+        ("mixed.dg", mixed),
+        ("overflow.dg", OVERFLOW),
+        ("self-loop.dg", SELF_LOOP),
+        ("ambiguous.dg", ambiguous),
+        ("chain-action.dg", chain_action),
+        ("inf-delta.dg", INF_DELTA),
+        ("huge-weight.dg", HUGE_WEIGHT),
+        *zip(BROKEN, (SELF_CONJUGATE, WRONG_ENDPOINTS, NON_INVERSE)),
+    ):
         with open(os.path.join(HERE, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 

@@ -292,6 +292,32 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "within tolerance of the distinct exact weights" in err
 
+    @pytest.mark.parametrize(
+        "edges, err",
+        [
+            (["e0 0 1 weight 1 conjugate e0", "e1 1 0 weight 1 conjugate e1",
+              "e2 0 1 weight 1 conjugate e3", "e3 1 0 weight 1 conjugate e2"],
+             "error: conjugate ([1, 1], 'e0') of edge ([1, 0], 'e0') not materialized\n"),
+            (["e0 0 1 weight 1 conjugate e1", "e1 0 1 weight 1 conjugate e0",
+              "e2 1 0 weight 1 conjugate e3", "e3 1 0 weight 1 conjugate e2"],
+             "error: conjugate ([1, 1], 'e1') of edge ([1, 0], 'e0') not materialized\n"),
+            (["e0 0 1 weight q^1 conjugate e1", "e1 1 0 weight q^1 conjugate e0"],
+             "error: conjugate ([q^2, 0], 'e0') of edge ([q^1, 1], 'e1') not materialized\n"),
+        ],
+        ids=["self-conjugate", "wrong-endpoints", "non-inverse"],
+    )
+    def test_cover_of_broken_conjugation_exit_2(self, tmp_path, capsys, edges, err):
+        # each file parses but fails validate; its cover pairs an edge with a
+        # conjugate outside the ball
+        p = tmp_path / "g.dg"
+        p.write_text("\n".join(
+            ["delta-graph v1", "delta 2", "generator q 2", "vertex 0", "vertex 1"]
+            + ["edge " + e for e in edges] + ["basepoint 0", ""]
+        ))
+        code, out, _ = run(capsys, "validate", str(p))
+        assert code == 1 and "FAIL " in out
+        assert run(capsys, "cover", str(p), "--radius", "2") == (2, "", err)
+
     def test_no_input_mutation(self, tmp_path, capsys):
         out_file = tmp_path / "g.dg"
         run(capsys, "build", "single_chain", "q=2", "--radius", "3", "--out", str(out_file))

@@ -22,6 +22,7 @@ from deltagraph import (
     validate,
     vertex_weighting,
 )
+from deltagraph.isomorphism import matchings
 
 
 class TestIsoCheck:
@@ -163,6 +164,24 @@ def test_regular_non_isomorphic_pairs(g1, g2, radius, fix):
     assert iso_check(b1, b2, fix_basepoint=fix) is None
     assert iso_check(b2, b1, fix_basepoint=fix) is None
     assert iso_check(b1, b1, fix_basepoint=fix) is not None
+
+
+# the path 0-1-2-3-4 with a second edge pair between 2 and 3; a fair ball
+# cannot pin the onto checks, as its interior out-multisets already sum to delta
+UNFAIR_PATH = _unit_graph(5, [(0, 1), (1, 2), (2, 3), (2, 3), (3, 4)])
+
+
+def test_partial_maps_interior_vertices_onto():
+    # the interior basepoint has one out-edge, and 1, 2 and 3 have more
+    assert [a.mapping[0] for a in partial_automorphisms(UNFAIR_PATH, 1, 3)] == [0]
+
+
+def test_bijective_maps_every_vertex_onto():
+    # iso_check's edge counts already tell these apart, so call the matcher
+    b1 = ball(UNFAIR_PATH, 4)
+    b2 = ball(_unit_graph(5, [(0, 1), (1, 2), (2, 3), (2, 3), (3, 4), (0, 0)]), 4)
+    assert next(matchings(b1, b2, [b2.basepoint], True), None) is None
+    assert next(matchings(b1, b1, [b1.basepoint], True), None) is not None
 
 
 BUILDERS = {

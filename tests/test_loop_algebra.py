@@ -472,15 +472,6 @@ class TestEdgeTables:
         with pytest.raises(ValueError):
             LoopVector(4, {loops[0]: c})
 
-    def test_terms_len_builds_no_path(self, dchain, monkeypatch):
-        v = cup(dchain, basis(dchain, 2)[0], 1)
-
-        def no_path(*args):
-            raise AssertionError("len(terms) built a Path")
-
-        monkeypatch.setattr(loop_algebra, "Path", no_path)
-        assert len(v.terms) == 4
-
     def test_equal_indices_of_different_tables(self, chain, rr, ll):
         # the chain's table indexes (l0, r-1) as (0, 1), and the bare
         # vector's table indexes (r0, l1) the same way; they are other loops
