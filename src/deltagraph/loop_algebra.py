@@ -13,40 +13,38 @@ both zig-zag composites are the identity.
 
 Since w(e) w(e-bar) = 1, cup and cap leave a loop's weight unchanged, so a
 loop is its edges and its weight is read off them only where an output asks
-for it.  A vector keys each loop by the tuple of its edges' int indices in
-an edge table kept with the graph, which also holds each edge's conjugate
-and w(e)^(1/2), so the maps hash and compare only ints.  Where a loop's
-weight is asked for (star, the modular operator, the Gram check), it is read
-one way: the product of its edges' w(e)^(1/2) under ``Coefficient``'s ``*``,
-taken over the conjugate-reversed loop for w(l)^(-1/2).  Every map builds
-its result through one accumulator, ``_vec``.
+for it.  Every vector belongs to one graph: it keys each loop by the tuple of
+its edges' int indices in that graph's edge table, which also holds each
+edge's conjugate, learnt from the graph, and w(e)^(1/2), so the maps hash and
+compare only ints.  Vectors of different graphs do not combine.  Where a
+loop's weight is asked for (star, the modular operator, the Gram check), it
+is read one way: the product of its edges' w(e)^(1/2) under
+``Coefficient``'s ``*``, taken over the conjugate-reversed loop for
+w(l)^(-1/2).  Every map builds its result through one accumulator, ``_vec``.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .graph import Edge, Path, VertexId, enumerate_loops, loop_weight_counts, vid_key
-from .weights import Coefficient, GeneratorContext, Weight, group_weights
+from .weights import Coefficient, Weight, group_weights
 
 
 class _EdgeTable:
-    """The edges that loop vectors key their terms by.
+    """The edges of one graph that its loop vectors key their terms by.
 
     Each edge gets an int index when first seen, kept for the table's
-    lifetime; ``edges``, ``conj`` and ``sqrt`` hold, per index, the
-    :class:`Edge`, the index of its conjugate (-1 until both edges of the
-    pair are in the table) and w(e)^(1/2) as a coefficient, built when the
-    edge is indexed.  Edge ids are unique within a table.  A graph's table
-    (:func:`_table`) also memoizes the cup rows of each anchor off the
-    frontier; a table without a graph holds the edges of vectors built from
-    bare paths.
+    lifetime, and its conjugate, found by ``graph.conjugate_edge``, is
+    indexed with it; ``edges``, ``conj`` and ``sqrt`` hold, per index, the
+    :class:`Edge`, the index of its conjugate and w(e)^(1/2) as a
+    coefficient.  A conjugate that does not name the edge back, or an edge
+    id that names two different edges, raises ``ValueError``.  The table
+    also memoizes the cup rows of each anchor off the frontier.
     """
 
-    __slots__ = ("context", "graph", "edges", "conj", "sqrt", "_index", "_rows")
+    __slots__ = ("graph", "edges", "conj", "sqrt", "_index", "_rows")
 
-    def __init__(self, context: GeneratorContext, graph=None):
-        self.context = context
+    def __init__(self, graph):
         self.graph = graph
         self.edges: list[Edge] = []
         self.conj: list[int] = []
@@ -54,26 +52,27 @@ class _EdgeTable:
         self._index: dict = {}  # edge id -> index
         self._rows: dict = {}  # anchor -> cup rows
 
+    def _add(self, e: Edge) -> int:
+        k = self._index[e.eid] = len(self.edges)
+        self.edges.append(e)
+        self.conj.append(k)
+        self.sqrt.append(Coefficient.of_weight(e.weight.sqrt()))
+        return k
+
     def index(self, e: Edge) -> int:
         k = self._index.get(e.eid)
         if k is None:
-            k = self._index[e.eid] = len(self.edges)
-            self.edges.append(e)
-            self.sqrt.append(Coefficient.of_weight(e.weight.sqrt()))
-            j = self._index.get(e.conjugate, -1)
-            self.conj.append(j)
-            if j >= 0 and self.edges[j].conjugate == e.eid:
-                self.conj[j] = k
+            ebar = self.graph.conjugate_edge(e)
+            if ebar.conjugate != e.eid:
+                raise ValueError("the conjugate %r of edge %r has conjugate %r"
+                                 % (ebar.eid, e.eid, ebar.conjugate))
+            # a pair is indexed together, so a new edge's conjugate is new too
+            k = self._add(e)
+            j = k if ebar.eid == e.eid else self._add(ebar)
+            self.conj[k], self.conj[j] = j, k
         elif self.edges[k] is not e and self.edges[k] != e:
             raise ValueError("edge id %r names two different edges" % (e.eid,))
         return k
-
-    def conjugate(self, k: int) -> int:
-        """The index of edge k's conjugate, looked up in the graph on first use."""
-        j = self.conj[k]
-        if j < 0:
-            j = self.index(self.graph.conjugate_edge(self.edges[k]))
-        return j
 
     def rows(self, at: VertexId) -> tuple:
         """``(e, e-bar, w(e)^(1/2))`` for each edge e out of ``at``, the
@@ -88,14 +87,14 @@ class _EdgeTable:
             got = []
             for e in self.graph.out_edges(at):
                 k = self.index(e)
-                got.append((k, self.conjugate(k), self.sqrt[k]))
+                got.append((k, self.conj[k], self.sqrt[k]))
             got = self._rows[at] = tuple(got)
         return got
 
     def sqrt_weight(self, key: tuple[int, ...]) -> Coefficient:
         """w(l)^(1/2) of the path l with these edges: the product of their
         w(e)^(1/2).  Over the conjugate-reversed key it is w(l)^(-1/2)."""
-        c = Coefficient.one(self.context)
+        c = Coefficient.one(self.graph.context)
         for k in key:
             c = c * self.sqrt[k]
         return c
@@ -106,44 +105,41 @@ def _table(graph) -> _EdgeTable:
     its ``_edge_table`` attribute."""
     t = getattr(graph, "_edge_table", None)
     if t is None:
-        t = graph._edge_table = _EdgeTable(graph.context, graph)
+        t = graph._edge_table = _EdgeTable(graph)
     return t
 
 
-class LoopVector:
-    """Finitely supported linear combination of based loops of one length.
+def _one_table(table: _EdgeTable, *vs: "LoopVector") -> _EdgeTable:
+    """``table``, once every vector of ``vs`` is seen to be keyed by it."""
+    for v in vs:
+        if v.table is not table:
+            raise ValueError("loop vectors of different graphs do not combine")
+    return table
 
-    A vector holds its ``length``, the ``start`` vertex its loops share, an
-    edge table and ``keyed``, a dict from tuples of edge indices into the
-    table to coefficients.  Vectors made by the maps here share the table of
-    the graph they were given, or of their left operand; a vector from
-    another table is re-keyed into it first.  ``LoopVector(length,
-    {Path: Coefficient})`` builds a vector with a table of its own, dropping
-    zero terms as every map here does, and ``terms`` reads it back as such a
-    dict, built when read.
+
+class LoopVector:
+    """Finitely supported linear combination of based loops of one length,
+    on one graph.
+
+    A vector holds its ``length``, the ``start`` vertex its loops share, its
+    graph's edge table and ``keyed``, a dict from tuples of edge indices into
+    that table to nonzero coefficients.  :func:`loop_vector`,
+    :func:`zero_vector` and :func:`basis` make the vectors of a graph, and
+    every map here keeps its operands' table; operands from different
+    graphs' tables raise ``ValueError``.  ``terms`` reads a vector back as a
+    dict from :class:`Path` to coefficient, built when read.
     """
 
     __slots__ = ("length", "start", "table", "keyed")
     __hash__ = None  # mapping-valued; never used as a key
 
-    def __init__(self, length: int, terms: Mapping[Path, Coefficient]):
-        pairs = []
-        start = table = None
-        for l, c in terms.items():
-            if len(l) != length:
-                raise ValueError("loop of length %d in a length-%d vector" % (len(l), length))
-            if table is None:
-                start, table = l.start, _EdgeTable(l.context)
-            elif l.start != start:
-                raise ValueError("the loops of a vector share one start vertex")
-            pairs.append((tuple(map(table.index, l.edges)), c))
-        self.length, self.start, self.table = length, start, table
-        self.keyed = _vec(length, start, table, pairs).keyed
+    def __init__(self, length: int, start: VertexId, table: _EdgeTable, keyed: dict):
+        self.length, self.start, self.table, self.keyed = length, start, table, keyed
 
     @property
     def terms(self) -> dict[Path, Coefficient]:
         t = self.table
-        return {Path(self.start, tuple(t.edges[k] for k in key), t.context): c
+        return {Path(self.start, tuple(t.edges[k] for k in key), t.graph.context): c
                 for key, c in self.keyed.items()}
 
     def is_zero(self) -> bool:
@@ -152,12 +148,11 @@ class LoopVector:
     def __add__(self, other: "LoopVector") -> "LoopVector":
         if other.length != self.length:
             raise ValueError("length mismatch")
-        t = self.table or other.table
-        b = _keyed_in(other, t)
-        if self.keyed and b and self.start != other.start:
+        t = _one_table(self.table, other)
+        if self.keyed and other.keyed and self.start != other.start:
             raise ValueError("the loops of a vector share one start vertex")
         start = self.start if self.keyed else other.start
-        return _vec(self.length, start, t, [*self.keyed.items(), *b.items()])
+        return _vec(self.length, start, t, [*self.keyed.items(), *other.keyed.items()])
 
     def scaled(self, c: Coefficient) -> "LoopVector":
         return _vec(self.length, self.start, self.table,
@@ -165,9 +160,10 @@ class LoopVector:
 
     def eq(self, other: "LoopVector") -> bool:
         """Coefficient-wise ``Coefficient.eq``, an absent loop counting as zero."""
+        _one_table(self.table, other)
         if self.length != other.length:
             return False
-        a, b = self.keyed, _keyed_in(other, self.table or other.table)
+        a, b = self.keyed, other.keyed
         if a and b and self.start != other.start:
             b = {(None,) + key: c for key, c in b.items()}  # no loop in common
         elif a == b:
@@ -185,19 +181,15 @@ class LoopVector:
     def __eq__(self, other):
         if not isinstance(other, LoopVector):
             return NotImplemented
-        return self.length == other.length and self.terms == other.terms
+        _one_table(self.table, other)
+        return (self.length == other.length and self.keyed == other.keyed
+                and (not self.keyed or self.start == other.start))
 
     def __repr__(self):
         return "LoopVector(%d, %r)" % (self.length, self.terms)
 
 
-def _make(length: int, start: VertexId, table: _EdgeTable | None, keyed: dict) -> LoopVector:
-    v = object.__new__(LoopVector)
-    v.length, v.start, v.table, v.keyed = length, start, table, keyed
-    return v
-
-
-def _vec(length: int, start: VertexId, table: _EdgeTable | None, pairs) -> LoopVector:
+def _vec(length: int, start: VertexId, table: _EdgeTable, pairs) -> LoopVector:
     """The sum of the ``(key, coefficient)`` pairs, in their order, as a
     vector of the given length; loops whose coefficients sum to zero are
     dropped."""
@@ -205,41 +197,28 @@ def _vec(length: int, start: VertexId, table: _EdgeTable | None, pairs) -> LoopV
     for key, c in pairs:
         got = acc.get(key)
         acc[key] = c if got is None else got + c
-    return _make(length, start, table, {key: c for key, c in acc.items() if not c.is_zero()})
-
-
-def _keyed_in(v: LoopVector, table: _EdgeTable | None) -> dict:
-    """v's terms keyed by indices into ``table``, re-keyed when v has another."""
-    if v.table is table or not v.keyed:
-        return v.keyed
-    index, src = table.index, v.table.edges
-    return {tuple(index(src[k]) for k in key): c for key, c in v.keyed.items()}
-
-
-def _in(v: LoopVector, table: _EdgeTable) -> LoopVector:
-    return v if v.table is table else _make(v.length, v.start, table, _keyed_in(v, table))
+    return LoopVector(length, start, table, {key: c for key, c in acc.items() if not c.is_zero()})
 
 
 def _sorted_keys(v: LoopVector) -> list:
-    edges = v.table.edges if v.keyed else ()
+    edges = v.table.edges
     return sorted(v.keyed, key=lambda key: tuple(vid_key(edges[k].eid) for k in key))
 
 
-def zero_vector(length: int) -> LoopVector:
-    return _make(length, None, None, {})
+def zero_vector(graph, length: int) -> LoopVector:
+    """The zero vector of the graph's loops of this length."""
+    return LoopVector(length, graph.basepoint, _table(graph), {})
 
 
-def loop_vector(l: Path, coeff: Coefficient | None = None) -> LoopVector:
-    return LoopVector(len(l), {l: coeff if coeff is not None else Coefficient.one(l.context)})
+def loop_vector(graph, l: Path, coeff: Coefficient | None = None) -> LoopVector:
+    """``coeff`` (by default one) times the graph's loop l."""
+    t = _table(graph)
+    c = coeff if coeff is not None else Coefficient.one(graph.context)
+    return _vec(len(l), l.start, t, [(tuple(map(t.index, l.edges)), c)])
 
 
 def basis(graph, n: int) -> tuple[LoopVector, ...]:
-    t = _table(graph)
-    one = Coefficient.one(graph.context)
-    return tuple(
-        _make(n, l.start, t, {tuple(map(t.index, l.edges)): one})
-        for l in enumerate_loops(graph, n)
-    )
+    return tuple(loop_vector(graph, l) for l in enumerate_loops(graph, n))
 
 
 def format_vector(v: LoopVector) -> str:
@@ -260,8 +239,7 @@ def cup(graph, v: LoopVector, i: int) -> LoopVector:
     """Insert a summed conjugate pair after edge i, weighted by w(e)^(1/2)."""
     if not 0 <= i <= v.length:
         raise IndexError("cup index %d out of range 0..%d" % (i, v.length))
-    t = _table(graph)
-    v = _in(v, t)
+    t = _one_table(_table(graph), v)
     pairs = []
     for key, c in v.keyed.items():
         head, tail = key[:i], key[i:]
@@ -275,10 +253,7 @@ def _contraction(e1: int, e2: int, table: _EdgeTable):
     None unless they are a conjugate pair, else the coefficient
     ``w(e1)^(1/2)``.  ``cap`` and the trie walk of ``_inner_pairs`` both
     contract through here."""
-    conj = table.conj
-    if conj[e1] != e2 or conj[e2] != e1:
-        return None
-    return table.sqrt[e1]
+    return table.sqrt[e1] if table.conj[e1] == e2 else None
 
 
 def cap(v: LoopVector, i: int) -> LoopVector:
@@ -299,12 +274,11 @@ def cap(v: LoopVector, i: int) -> LoopVector:
 def star(graph, v: LoopVector) -> LoopVector:
     """The involution l -> w(l-bar)^(1/2) l-bar, with w(l-bar) = w(l)^-1; it
     is conjugate-linear, and coefficients are real."""
-    t = _table(graph)
-    v = _in(v, t)
+    t = _one_table(_table(graph), v)
     pairs = []
     ends = set()
     for key, c in v.keyed.items():
-        rev = tuple(map(t.conjugate, reversed(key)))
+        rev = tuple(map(t.conj.__getitem__, reversed(key)))
         pairs.append((rev, c * t.sqrt_weight(rev)))
         ends.add(_anchor(v, key, v.length))
     if len(ends) > 1:
@@ -314,12 +288,11 @@ def star(graph, v: LoopVector) -> LoopVector:
 
 def concat(u: LoopVector, v: LoopVector) -> LoopVector:
     """Bilinear extension of loop concatenation."""
-    t = u.table or v.table
-    b = _keyed_in(v, t)
-    if b and any(_anchor(u, key, u.length) != v.start for key in u.keyed):
+    t = _one_table(u.table, v)
+    if v.keyed and any(_anchor(u, key, u.length) != v.start for key in u.keyed):
         raise ValueError("paths do not compose")
     return _vec(u.length + v.length, u.start, t, [
-        (k1 + k2, c1 * c2) for k1, c1 in u.keyed.items() for k2, c2 in b.items()
+        (k1 + k2, c1 * c2) for k1, c1 in u.keyed.items() for k2, c2 in v.keyed.items()
     ])
 
 
@@ -336,7 +309,6 @@ def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     n = f.length
-    f = _in(f, _table(graph))
     word = concat(f, star(graph, g)) if side == "left" else concat(star(graph, g), f)
     for k in range(n, 0, -1):
         word = cap(word, k)
@@ -424,7 +396,6 @@ def _inner_pairs(graph, vecs):
             node = got
         node[1] = j
     for i, f in enumerate(vecs):
-        f = _in(f, t)
         ((key, cf),) = f.keyed.items()
         ((_, cdf),) = apply_modular(f).keyed.items()
         # (node, left coefficients, right coefficients); None once a side dies
@@ -527,7 +498,7 @@ def relations(graph, max_len: int):
                 if i == j:
                     (key,) = vecs[i].keyed
                     t = vecs[i].table
-                    s = t.sqrt_weight(tuple(map(t.conjugate, reversed(key))))
+                    s = t.sqrt_weight(tuple(map(t.conj.__getitem__, reversed(key))))
                     want_l = Coefficient.one(ctx)
                     want_r = s * s
                 else:

@@ -116,6 +116,8 @@ def runs() -> list[list[str]]:
     ]
     for name in BROKEN:
         out += [["validate", name], ["cover", name, "--radius", "2"]]
+    for name in BROKEN:
+        out += [["spectrum", name, "--n", "4", "--verify-all"], ["tl-check", name, "--max-len", "4"]]
     out += [
         ["cover", "double_chain:a=2,b=3", "--radius", "2"],
         ["cover", "mixed.dg", "--radius", "2", "--out", "cover.dg"],

@@ -161,9 +161,9 @@ def test_8_inner_product_oracle():
             loops = enumerate_loops(g, n)
             exact = all(l.weight.is_exact for l in loops)
             for lf in loops:
-                f = loop_vector(lf)
+                f = loop_vector(g, lf)
                 for lg in loops:
-                    h = loop_vector(lg)
+                    h = loop_vector(g, lg)
                     left = inner(g, f, h, "left")
                     right = inner(g, f, h, "right")
                     if lf == lg:

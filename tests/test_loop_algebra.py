@@ -16,10 +16,13 @@ Core claims:
     - oracles: the walk-count spectrum equals the grouped enumerated loop
       weights, the trie-walk inner products equal pairwise ``inner``, and
       ``loop_weight_group`` equals the reduction of enumerated loop weights
-    - vectors keyed by different edge tables (a bare path's, a graph's, a
-      ball's) combine as the loops they hold; ``terms`` reads the loops back
+    - a vector belongs to one graph's edge table: vectors of different
+      graphs (a graph and its ball) raise under every map that would mix
+      them, each graph's own maps give the same loops, and ``terms`` reads
+      the loops back
 """
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -28,7 +31,8 @@ from collections import Counter
 
 from deltagraph import (
     Coefficient,
-    LoopVector,
+    DeltaGraph,
+    GraphConstructionError,
     apply_modular,
     ball,
     basis,
@@ -56,7 +60,7 @@ from deltagraph import (
     zero_vector,
 )
 from deltagraph import loop_algebra
-from deltagraph.graph import Path
+from deltagraph.graph import Edge, Path
 from deltagraph.loop_algebra import VERIFY_LIMIT, _inner_pairs
 from deltagraph.weights import GeneratorContext, group_weights
 
@@ -83,18 +87,18 @@ def ll(chain):
 class TestCup:
     def test_cup_empty(self, chain):
         ctx = chain.context
-        v = cup(chain, loop_vector(Path.empty(ctx, 0)), 0)
+        v = cup(chain, loop_vector(chain, Path.empty(ctx, 0)), 0)
         got = {l.edge_ids(): c for l, c in v.terms.items()}
         assert got[(("r", 0), ("l", 1))] == coeff_of(chain, ctx.exact(q=Fraction(1, 2)))
         assert got[(("l", 0), ("r", -1))] == coeff_of(chain, ctx.exact(q=Fraction(-1, 2)))
         assert len(got) == 2
 
     def test_cup_zero_vector(self, chain):
-        assert cup(chain, zero_vector(0), 0).is_zero()
+        assert cup(chain, zero_vector(chain, 0), 0).is_zero()
 
     def test_cup_after_two(self, chain, rr):
         ctx = chain.context
-        v = cup(chain, loop_vector(rr), 2)
+        v = cup(chain, loop_vector(chain, rr), 2)
         got = {l.edge_ids(): c for l, c in v.terms.items()}
         assert got[(("r", 0), ("l", 1), ("r", 0), ("l", 1))] == coeff_of(
             chain, ctx.exact(q=Fraction(1, 2))
@@ -105,13 +109,13 @@ class TestCup:
 
     def test_index_out_of_range(self, chain, rr):
         with pytest.raises(IndexError):
-            cup(chain, loop_vector(rr), 3)
+            cup(chain, loop_vector(chain, rr), 3)
 
 
 class TestCap:
     def test_cap_contracts(self, chain, rr):
         ctx = chain.context
-        v = cap(loop_vector(rr), 1)
+        v = cap(loop_vector(chain, rr), 1)
         ((l, c),) = v.terms.items()
         assert l.edges == ()
         assert c == coeff_of(chain, ctx.exact(q=Fraction(1, 2)))
@@ -120,19 +124,19 @@ class TestCap:
         # (r, r-bar, r, r-bar) at position 2: the pair (r-bar, r) IS
         # conjugate, so this contracts with coefficient q^(-1/2)
         ctx = chain.context
-        v4 = concat(loop_vector(rr), loop_vector(rr))
+        v4 = concat(loop_vector(chain, rr), loop_vector(chain, rr))
         out = cap(v4, 2)
         ((l, c),) = out.terms.items()
         assert l.edge_ids() == (("r", 0), ("l", 1))
         assert c == coeff_of(chain, ctx.exact(q=Fraction(-1, 2)))
 
     def test_cap_annihilates_nonconjugate(self, chain, rr, ll):
-        v4 = concat(loop_vector(rr), loop_vector(ll))
+        v4 = concat(loop_vector(chain, rr), loop_vector(chain, ll))
         assert cap(v4, 2).is_zero()
 
     def test_cap_cup_is_delta(self, chain):
         ctx = chain.context
-        v = cap(cup(chain, loop_vector(Path.empty(ctx, 0)), 0), 1)
+        v = cap(cup(chain, loop_vector(chain, Path.empty(ctx, 0)), 0), 1)
         ((l, c),) = v.terms.items()
         assert l.edges == ()
         assert c == coeff_of(chain, ctx.exact(q=1)) + coeff_of(chain, ctx.exact(q=-1))
@@ -140,9 +144,9 @@ class TestCap:
 
     def test_index_out_of_range(self, chain, rr):
         with pytest.raises(IndexError):
-            cap(loop_vector(rr), 2)
+            cap(loop_vector(chain, rr), 2)
         with pytest.raises(IndexError):
-            cap(zero_vector(0), 1)
+            cap(zero_vector(chain, 0), 1)
 
 
 def _delta_coefficient(graph):
@@ -201,13 +205,13 @@ class TestRelations:
             for l in enumerate_loops(dchain, 2)
             if l.edge_ids() == (("a+", 0), ("b-", 1))
         )
-        s = star(dchain, loop_vector(l))
+        s = star(dchain, loop_vector(dchain, l))
         ((lbar, c),) = s.terms.items()
         assert lbar.edge_ids() == (("b+", 0), ("a-", 1))
         assert c == Coefficient.of_weight(ctx.exact({"a": Fraction(-1, 2), "b": Fraction(1, 2)}))
 
     def test_star_unit_weight_loop(self, chain, rr):
-        s = star(chain, loop_vector(rr))
+        s = star(chain, loop_vector(chain, rr))
         ((lbar, c),) = s.terms.items()
         assert c == Coefficient.one(chain.context)
         assert lbar.edge_ids() == (("r", 0), ("l", 1))
@@ -221,7 +225,7 @@ class TestRelations:
 
     def test_concat_unit(self, dchain):
         ctx = dchain.context
-        unit = loop_vector(Path.empty(ctx, 0))
+        unit = loop_vector(dchain, Path.empty(ctx, 0))
         for v in basis(dchain, 2):
             assert concat(unit, v).eq(v)
             assert concat(v, unit).eq(v)
@@ -279,14 +283,14 @@ class TestEquality:
         assert not v.scaled(Coefficient.of_weight(ctx.float_weight(2.0))).eq(v)
         # an absent loop counts as a zero coefficient
         assert (v + w.scaled(Coefficient.of_weight(ctx.float_weight(1e-12)))).eq(v)
-        assert not v.eq(zero_vector(2)) and not v.eq(zero_vector(4))
+        assert not v.eq(zero_vector(deformed, 2)) and not v.eq(zero_vector(deformed, 4))
 
     def test_constructor_drops_zero_terms(self, chain, rr):
         zero = Coefficient.zero(chain.context)
-        v = LoopVector(2, {rr: zero})
+        v = loop_vector(chain, rr, zero)
         assert v.is_zero() and not v.terms
-        assert v == loop_vector(rr, zero) and v.eq(loop_vector(rr, zero))
-        assert v == zero_vector(2)
+        assert v == loop_vector(chain, rr, zero) and v.eq(loop_vector(chain, rr, zero))
+        assert v == zero_vector(chain, 2)
 
 
 class TestInner:
@@ -296,9 +300,9 @@ class TestInner:
         g = request.getfixturevalue(name)
         loops = enumerate_loops(g, n)
         for lf in loops:
-            f = loop_vector(lf)
+            f = loop_vector(g, lf)
             for lg in loops:
-                h = loop_vector(lg)
+                h = loop_vector(g, lg)
                 left = inner(g, f, h, "left")
                 right = inner(g, f, h, "right")
                 if lf == lg:
@@ -309,14 +313,14 @@ class TestInner:
                     assert right.is_zero()
 
     def test_zero_vector(self, dchain):
-        z = zero_vector(2)
+        z = zero_vector(dchain, 2)
         v = basis(dchain, 2)[0]
         assert inner(dchain, z, v, "left").is_zero()
         assert inner(dchain, v, z, "right").is_zero()
 
     def test_length_mismatch(self, dchain):
         with pytest.raises(ValueError):
-            inner(dchain, zero_vector(2), zero_vector(4), "left")
+            inner(dchain, zero_vector(dchain, 2), zero_vector(dchain, 4), "left")
 
 
 class TestModularSpectrum:
@@ -400,7 +404,7 @@ class TestMixedWeights:
                 assert star(g, star(g, v)).eq(v)
                 ((_, d),) = apply_modular(v).keyed.items()
                 assert d.isclose(Coefficient.of_weight(w))
-                r = t.sqrt_weight(tuple(map(t.conjugate, reversed(key))))
+                r = t.sqrt_weight(tuple(t.conj[k] for k in reversed(key)))
                 assert (r * r).isclose(Coefficient.of_weight(w.inverse()))
         assert all(passed for _, _, passed, _ in relations(g, 4))
 
@@ -449,10 +453,6 @@ class TestOracles:
             assert got == reduce_generators(weights, g.context)
 
 
-def _ids(v):
-    return {l.edge_ids(): c for l, c in v.terms.items()}
-
-
 class TestEdgeTables:
     def test_terms_round_trip_edge_ids(self, dchain):
         loops = enumerate_loops(dchain, 2)
@@ -466,54 +466,61 @@ class TestEdgeTables:
         with pytest.raises(KeyError):
             vecs[0].terms[loops[1]]
         c = Coefficient.of_weight(dchain.context.gen("a"))
-        v = LoopVector(2, {loops[1]: c, loops[3]: c})
+        v = loop_vector(dchain, loops[1], c) + loop_vector(dchain, loops[3], c)
         assert {l.edge_ids() for l in v.terms} == {loops[1].edge_ids(), loops[3].edge_ids()}
         assert v.eq(vecs[1].scaled(c) + vecs[3].scaled(c))
-        with pytest.raises(ValueError):
-            LoopVector(4, {loops[0]: c})
 
-    def test_equal_indices_of_different_tables(self, chain, rr, ll):
-        # the chain's table indexes (l0, r-1) as (0, 1), and the bare
-        # vector's table indexes (r0, l1) the same way; they are other loops
-        (vll,) = [v for v in basis(chain, 2) if next(iter(v.terms)) == ll]
-        vrr = loop_vector(rr)
-        assert not vrr.eq(vll) and not vll.eq(vrr)
-        assert _ids(vrr + vll).keys() == {rr.edge_ids(), ll.edge_ids()}
-        assert _ids(vll + vrr).keys() == {rr.edge_ids(), ll.edge_ids()}
-
-    def test_bare_graph_and_ball_vectors_combine(self, dchain):
-        ctx = dchain.context
+    def test_vectors_of_different_graphs_do_not_combine(self, dchain):
         b = ball(dchain, 3)
         from_graph, from_ball = basis(dchain, 2), basis(b, 2)
-        two = Coefficient.of_weight(ctx.identity(), 2)
+        u, w = from_graph[1], from_ball[1]
+        mixes = [
+            lambda: u + w, lambda: w + u, lambda: u.eq(w), lambda: w.eq(u), lambda: u == w,
+            lambda: concat(u, w), lambda: concat(w, u),
+            lambda: cup(dchain, w, 0), lambda: cup(b, u, 0),
+            lambda: star(dchain, w), lambda: star(b, u),
+            lambda: inner(dchain, u, w, "left"), lambda: inner(dchain, w, u, "right"),
+            lambda: inner(b, w, u, "left"), lambda: list(_inner_pairs(dchain, from_ball)),
+        ]
+        for mix in mixes:
+            with pytest.raises(ValueError, match="different graphs"):
+                mix()
+        # the ball's own maps read back the loops the graph's maps give
         for u, w in zip(from_graph, from_ball):
-            assert u.eq(w) and w.eq(u) and u == w
-            assert (u + w).eq(u.scaled(two)) and (w + u).eq(u.scaled(two))
-        mixed = from_graph[0] + from_ball[1]
-        assert _ids(mixed) == {**_ids(from_graph[0]), **_ids(from_graph[1])}
-        unit = loop_vector(Path.empty(ctx, 0))
-        assert concat(unit, from_ball[2]).eq(from_graph[2])
-        assert concat(from_ball[2], unit).eq(from_graph[2])
-        uv = concat(from_graph[0], from_ball[1])
-        ((l, c),) = uv.terms.items()
+            assert star(b, w).terms == star(dchain, u).terms
+            for i in range(3):
+                assert cup(b, w, i).terms == cup(dchain, u, i).terms
+        uv = concat(from_ball[0], from_ball[1])
+        assert uv.terms == concat(from_graph[0], from_graph[1]).terms
+        ((l, _),) = uv.terms.items()
         assert l.edge_ids() == _loop_ids(from_graph[0]) + _loop_ids(from_graph[1])
-        assert uv.eq(concat(from_graph[0], from_graph[1]))
-        for i in range(3):
-            want = cup(dchain, from_graph[1], i)
-            assert cup(dchain, from_ball[1], i).eq(want)
-            assert cup(b, from_graph[1], i).eq(want)
-        assert cup(dchain, unit, 0).eq(cup(dchain, basis(dchain, 0)[0], 0))
-        assert cup(b, unit, 0).eq(cup(dchain, unit, 0))
 
     def test_loops_of_a_vector_share_a_start(self, chain):
         ctx = chain.context
-        at0, at1 = loop_vector(Path.empty(ctx, 0)), loop_vector(Path.empty(ctx, 1))
+        at0 = loop_vector(chain, Path.empty(ctx, 0))
+        at1 = loop_vector(chain, Path.empty(ctx, 1))
         assert not at0.eq(at1) and at0 != at1
         with pytest.raises(ValueError, match="start vertex"):
             at0 + at1
-        with pytest.raises(ValueError, match="start vertex"):
-            LoopVector(0, {Path.empty(ctx, 0): Coefficient.one(ctx),
-                           Path.empty(ctx, 1): Coefficient.one(ctx)})
+
+    @pytest.mark.parametrize("name", ["wrong-endpoints.dg", "self-conjugate.dg"])
+    def test_conjugates_come_from_the_graph(self, name):
+        # each file names a conjugate that is not an edge back from the
+        # target; pairing conjugates by id alone once certified its spectrum
+        with open(os.path.join(os.path.dirname(__file__), "golden", name)) as fh:
+            g = parse_graph(fh.read()).graph
+        with pytest.raises(GraphConstructionError, match="not found at 1"):
+            modular_spectrum(g, 4, verify=True)
+
+    def test_conjugate_pair_must_be_mutual(self):
+        # e0's conjugate e1 names e2 as its own conjugate
+        ctx = GeneratorContext((), 1e-9)
+        one = ctx.identity()
+        out = {0: (Edge("e0", 0, 1, one, "e1"),),
+               1: (Edge("e1", 1, 0, one, "e2"), Edge("e2", 1, 0, one, "e1"))}
+        g = DeltaGraph(2, ctx, 0, out.__getitem__)
+        with pytest.raises(ValueError, match="has conjugate 'e2'"):
+            basis(g, 2)
 
     def test_frontier_anchor_raises_on_every_call(self, chain):
         b = ball(chain, 1)

@@ -180,7 +180,7 @@ def _scalar(g, k):
 
 
 def _combination(g, n, vecs, ks):
-    v = zero_vector(n)
+    v = zero_vector(g, n)
     for b, k in zip(vecs, ks):
         v = v + b.scaled(_scalar(g, k))
     return v
@@ -205,7 +205,7 @@ def test_cup_cap_relations_on_combinations(g, n, data):
     ks, v = _draw_combination(data, g, n, vecs)
     for i in range(n + 1):
         up = cup(g, v, i)
-        want = zero_vector(n)
+        want = zero_vector(g, n)
         for b, k in zip(vecs, ks):
             (l,) = b.terms
             at = l.edges[i - 1].target if i else l.start
