@@ -215,7 +215,9 @@ class TruncatedGraph(DeltaGraph):
     It is a delta graph whose frontier is its boundary: boundary vertices
     (at full radius, or sitting on the underlying graph's own frontier) have
     incomplete adjacency, are exempt from fairness and are never expanded
-    past.  Its vertices are its declared vertices, in ``vid_key`` order.
+    past.  Its vertices are its declared vertices, in the order of ``out``;
+    BFS discovery order for a ball.  Every constructor passes ``out`` in a
+    deterministic order, never one that follows set iteration.
     """
 
     def __init__(
@@ -238,7 +240,7 @@ class TruncatedGraph(DeltaGraph):
             context,
             basepoint,
             self._out.__getitem__,
-            declared_vertices=sorted(self._out, key=vid_key),
+            declared_vertices=self._out,
             frontier=self.boundary.__contains__,
             label=label,
         )

@@ -201,11 +201,15 @@ def parse_graph(text: str) -> GraphDocument:
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
 
+    parsed: dict[str, Weight] = {}  # each distinct weight text is parsed once
+
     def weight_at(ln, text):
-        try:
-            return parse_weight(text, ctx)
-        except WeightFormatError as exc:
-            fail(ln, str(exc))
+        if text not in parsed:
+            try:
+                parsed[text] = parse_weight(text, ctx)
+            except WeightFormatError as exc:
+                fail(ln, str(exc))
+        return parsed[text]
 
     vertices = []
     vertex_weights = {}

@@ -3,18 +3,19 @@
 One backtracking engine, :func:`matchings`, serves both isomorphism testing
 (:func:`iso_check`) and the partial automorphisms of
 :mod:`deltagraph.invariants`.  It maps vertices in the discovery order of
-:func:`deltagraph.graph.bfs_tree` over edges taken in ``vid_key`` order of
-their ids, from an explicit stack, so search depth is not bounded by the
-recursion limit, and checks each new pair only against its already-mapped
-neighbours, in the manner of VF2 (Cordella et al., TPAMI 2004).  No canonical labeling.  Two
-truncations are isomorphic when a vertex bijection induces an edge bijection
-preserving source, target, weight, conjugation and boundary flags.
+:func:`deltagraph.graph.bfs_tree` over edges taken in their stored order,
+from an explicit stack, so search depth is not bounded by the recursion
+limit, and checks each new pair only against its already-mapped neighbours,
+in the manner of VF2 (Cordella et al., TPAMI 2004).  Mappings come out in
+that stored-edge order, not sorted by vertex id.  No canonical labeling.
+Two truncations are isomorphic when a vertex bijection induces an edge
+bijection preserving source, target, weight, conjugation and boundary flags.
 """
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .graph import Edge, TruncatedGraph, VertexId, bfs_tree, vid_key
+from .graph import Edge, TruncatedGraph, VertexId, bfs_tree
 
 
 def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
@@ -23,7 +24,7 @@ def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
     if t.basepoint not in keep:
         raise ValueError("basepoint is on the boundary; nothing to restrict to")
     out = {
-        v: tuple(e for e in t.out_edges(v) if e.target in keep) for v in keep
+        v: tuple(e for e in t.out_edges(v) if e.target in keep) for v in t.interior
     }
     return TruncatedGraph(
         delta=t.delta,
@@ -91,19 +92,17 @@ def matchings(
     """Every edge-preserving injection of g1 into g2 sending g1's basepoint
     to one of ``roots``.
 
-    Vertices of g1 are mapped in the order of its BFS tree over edges sorted
-    by ``vid_key`` (a ``ValueError`` unless the tree reaches every vertex);
-    each is sent along an edge of the image of its tree parent, trying
-    candidates in ``vid_key`` order, so mappings come out in that
-    lexicographic order.  Edges between mapped
+    Vertices of g1 are mapped in the order of its BFS tree over its stored
+    edges (a ``ValueError`` unless the tree reaches every vertex); each is
+    sent along an edge of the image of its tree parent, trying roots in the
+    order given and candidates in g2's stored-edge order, so mappings come
+    out in that order, not sorted by vertex id.  Edges between mapped
     vertices must inject class by class (:func:`edges_inject`), and onto
     where their source is matched exactly: every vertex when ``bijective``,
     else the interior ones, which also carry their full outgoing multiset.
     ``bijective`` also requires boundary flags to agree.
     """
-    parent = bfs_tree(
-        lambda v: sorted(g1.out_edges(v), key=lambda e: vid_key(e.eid)), g1.basepoint
-    )
+    parent = bfs_tree(g1.out_edges, g1.basepoint)
     if len(parent) != len(g1.vertices):
         raise ValueError("matching requires truncations connected from the basepoint")
     order = list(parent)
@@ -136,14 +135,14 @@ def matchings(
 
     def candidates(i: int) -> Iterator[VertexId]:
         if i == 0:
-            return iter(sorted(roots, key=vid_key))
+            return iter(roots)
         e = parent[order[i]]
         got = dict.fromkeys(
             f.target
             for f in g2.out_edges(mapping[e.source])
             if f.target not in inverse and _weq(f.weight, e.weight)
         )
-        return iter(sorted(got, key=vid_key))
+        return iter(got)
 
     stack = [candidates(0)]
     while stack:

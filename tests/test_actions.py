@@ -88,6 +88,21 @@ class TestCheckAction:
         assert report.passed
         assert report.skipped > 0
 
+    def test_neighbour_image_outside_ball_is_skipped(self, chain):
+        # the shift by one, except that 1 goes far outside the radius-3 ball
+        # (vertices -3..3, boundary -3 and 3).  Interior 0 goes to interior
+        # 1, but its neighbour 1 has no image in the ball: that edge pair is
+        # skipped, not failed.  Skipped: the weights at 1 and at 3 (whose
+        # image 4 is outside), the pair 0 -> 1, and the adjacency of 1 (image
+        # outside) and of 2 (image on the boundary).  Checked: five weights,
+        # and two edge pairs at each of -2 and -1, one at 0.
+        gen = ActionGenerator(
+            "s", chain.context.gen("q"), lambda v: 100 if v == 1 else v + 1
+        )
+        report = check_action(chain, GraphAction((gen,)), 3)
+        assert report.passed and report.failures == ()
+        assert (report.skipped, report.checked) == (5, 10)
+
 
 class TestQuotient:
     def test_full_shift_single_vertex(self, chain):

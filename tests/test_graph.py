@@ -11,6 +11,9 @@ from deltagraph import (
     cycle,
     double_chain,
     enumerate_loops,
+    grid,
+    parse_graph,
+    serialize_graph,
     single_chain,
     validate,
     vertex_weighting,
@@ -57,6 +60,18 @@ class TestValidate:
         g = DeltaGraph(2.5, ctx, 0, out)
         report = validate(g, 2)
         assert not report.check("fairness").passed
+
+    def test_failures_listed_in_ball_order(self):
+        # a written ball names its vertices v0, v1, ... in BFS order; under a
+        # wrong delta every interior vertex (the 13 within distance 2) is
+        # unfair, and the failures come nearest first, so v2 before v10
+        # (sorted ids would put v10 first)
+        lines = serialize_graph(grid(2, 3), 3).splitlines()
+        text = "\n".join("delta 9.0" if ln.startswith("delta ") else ln for ln in lines)
+        fair = validate(parse_graph(text).graph, 3).check("fairness")
+        assert [d.split(":")[0] for d in fair.details] == [
+            "vertex 'v%d'" % i for i in range(13)
+        ]
 
     def test_infinite_delta_rejected(self):
         with pytest.raises(ValueError, match="delta must be finite, got inf"):

@@ -15,6 +15,7 @@ import pytest
 from deltagraph import (
     NonTracialGraphError,
     deformed_chain,
+    grid,
     partial_automorphisms,
     single_chain,
     t0,
@@ -49,6 +50,25 @@ class TestPartialAutomorphisms:
             )
             shifts.add((i, j))
         assert len(shifts) == 13
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (5, 2)])
+    @pytest.mark.parametrize("r, s", [(1, 1), (1, 3), (2, 2), (3, 1)])
+    def test_grid_translations_by_radius_and_shift(self, a, b, r, s):
+        # the matcher's order is its stored-edge order; the set it finds is
+        # one translation per lattice point within distance s, and no other map
+        g = grid(a, b)
+        autos = partial_automorphisms(g, r, s)
+        assert len(autos) == 2 * s * s + 2 * s + 1
+        shifts = set()
+        for auto in autos:
+            i, j = auto.mapping[(0, 0)]
+            assert all(auto.mapping[v] == (v[0] + i, v[1] + j) for v in auto.mapping)
+            assert auto.star_image_weight == g.context.exact(a=i, b=j)
+            shifts.add((i, j))
+        assert shifts == {
+            (i, j) for i in range(-s, s + 1) for j in range(-s, s + 1) if abs(i) + abs(j) <= s
+        }
+        assert {w.text() for w in t0(g, r, s).generators} == {"a^1", "b^1"}
 
     def test_identity_present(self, chain):
         autos = partial_automorphisms(chain, 2, 2)

@@ -2,7 +2,14 @@
 non-isomorphic pairs that every prefilter passes, and the mappings of the
 shared matcher carrying every edge."""
 
+import math
+import os
+import subprocess
+import sys
+
 import pytest
+
+import deltagraph
 
 from deltagraph import (
     TruncatedGraph,
@@ -115,6 +122,26 @@ class TestIsoCheck:
         t = ball(g, 3)
         inner = interior_restriction(t)
         assert list(inner.distance) == [v for v in t.distance if v not in t.boundary]
+        assert inner.vertices == t.interior
+
+    def test_unrooted_interior_mapping_ignores_hash_seed(self):
+        # the radius-3 ball of the 4-cycle is the whole cycle, so every root
+        # of its interior works and the one tried first names the mapping;
+        # with string vertex ids, a set's order would follow the hash seed
+        code = (
+            "from deltagraph import *\n"
+            "b = ball(parse_graph(serialize_graph(cycle(4, 1), 3)).graph, 3)\n"
+            "print(sorted(iso_check(b, b, fix_basepoint=False, interior_only=True).items()))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(deltagraph.__file__)))
+        got = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            got.add(out.stdout)
+        assert got == {"[('v0', 'v0'), ('v1', 'v1'), ('v2', 'v2'), ('v3', 'v3')]\n"}
 
     def test_free_basepoint(self, cycle4_flat):
         b = ball(cycle4_flat, 2)
@@ -212,6 +239,112 @@ def test_mappings_carry_edges(name, radius, assert_carries_edges):
     assert autos
     for a in autos:
         assert_carries_edges(b, big, a.mapping)
+
+
+def _assert_edge_bijection(g1, g2, mapping):
+    """Independent check that ``mapping`` is an isomorphism, edge by edge:
+    a bijection of vertices keeping boundary flags, and an explicit edge
+    bijection, paired with conjugation, sending each edge to one joining
+    the images with an equal weight value.  Parallel edges of one weight
+    are interchangeable, so greedy pairing finds such a bijection when
+    one exists."""
+    assert sorted(mapping) == sorted(g1.vertices)
+    assert sorted(mapping.values()) == sorted(g2.vertices)
+    for u, v in mapping.items():
+        assert (u in g1.boundary) == (v in g2.boundary), "%r -> %r: boundary flags differ" % (u, v)
+
+    def fits(e, f):
+        return (mapping[e.source], mapping[e.target]) == (f.source, f.target) and math.isclose(
+            e.weight.value, f.weight.value, rel_tol=1e-9
+        )
+
+    image = {}
+    used = set()
+    for e in g1.edges():
+        if e.eid in image:
+            continue
+        ce = g1.conjugate_edge(e)
+        f = next(
+            (
+                f
+                for f in g2.edges()
+                if f.eid not in used
+                and fits(e, f)
+                and (f.conjugate == f.eid) == (e.conjugate == e.eid)
+                and fits(ce, g2.conjugate_edge(f))
+            ),
+            None,
+        )
+        assert f is not None, "edge %r has no image" % (e,)
+        image[e.eid] = f.eid
+        image[ce.eid] = f.conjugate
+        used.update((f.eid, f.conjugate))
+    assert len(used) == len(image) == g1.edge_count() == g2.edge_count()
+
+
+def _float_ball(g, radius):
+    """The radius ball of g, written out and read back with every generator
+    weight as its float value, so the a and b families of equal value fall
+    into one weight class."""
+    text = serialize_graph(g, radius)
+    for name in ("a", "b"):
+        value = dict(g.context.generators)[name]
+        text = text.replace(" weight %s^1 " % name, " weight %r " % value)
+        text = text.replace(" weight %s^-1 " % name, " weight %r " % (1 / value))
+    assert "^" not in text
+    return ball(parse_graph(text).graph, radius)
+
+
+@pytest.mark.parametrize("radius", [1, 3])
+def test_double_chain_equal_weights_edge_bijection(radius):
+    # a = b: in the float ball the a and b edges between two neighbours are
+    # parallel with one weight, so only conjugation tells them apart
+    b = ball(double_chain(2, 2), radius)
+    f = _float_ball(double_chain(2, 2), radius)
+    for g1, g2 in ((b, b), (b, f), (f, b), (f, f)):
+        for fix in (True, False):
+            m = iso_check(g1, g2, fix_basepoint=fix)
+            assert m is not None
+            _assert_edge_bijection(g1, g2, m)
+
+
+def test_equal_weight_grid_tries_several_candidates():
+    # in the float grid(2, 2) every vertex has two neighbours of each weight,
+    # so the matcher meets two candidates per level and several symmetric
+    # answers; whichever it returns first must be an isomorphism
+    b = ball(grid(2, 2), 3)
+    f = _float_ball(grid(2, 2), 3)
+    for g1, g2 in ((f, f), (b, f)):
+        for fix in (True, False):
+            m = iso_check(g1, g2, fix_basepoint=fix)
+            assert m is not None
+            _assert_edge_bijection(g1, g2, m)
+
+
+def test_edge_bijection_helper_rejects():
+    def loops(conj):
+        # two unit self-loops at the basepoint, conjugate to each other or
+        # each self-conjugate, and a pair of edges to a boundary vertex
+        return ball(parse_graph(
+            "delta-graph v1\ndelta 4.0\nvertex 0\nvertex 1\n"
+            "edge s0 0 0 weight 1 conjugate %s\nedge s1 0 0 weight 1 conjugate %s\n"
+            "edge f 0 1 weight 1 conjugate r\nedge r 1 0 weight 1 conjugate f\n"
+            "basepoint 0\n" % conj
+        ).graph, 1)
+
+    paired, selfish = loops(("s1", "s0")), loops(("s0", "s1"))
+    ident = {0: 0, 1: 1}
+    _assert_edge_bijection(paired, paired, ident)
+    _assert_edge_bijection(selfish, selfish, ident)
+    with pytest.raises(AssertionError, match="no image"):
+        _assert_edge_bijection(paired, selfish, ident)
+    unflagged = TruncatedGraph(
+        delta=paired.delta, context=paired.context, basepoint=0, radius=1,
+        out={v: paired.out_edges(v) for v in paired.vertices}, distance=paired.distance,
+        boundary=(),
+    )
+    with pytest.raises(AssertionError, match="boundary"):
+        _assert_edge_bijection(paired, unflagged, ident)
 
 
 def test_carries_edges_wants_exact_images(chain, assert_carries_edges):

@@ -1,7 +1,9 @@
 """Weight arithmetic: group laws, square roots, equality semantics,
 text round-trips, and generator reduction."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from deltagraph.weights import (
     ContextMismatchError,
     GeneratorContext,
     WeightFormatError,
+    _lattice_basis,
     parse_weight,
     reduce_generators,
 )
@@ -154,3 +157,87 @@ class TestReduceGenerators:
         ws = [ctx.float_weight(v) for v in (2.0, 0.5, 2.0 + 1e-12, 1.0, 3.0)]
         gens = reduce_generators(ws, ctx)
         assert [round(g.value, 9) for g in gens] == [2.0, 3.0]
+
+
+def _det(m) -> Fraction:
+    """Determinant of a square integer matrix by Fraction elimination."""
+    m = [[Fraction(a) for a in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def _rank_and_divisor(rows, ncols):
+    """Rank k of the rows and the gcd of their k x k minors.  Both are
+    invariant under unimodular row operations, and for lattices L1 <= L2 of
+    equal rank the divisor of L1 is [L2 : L1] times that of L2."""
+    for k in range(min(len(rows), ncols), 0, -1):
+        g = 0
+        for rs in combinations(rows, k):
+            for cs in combinations(range(ncols), k):
+                g = math.gcd(g, int(_det([[r[c] for c in cs] for r in rs])))
+        if g:
+            return k, g
+    return 0, 0
+
+
+def _in_span(row, basis) -> bool:
+    """Is ``row`` an integer combination of the echelon ``basis``?"""
+    row = list(row)
+    for b in basis:
+        c = next(i for i, a in enumerate(b) if a)
+        q, rem = divmod(row[c], b[c])
+        if rem:
+            return False
+        row = [a - q * x for a, x in zip(row, b)]
+    return not any(row)
+
+
+int_rows = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4)
+)
+
+
+class TestLatticeBasis:
+    @given(int_rows)
+    def test_hermite_normal_form_of_the_same_lattice(self, rows):
+        basis = _lattice_basis(rows)
+        ncols = len(rows[0]) if rows else 0
+        pivots = [next(c for c, a in enumerate(b) if a) for b in basis]
+        assert pivots == sorted(set(pivots))
+        for i, (b, c) in enumerate(zip(basis, pivots)):
+            assert b[c] > 0
+            assert all(0 <= above[c] < b[c] for above in basis[:i])
+        # the rows lie in the basis lattice, and that lattice has the rows'
+        # rank and divisor, so its index over the rows' lattice is 1
+        assert all(_in_span(r, basis) for r in rows)
+        assert _rank_and_divisor(basis, ncols) == _rank_and_divisor(rows, ncols)
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([[2], [3]], [[1]]),  # q^2, q^3 -> q: a nonzero Euclid remainder
+            ([[0, 4], [0, 6], [-2, 1]], [[2, 1], [0, 2]]),  # b^4, b^6, a^-2 b -> a^2 b, b^2
+            ([[0, 2], [0, 3]], [[0, 1]]),  # an empty first column
+            ([[-3]], [[3]]),  # a negative pivot is negated
+        ],
+    )
+    def test_fixed_cases(self, rows, want):
+        assert _lattice_basis(rows) == want
+
+    def test_generators_through_the_basis(self):
+        assert [g.text() for g in reduce_generators([CTX.exact(q=2), CTX.exact(q=3)], CTX)] == [
+            "q^1"
+        ]
+        ws = [w2(0, 4), w2(0, 6), w2(-2, 1)]
+        assert [g.text() for g in reduce_generators(ws, CTX2)] == ["a^2 * b^1", "b^2"]
