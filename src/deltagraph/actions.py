@@ -167,7 +167,7 @@ def _check_action(
     return ActionReport(not failures, tuple(failures), checked, skipped)
 
 
-def _orbits(b: TruncatedGraph, action: GraphAction):
+def _orbits(b: TruncatedGraph, action: GraphAction) -> list[list[VertexId]]:
     """Partition ball vertices into orbits, closing under generators and
     their inverses but never stepping outside the ball."""
     maps = []
@@ -180,25 +180,24 @@ def _orbits(b: TruncatedGraph, action: GraphAction):
             inv[w] = v
         maps.append(fwd)
         maps.append(inv)
-    assigned: dict[VertexId, int] = {}
+    seen: set[VertexId] = set()
     orbits: list[list[VertexId]] = []
     for v in b.vertices:
-        if v in assigned:
+        if v in seen:
             continue
-        idx = len(orbits)
         members = [v]
-        assigned[v] = idx
+        seen.add(v)
         queue = deque([v])
         while queue:
             u = queue.popleft()
             for m in maps:
                 w = m.get(u)
-                if w is not None and w not in assigned:
-                    assigned[w] = idx
+                if w is not None and w not in seen:
+                    seen.add(w)
                     members.append(w)
                     queue.append(w)
         orbits.append(members)
-    return orbits, assigned
+    return orbits
 
 
 def orbit_partition(g: DeltaGraph, action: GraphAction, radius: int) -> tuple[Orbit, ...]:
@@ -211,9 +210,8 @@ def orbit_partition(g: DeltaGraph, action: GraphAction, radius: int) -> tuple[Or
 def _orbit_partition(
     b: TruncatedGraph, wv: Mapping[VertexId, Weight], action: GraphAction
 ) -> tuple[Orbit, ...]:
-    orbit_lists, _ = _orbits(b, action)
     orbits = []
-    for members in orbit_lists:
+    for members in _orbits(b, action):
         # sorted this way, equal exact weights and tolerance-equal float
         # weights sit next to each other, so neighbours show any shared weight
         ranked = sorted(members, key=lambda m: (wv[m].log_value, wv[m].key(), vid_key(m)))

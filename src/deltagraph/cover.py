@@ -159,8 +159,14 @@ def lift_loop(g: DeltaGraph, l: Path, cover: TruncatedGraph | None = None) -> Pa
     """Trace a weight-1 based loop through the tracial cover.
 
     The lift is injective on weight-1 loops and multiplicative under
-    concatenation; loops of non-unit weight are rejected.
+    concatenation; paths that are not loops at the basepoint, and loops of
+    non-unit weight, are rejected.
     """
+    if l.start != g.basepoint or not l.is_loop():
+        raise ValueError(
+            "not a loop at the basepoint %r: the path runs from %r to %r"
+            % (g.basepoint, l.start, l.target)
+        )
     ctx = g.context
     if not l.weight.eq(ctx.identity()):
         raise LoopLiftError(l.weight)

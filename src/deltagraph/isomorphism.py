@@ -48,10 +48,6 @@ def _weq(w1, w2) -> bool:
     return abs(w1.value - w2.value) <= tol * max(w1.value, w2.value)
 
 
-def _signature(t: TruncatedGraph, v: VertexId):
-    return (v in t.boundary, len(t.out_edges(v)))
-
-
 def edges_inject(small: Sequence[Edge], big: Sequence[Edge], bijective: bool) -> bool:
     """Can the small edge multiset map into the big one class by class?
 
@@ -165,17 +161,14 @@ def matchings(
 
 
 def iso_check(
-    g1: TruncatedGraph,
-    g2: TruncatedGraph,
-    fix_basepoint: bool = True,
-    *,
-    interior_only: bool = False,
+    g1: TruncatedGraph, g2: TruncatedGraph, *, interior_only: bool = False
 ) -> dict | None:
-    """Vertex bijection inducing a weight/conjugation-preserving edge bijection.
+    """Vertex bijection inducing a weight/conjugation-preserving edge bijection
+    that sends g1's basepoint to g2's.
 
     Returns the mapping g1 -> g2, or None: the first mapping of
-    :func:`matchings` in bijective mode, after cheap count and signature
-    (boundary flag, out-degree) prefilters.  With ``interior_only`` both
+    :func:`matchings` in bijective mode from the root ``g2.basepoint``,
+    after cheap vertex- and edge-count checks.  With ``interior_only`` both
     sides are first restricted to their interior-induced subgraphs.
     """
     if g1.radius != g2.radius:
@@ -187,8 +180,4 @@ def iso_check(
         return None
     if g1.edge_count() != g2.edge_count():
         return None
-    sig2 = {_signature(g2, v) for v in g2.vertices}
-    if any(_signature(g1, v) not in sig2 for v in g1.vertices):
-        return None
-    roots = [g2.basepoint] if fix_basepoint else g2.vertices
-    return next(matchings(g1, g2, roots, bijective=True), None)
+    return next(matchings(g1, g2, [g2.basepoint], bijective=True), None)

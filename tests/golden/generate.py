@@ -113,6 +113,7 @@ def runs() -> list[list[str]]:
         ["build", "double_chain", "a=2", "b=3", "--radius", "2", "--out", "built.dg"],
         ["validate", "double_chain:a=2,b=3"],
         ["validate", "mixed.dg"],
+        ["validate", "unfair.dg", "--radius", "3"],
     ]
     for name in BROKEN:
         out += [["validate", name], ["cover", name, "--radius", "2"]]
@@ -180,6 +181,12 @@ def run(argv: list[str]) -> dict:
 def write_inputs():
     from deltagraph import builders, serialize_graph
 
+    # two interior vertices made unfair by a unit self-loop each: v2 is
+    # nearer the basepoint than v10, which sorts first by id
+    unfair = serialize_graph(builders.grid(2, 3), 3).replace(
+        "basepoint ",
+        "edge x0 v2 v2 weight 1 conjugate x0\nedge x1 v10 v10 weight 1 conjugate x1\nbasepoint ",
+    )
     mixed = serialize_graph(builders.double_chain(2, 3), 4).replace("weight a^1 ", "weight 2.0 ")
     ambiguous = serialize_graph(builders.double_chain(2, 2), 4).replace("weight a^1 ", "weight 2.0 ")
     chain = builders.single_chain(2)
@@ -192,6 +199,7 @@ def write_inputs():
         ("chain-action.dg", chain_action),
         ("inf-delta.dg", INF_DELTA),
         ("huge-weight.dg", HUGE_WEIGHT),
+        ("unfair.dg", unfair),
         *zip(BROKEN, (SELF_CONJUGATE, WRONG_ENDPOINTS, NON_INVERSE)),
     ):
         with open(os.path.join(HERE, name), "w", encoding="utf-8") as fh:

@@ -81,10 +81,10 @@ def test_2_modular_spectrum():
 
 def test_3_tracial_cover():
     cov, _ = tracial_cover(double_chain(2, 3), 3)
-    assert iso_check(cov, ball(grid(2, 3), 3), fix_basepoint=True, interior_only=True)
+    assert iso_check(cov, ball(grid(2, 3), 3), interior_only=True)
     for g in (single_chain(2), cycle(4, 1), deformed_chain(1.05, 0.3)):
         cov, _ = tracial_cover(g, 3)
-        assert iso_check(cov, ball(g, 3), fix_basepoint=True) is not None
+        assert iso_check(cov, ball(g, 3)) is not None
     _ok(3, "cover(double chain) = grid on interiors; tracial inputs are fixed points")
 
 
@@ -109,22 +109,22 @@ def test_4_mu_bijection():
 def test_5_quotients():
     ch = single_chain(2)
     q3 = quotient(ch, chain_shift_action(ch, 3), 4)
-    assert iso_check(q3, ball(cycle(3, 2), 4), fix_basepoint=True) is not None
+    assert iso_check(q3, ball(cycle(3, 2), 4)) is not None
     q1 = quotient(ch, chain_shift_action(ch, 1), 4)
     assert len(q1.vertices) == 1
     gr = grid(2, 3)
     qd = quotient(gr, lattice_shift_action(gr, (1, -1)), 4)
-    assert iso_check(qd, ball(double_chain(2, 3), 4), fix_basepoint=True, interior_only=True)
+    assert iso_check(qd, ball(double_chain(2, 3), 4), interior_only=True)
     for base, q in ((ch, q3), (ch, q1), (gr, qd)):
         cov, _ = tracial_cover(q, 4)
-        assert iso_check(cov, ball(base, 4), fix_basepoint=True, interior_only=True)
+        assert iso_check(cov, ball(base, 4), interior_only=True)
     _ok(5, "chain/<q^3> = 3-cycle; chain/<q> a point; cover(quotient) = original at r=4")
 
 
 def test_6_recovery():
     for g in (double_chain(2, 3), single_chain(2), cycle(3, 2)):
         rec = recover(g, 4)
-        assert iso_check(rec, ball(g, 4), fix_basepoint=True, interior_only=True)
+        assert iso_check(rec, ball(g, 4), interior_only=True)
     _ok(6, "recover(g, 4) = ball(g, 4) on interiors for the three example graphs")
 
 

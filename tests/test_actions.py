@@ -124,11 +124,11 @@ class TestQuotient:
 
     def test_three_step_shift_is_cycle(self, chain, cycle3):
         q = quotient(chain, chain_shift_action(chain, 3), 4)
-        assert iso_check(q, ball(cycle3, 4), fix_basepoint=True) is not None
+        assert iso_check(q, ball(cycle3, 4)) is not None
 
     def test_grid_antidiagonal_is_double_chain(self, grid23, dchain):
         q = quotient(grid23, lattice_shift_action(grid23, (1, -1)), 4)
-        assert iso_check(q, ball(dchain, 4), fix_basepoint=True, interior_only=True)
+        assert iso_check(q, ball(dchain, 4), interior_only=True)
 
     def test_unit_weight_generator_rejected_before_orbits(self, cycle4_flat):
         # a flat cycle's rotation scales weights by 1 but moves vertices, so
@@ -179,12 +179,12 @@ class TestQuotient:
     def test_roundtrip_chain(self, chain, steps):
         q = quotient(chain, chain_shift_action(chain, steps), 4)
         cov, _ = tracial_cover(q, 4)
-        assert iso_check(cov, ball(chain, 4), fix_basepoint=True, interior_only=True)
+        assert iso_check(cov, ball(chain, 4), interior_only=True)
 
     def test_roundtrip_grid(self, grid23):
         q = quotient(grid23, lattice_shift_action(grid23, (1, -1)), 4)
         cov, _ = tracial_cover(q, 4)
-        assert iso_check(cov, ball(grid23, 4), fix_basepoint=True, interior_only=True)
+        assert iso_check(cov, ball(grid23, 4), interior_only=True)
 
     def test_unit_self_loops_pair_among_themselves(self, chain):
         # each vertex of the chain also carries unit self-loops x <-> y and a
@@ -229,7 +229,7 @@ class TestRecover:
     def test_recover_matches_ball(self, maker, assert_carries_edges):
         g = maker()
         rec = recover(g, 4)
-        m = iso_check(rec, ball(g, 4), fix_basepoint=True, interior_only=True)
+        m = iso_check(rec, ball(g, 4), interior_only=True)
         assert m
         assert_carries_edges(rec, ball(g, 4), m)
 
@@ -244,4 +244,4 @@ class TestRecover:
         # wide enough radius: the whole cycle, boundary-free
         assert len(rec.vertices) == 3
         assert not rec.boundary
-        assert iso_check(rec, ball(cycle3, 4), fix_basepoint=True) is not None
+        assert iso_check(rec, ball(cycle3, 4)) is not None

@@ -64,19 +64,19 @@ class TestPathGraph:
 class TestTracialCover:
     def test_fixed_point_chain(self, chain):
         cov, nu = tracial_cover(chain, 3)
-        assert iso_check(cov, ball(chain, 3), fix_basepoint=True) is not None
+        assert iso_check(cov, ball(chain, 3)) is not None
 
     def test_fixed_point_deformed(self, deformed):
         cov, _ = tracial_cover(deformed, 3)
-        assert iso_check(cov, ball(deformed, 3), fix_basepoint=True) is not None
+        assert iso_check(cov, ball(deformed, 3)) is not None
 
     def test_double_chain_cover_is_grid(self, dchain, grid23):
         cov, _ = tracial_cover(dchain, 2)
-        assert iso_check(cov, ball(grid23, 2), fix_basepoint=True) is not None
+        assert iso_check(cov, ball(grid23, 2)) is not None
 
     def test_cycle_cover_is_chain(self, cycle3):
         cov, _ = tracial_cover(cycle3, 3)
-        assert iso_check(cov, ball(single_chain(2), 3), fix_basepoint=True) is not None
+        assert iso_check(cov, ball(single_chain(2), 3)) is not None
 
     def test_finite_cover_is_exhausted(self, cycle4_flat):
         # a tracial finite graph is its own cover, and the ball says so
@@ -146,7 +146,7 @@ class TestTracialCover:
     def test_idempotent_on_interiors(self, dchain, r, assert_carries_edges):
         cov1, _ = tracial_cover(dchain, r + 1)
         cov2, _ = tracial_cover(cov1, r + 1)
-        m = iso_check(cov2, cov1, fix_basepoint=True, interior_only=True)
+        m = iso_check(cov2, cov1, interior_only=True)
         assert m is not None
         assert_carries_edges(cov2, cov1, m)
 
@@ -176,6 +176,32 @@ class TestLiftLoop:
         with pytest.raises(LoopLiftError) as exc:
             lift_loop(dchain, bad)
         assert exc.value.weight.value in (pytest.approx(2 / 3), pytest.approx(3 / 2))
+
+    @staticmethod
+    def _walk(g, start, eids):
+        from deltagraph.graph import Path
+
+        edges, at = [], start
+        for eid in eids:
+            e = next(e for e in g.out_edges(at) if e.eid == eid)
+            edges.append(e)
+            at = e.target
+        return Path.of(g.context, start, edges)
+
+    def test_rejects_open_path(self):
+        # unit weight, but it ends two steps round the cycle from where it began
+        g = cycle(4, 1)
+        path = self._walk(g, 0, [("f", 0), ("f", 1)])
+        with pytest.raises(ValueError, match="runs from 0 to 2"):
+            lift_loop(g, path)
+
+    def test_rejects_loop_off_the_basepoint(self):
+        # a unit-weight loop at vertex 1 that no cover radius could trace
+        g = single_chain(2)
+        loop = self._walk(g, 1, [("r", 1), ("l", 2)])
+        assert loop.is_loop() and loop.weight.is_identity()
+        with pytest.raises(ValueError, match="runs from 1 to 1"):
+            lift_loop(g, loop)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_counting_bijection(self, dchain, n):

@@ -20,7 +20,7 @@ class TestRoundtrip:
     def test_serialize_parse_iso(self, chain):
         text = serialize_graph(chain, 2)
         doc = parse_graph(text)
-        assert iso_check(ball(doc.graph, 2), ball(chain, 2), fix_basepoint=True)
+        assert iso_check(ball(doc.graph, 2), ball(chain, 2))
 
     def test_canonical_fixed_point(self, dchain):
         text = serialize_graph(dchain, 2)
@@ -58,7 +58,7 @@ class TestRoundtrip:
         # the parsed table gives the same quotient as the built-in shift
         q1 = quotient(doc.graph, doc.action, 4)
         q2 = quotient(chain, act, 4)
-        assert iso_check(q1, q2, fix_basepoint=True, interior_only=True)
+        assert iso_check(q1, q2, interior_only=True)
 
 
 CHAIN_DOC = """\

@@ -256,6 +256,28 @@ class TestRelationSuite:
             + [("star-involution", 3), ("star-involution", 4)]
         )
 
+    def test_gram_checks_off_diagonal_pairs(self, monkeypatch):
+        # a cap rule that also contracts any edge pair running back to where
+        # it began, conjugate or not, pairs distinct loops of double_chain(2, 3)
+        # (a out and b back against b out and a back), so the Gram matrix
+        # gains off-diagonal entries
+        g = double_chain(2, 3)
+        assert all(passed for _, _, passed, _ in relations(g, 4))
+        contraction = loop_algebra._contraction
+
+        def returning(e1, e2, table):
+            got = contraction(e1, e2, table)
+            a, b = table.edges[e1], table.edges[e2]
+            if got is None and (a.source, a.target) == (b.target, b.source):
+                return table.sqrt[e1]
+            return got
+
+        monkeypatch.setattr(loop_algebra, "_contraction", returning)
+        failed = [(name, n) for name, n, passed, _ in relations(g, 4) if not passed]
+        assert failed == [("zigzag", 2), ("gram", 2), ("modular-relation", 2)]
+        off = [(i, j, left) for i, j, left, _, _ in _inner_pairs(g, basis(g, 2)) if i != j]
+        assert any(not left.is_zero() for _, _, left in off)
+
 
 class TestEquality:
     def test_exact_coefficients_compare_terms(self):

@@ -70,7 +70,7 @@ def test_cover_is_tracial(g, r):
 def test_recover_matches_ball_on_interiors(assert_carries_edges, g, r):
     rec = recover(g, r)
     b = ball(g, r)
-    m = iso_check(rec, b, fix_basepoint=True, interior_only=True)
+    m = iso_check(rec, b, interior_only=True)
     assert m is not None
     assert_carries_edges(rec, b, m)
 
@@ -100,7 +100,7 @@ def test_quotient_cover_roundtrip(assert_carries_edges, shifted, r):
     g, action = shifted
     cov, _ = tracial_cover(quotient(g, action, r), r)
     b = ball(g, r)
-    m = iso_check(cov, b, fix_basepoint=True, interior_only=True)
+    m = iso_check(cov, b, interior_only=True)
     assert m is not None
     assert_carries_edges(cov, b, m)
 
