@@ -15,19 +15,23 @@ Since w(e) w(e-bar) = 1, cup and cap leave a loop's weight unchanged, so a
 loop is its edges and its weight is read off them only where an output asks
 for it.  Every vector belongs to one graph: it keys each loop by the tuple of
 its edges' int indices in that graph's edge table, which also holds each
-edge's conjugate, learnt from the graph, and w(e)^(1/2), so the maps hash and
-compare only ints.  Vectors of different graphs do not combine.  Where a
-loop's weight is asked for (star, the modular operator, the Gram check), it
-is read one way: the product of its edges' w(e)^(1/2) under
-``Coefficient``'s ``*``, taken over the conjugate-reversed loop for
-w(l)^(-1/2).  Every map builds its result through one accumulator, ``_vec``.
+edge's conjugate, learnt from the graph, and w(e)^(1/2) as a packed monomial
+and a scalar.  Vectors of different graphs do not combine.  A vector's
+terms are one dict ``(loop key, packed monomial) -> scalar`` under one
+packing, so the maps add monomials and multiply scalars, and a loop's weight
+(star, the modular operator, the Gram check) is read one way: the sum of its
+edges' monomials and the product of their scalars, over the
+conjugate-reversed loop for w(l)^(-1/2).  A :class:`Coefficient` is built
+only where a value leaves a vector.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .graph import Edge, Path, VertexId, enumerate_loops, loop_weight_counts, vid_key
 from .weights import Coefficient, Weight, group_weights
+from .weights import _aligned, _coefficient_at, _packed_coefficient, _repacked
 
 
 class _EdgeTable:
@@ -36,28 +40,50 @@ class _EdgeTable:
     Each edge gets an int index when first seen, kept for the table's
     lifetime, and its conjugate, found by ``graph.conjugate_edge``, is
     indexed with it; ``edges``, ``conj`` and ``sqrt`` hold, per index, the
-    :class:`Edge`, the index of its conjugate and w(e)^(1/2) as a
-    coefficient.  A conjugate that does not name the edge back, or an edge
-    id that names two different edges, raises ``ValueError``.  The table
-    also memoizes the cup rows of each anchor off the frontier.
+    :class:`Edge`, the index of its conjugate and w(e)^(1/2) as ``(packed
+    monomial, scalar)``: ``(m, 1)`` for an exact weight, ``(0, value)`` for a
+    float one.  The monomials share the table's packing ``(_den, _half,
+    _top)``, which only widens.  ``floats`` records whether a float scalar
+    has entered the table or its vectors.  A conjugate that does not name
+    the edge back, or an edge id that names two different edges, raises
+    ``ValueError``.  The table also memoizes the cup rows of each anchor off
+    the frontier.
     """
 
-    __slots__ = ("graph", "edges", "conj", "sqrt", "_index", "_rows")
+    __slots__ = ("graph", "edges", "conj", "sqrt", "floats", "_index", "_rows",
+                 "_den", "_half", "_top")
 
     def __init__(self, graph):
         self.graph = graph
         self.edges: list[Edge] = []
         self.conj: list[int] = []
-        self.sqrt: list[Coefficient] = []
+        self.sqrt: list[tuple] = []
+        self.floats = False
         self._index: dict = {}  # edge id -> index
         self._rows: dict = {}  # anchor -> cup rows
+        one = Coefficient.one(graph.context)
+        self._den, self._half, self._top = one._den, one._half, one._top
 
     def _add(self, e: Edge) -> int:
         k = self._index[e.eid] = len(self.edges)
         self.edges.append(e)
         self.conj.append(k)
-        self.sqrt.append(Coefficient.of_weight(e.weight.sqrt()))
+        c = Coefficient.of_weight(e.weight.sqrt())
+        if c.is_exact and (c._den != self._den or c._half != self._half):
+            self.repack(*_aligned(self, c)[:2])
+            c = _coefficient_at(c, self._den, self._half)
+        self.sqrt.append(_terms_of(c)[0])
+        self._top = max(self._top, c._top)
+        self.floats = self.floats or not c.is_exact
         return k
+
+    def repack(self, den: int, half: int) -> None:
+        """Re-pack over ``den`` at the width of ``half``, from ``_aligned``."""
+        if den != self._den or half != self._half:
+            f, self._top = _repacked(self, den, half, len(self.graph.context.names))
+            self.sqrt = [(f(m), s) for m, s in self.sqrt]
+            self._den, self._half = den, half
+            self._rows.clear()
 
     def index(self, e: Edge) -> int:
         k = self._index.get(e.eid)
@@ -75,29 +101,28 @@ class _EdgeTable:
         return k
 
     def rows(self, at: VertexId) -> tuple:
-        """``(e, e-bar, w(e)^(1/2))`` for each edge e out of ``at``, the
-        edges as indices; memoized, except that a frontier anchor raises
-        every time."""
+        """``(e, e-bar) + sqrt[e]`` for each edge e out of ``at``; memoized
+        until the table re-packs, except that a frontier anchor raises every
+        time."""
         got = self._rows.get(at)
         if got is None:
             if self.graph.is_frontier(at):
                 raise ValueError(
                     "cup anchored at %r, whose adjacency is truncated; enlarge the ball" % (at,)
                 )
-            got = []
-            for e in self.graph.out_edges(at):
-                k = self.index(e)
-                got.append((k, self.conj[k], self.sqrt[k]))
-            got = self._rows[at] = tuple(got)
+            ks = [self.index(e) for e in self.graph.out_edges(at)]
+            got = self._rows[at] = tuple((k, self.conj[k]) + self.sqrt[k] for k in ks)
         return got
 
-    def sqrt_weight(self, key: tuple[int, ...]) -> Coefficient:
-        """w(l)^(1/2) of the path l with these edges: the product of their
-        w(e)^(1/2).  Over the conjugate-reversed key it is w(l)^(-1/2)."""
-        c = Coefficient.one(self.graph.context)
+    def loop_sqrt(self, key: tuple[int, ...]) -> tuple:
+        """w(l)^(1/2) of the path l with these edges, as in ``sqrt``.  Over
+        the conjugate-reversed key it is w(l)^(-1/2)."""
+        m, f = 0, 1
         for k in key:
-            c = c * self.sqrt[k]
-        return c
+            mk, fk = self.sqrt[k]
+            m += mk
+            f = f * fk
+        return m, f
 
 
 def _table(graph) -> _EdgeTable:
@@ -122,25 +147,34 @@ class LoopVector:
     on one graph.
 
     A vector holds its ``length``, the ``start`` vertex its loops share, its
-    graph's edge table and ``keyed``, a dict from tuples of edge indices into
-    that table to nonzero coefficients.  :func:`loop_vector`,
+    graph's edge table and ``keyed``, a dict from ``(loop key, packed
+    monomial)`` to a nonzero scalar, the loop key being the tuple of the
+    loop's edge indices into that table; the monomials are packed as in
+    :class:`Coefficient`, by ``(_den, _half, _top)``.  :func:`loop_vector`,
     :func:`zero_vector` and :func:`basis` make the vectors of a graph, and
     every map here keeps its operands' table; operands from different
     graphs' tables raise ``ValueError``.  ``terms`` reads a vector back as a
-    dict from :class:`Path` to coefficient, built when read.
+    dict from :class:`Path` to coefficient, built on the first read.
     """
 
-    __slots__ = ("length", "start", "table", "keyed")
+    __slots__ = ("length", "start", "table", "keyed", "_den", "_half", "_top", "_terms")
     __hash__ = None  # mapping-valued; never used as a key
 
-    def __init__(self, length: int, start: VertexId, table: _EdgeTable, keyed: dict):
+    def __init__(self, length: int, start: VertexId, table: _EdgeTable, keyed: dict,
+                 den: int, half: int, top: int):
         self.length, self.start, self.table, self.keyed = length, start, table, keyed
+        self._den, self._half, self._top, self._terms = den, half, top, None
 
     @property
     def terms(self) -> dict[Path, Coefficient]:
-        t = self.table
-        return {Path(self.start, tuple(t.edges[k] for k in key), t.graph.context): c
-                for key, c in self.keyed.items()}
+        got = self._terms
+        if got is None:
+            t = self.table
+            got = self._terms = {
+                Path(self.start, tuple(t.edges[k] for k in key), t.graph.context): c
+                for key, c in _loop_coefficients(self).items()
+            }
+        return got
 
     def is_zero(self) -> bool:
         return not self.keyed
@@ -151,70 +185,122 @@ class LoopVector:
         t = _one_table(self.table, other)
         if self.keyed and other.keyed and self.start != other.start:
             raise ValueError("the loops of a vector share one start vertex")
-        start = self.start if self.keyed else other.start
-        return _vec(self.length, start, t, [*self.keyed.items(), *other.keyed.items()])
+        x, y = _aligned_pair(self, other)
+        return _vec(self.length, self.start if self.keyed else other.start, t,
+                    [*x.keyed.items(), *y.keyed.items()], x._den, x._half, max(x._top, y._top))
 
     def scaled(self, c: Coefficient) -> "LoopVector":
-        return _vec(self.length, self.start, self.table,
-                    [(key, c0 * c) for key, c0 in self.keyed.items()])
+        t, v = self.table, self
+        den, half, top = v._den, v._half, v._top + c._top
+        if c.is_exact and (c._den != den or c._half != half or top >= half):
+            den, half, top = _aligned(v, c)
+            v, c = _at(v, den, half), _coefficient_at(c, den, half)
+        t.floats = t.floats or not c.is_exact
+        return _vec(v.length, v.start, t, [((key, mono + m), s * f)
+                                           for (key, mono), s in v.keyed.items()
+                                           for m, f in _terms_of(c)], den, half, top)
 
     def eq(self, other: "LoopVector") -> bool:
-        """Coefficient-wise ``Coefficient.eq``, an absent loop counting as zero."""
+        """Loop-wise ``Coefficient.eq``, an absent loop counting as zero."""
         _one_table(self.table, other)
         if self.length != other.length:
             return False
-        a, b = self.keyed, other.keyed
-        if a and b and self.start != other.start:
-            b = {(None,) + key: c for key, c in b.items()}  # no loop in common
-        elif a == b:
+        x, y = _aligned_pair(self, other)
+        if x.keyed == y.keyed and (not x.keyed or x.start == y.start):
             return True
-        for key in a.keys() | b.keys():
-            x, y = a.get(key), b.get(key)
-            if x is None:
-                x = Coefficient.zero(y.context)
-            elif y is None:
-                y = Coefficient.zero(x.context)
-            if not x.eq(y):
-                return False
-        return True
+        a, b = _loop_coefficients(x), _loop_coefficients(y)
+        if a and b and x.start != y.start:
+            b = {(None,) + key: c for key, c in b.items()}  # no loop in common
+        zero = Coefficient.zero(self.table.graph.context)
+        return all(a.get(key, zero).eq(b.get(key, zero)) for key in a.keys() | b.keys())
 
     def __eq__(self, other):
         if not isinstance(other, LoopVector):
             return NotImplemented
         _one_table(self.table, other)
-        return (self.length == other.length and self.keyed == other.keyed
-                and (not self.keyed or self.start == other.start))
+        x, y = _aligned_pair(self, other)
+        return (self.length == other.length and x.keyed == y.keyed
+                and (not x.keyed or self.start == other.start))
 
     def __repr__(self):
         return "LoopVector(%d, %r)" % (self.length, self.terms)
 
 
-def _vec(length: int, start: VertexId, table: _EdgeTable, pairs) -> LoopVector:
-    """The sum of the ``(key, coefficient)`` pairs, in their order, as a
-    vector of the given length; loops whose coefficients sum to zero are
-    dropped."""
+def _vec(length: int, start: VertexId, table: _EdgeTable, pairs, den: int, half: int,
+         top: int) -> LoopVector:
+    """The sum of the ``((loop key, monomial), scalar)`` pairs as a vector,
+    less its zero scalars; once the table has met a float, a scalar outside
+    the float range raises ``OverflowError``."""
     acc: dict = {}
-    for key, c in pairs:
-        got = acc.get(key)
-        acc[key] = c if got is None else got + c
-    return LoopVector(length, start, table, {key: c for key, c in acc.items() if not c.is_zero()})
+    get = acc.get
+    for k, s in pairs:
+        got = get(k)
+        acc[k] = s if got is None else got + s
+    if table.floats:
+        for s in acc.values():
+            if type(s) is float and not -inf < s < inf:
+                raise OverflowError("coefficient %r is outside the float range" % s)
+    if not all(acc.values()):
+        acc = {k: s for k, s in acc.items() if s}
+    return LoopVector(length, start, table, acc, den, half, top)
 
 
-def _sorted_keys(v: LoopVector) -> list:
-    edges = v.table.edges
-    return sorted(v.keyed, key=lambda key: tuple(vid_key(edges[k].eid) for k in key))
+def _at(v: LoopVector, den: int, half: int) -> LoopVector:
+    """``v`` re-packed over ``den`` at the width of ``half``."""
+    if v._den == den and v._half == half:
+        return v
+    f, top = _repacked(v, den, half, len(v.table.graph.context.names))
+    return LoopVector(v.length, v.start, v.table,
+                      {(key, f(m)): s for (key, m), s in v.keyed.items()}, den, half, top)
+
+
+def _aligned_pair(u: LoopVector, v: LoopVector) -> tuple[LoopVector, LoopVector]:
+    """``u`` and ``v`` re-packed at the packing of their product."""
+    if u._den == v._den and u._half == v._half and u._top + v._top < u._half:
+        return u, v
+    den, half, _ = _aligned(u, v)
+    return _at(u, den, half), _at(v, den, half)
+
+
+def _fitted(v: LoopVector, k: int) -> LoopVector:
+    """``v`` and its table at one packing that holds v times k (at least
+    one) of the table's w(e)^(1/2)."""
+    t = v.table
+    if v._den != t._den or v._half != t._half or v._top + k * t._top >= v._half:
+        den, half, _ = _aligned(v, *(t,) * max(k, 1))
+        t.repack(den, half)
+        v = _at(v, den, half)
+    return v
+
+
+def _terms_of(c: Coefficient) -> tuple:
+    """The ``(packed monomial, scalar)`` terms of ``c``; a float is its value
+    over the monomial 0."""
+    return c._packed if c.is_exact else ((0, c.fvalue),)
+
+
+def _loop_coefficients(v: LoopVector) -> dict:
+    """Each loop key of ``v`` with its coefficient, in order of first term."""
+    groups: dict = {}
+    for (key, m), s in v.keyed.items():
+        groups.setdefault(key, []).append((m, s))
+    ctx = v.table.graph.context
+    return {key: _packed_coefficient(ctx, pairs, v._den, v._half, v._top)
+            for key, pairs in groups.items()}
 
 
 def zero_vector(graph, length: int) -> LoopVector:
     """The zero vector of the graph's loops of this length."""
-    return LoopVector(length, graph.basepoint, _table(graph), {})
+    t = _table(graph)
+    return LoopVector(length, graph.basepoint, t, {}, t._den, t._half, 0)
 
 
 def loop_vector(graph, l: Path, coeff: Coefficient | None = None) -> LoopVector:
     """``coeff`` (by default one) times the graph's loop l."""
     t = _table(graph)
-    c = coeff if coeff is not None else Coefficient.one(graph.context)
-    return _vec(len(l), l.start, t, [(tuple(map(t.index, l.edges)), c)])
+    key = tuple(map(t.index, l.edges))
+    one = LoopVector(len(l), l.start, t, {(key, 0): 1}, t._den, t._half, 0)
+    return one if coeff is None else one.scaled(coeff)
 
 
 def basis(graph, n: int) -> tuple[LoopVector, ...]:
@@ -222,11 +308,13 @@ def basis(graph, n: int) -> tuple[LoopVector, ...]:
 
 
 def format_vector(v: LoopVector) -> str:
-    """One line per term: ``(coefficient-text) eid eid ...``."""
+    """One line per loop: ``(coefficient-text) eid eid ...``."""
+    edges = v.table.edges
+    coeffs = _loop_coefficients(v)
     lines = []
-    for key in _sorted_keys(v):
-        ids = " ".join(str(v.table.edges[k].eid) for k in key) or "-"
-        lines.append("(%s) %s" % (v.keyed[key].text(), ids))
+    for key in sorted(coeffs, key=lambda key: tuple(vid_key(edges[k].eid) for k in key)):
+        ids = " ".join(str(edges[k].eid) for k in key) or "-"
+        lines.append("(%s) %s" % (coeffs[key].text(), ids))
     return "\n".join(lines) if lines else "(0)"
 
 
@@ -240,19 +328,22 @@ def cup(graph, v: LoopVector, i: int) -> LoopVector:
     if not 0 <= i <= v.length:
         raise IndexError("cup index %d out of range 0..%d" % (i, v.length))
     t = _one_table(_table(graph), v)
-    pairs = []
-    for key, c in v.keyed.items():
-        head, tail = key[:i], key[i:]
-        for e, ebar, sq in t.rows(_anchor(v, key, i)):
-            pairs.append((head + (e, ebar) + tail, c * sq))
-    return _vec(v.length + 2, v.start, t, pairs)
+    while True:
+        v = _fitted(v, 1)
+        den, half = v._den, v._half
+        pairs = [((key[:i] + (e, ebar) + key[i:], mono + m), s * f)
+                 for (key, mono), s in v.keyed.items()
+                 for e, ebar, m, f in t.rows(_anchor(v, key, i))]
+        # an anchor's new edges may re-pack the table: then the pass reruns
+        top = v._top + t._top
+        if t._den == den and t._half == half and top < half:
+            return _vec(v.length + 2, v.start, t, pairs, den, half, top)
 
 
 def _contraction(e1: int, e2: int, table: _EdgeTable):
     """The cap rule for the adjacent edges e1, e2 (indices into ``table``):
-    None unless they are a conjugate pair, else the coefficient
-    ``w(e1)^(1/2)``.  ``cap`` and the trie walk of ``_inner_pairs`` both
-    contract through here."""
+    None unless they are a conjugate pair, else ``sqrt[e1]``.  ``cap`` and
+    the trie walk of ``_inner_pairs`` both contract through here."""
     return table.sqrt[e1] if table.conj[e1] == e2 else None
 
 
@@ -262,38 +353,46 @@ def cap(v: LoopVector, i: int) -> LoopVector:
         raise IndexError("cap needs length >= 2")
     if not 1 <= i <= v.length - 1:
         raise IndexError("cap index %d out of range 1..%d" % (i, v.length - 1))
+    v = _fitted(v, 1)
     t = v.table
     pairs = []
-    for key, c in v.keyed.items():
+    for (key, mono), s in v.keyed.items():
         sq = _contraction(key[i - 1], key[i], t)
         if sq is not None:
-            pairs.append((key[: i - 1] + key[i + 1 :], c * sq))
-    return _vec(v.length - 2, v.start, t, pairs)
+            pairs.append(((key[: i - 1] + key[i + 1 :], mono + sq[0]), s * sq[1]))
+    return _vec(v.length - 2, v.start, t, pairs, v._den, v._half, v._top + t._top)
 
 
 def star(graph, v: LoopVector) -> LoopVector:
     """The involution l -> w(l-bar)^(1/2) l-bar, with w(l-bar) = w(l)^-1; it
     is conjugate-linear, and coefficients are real."""
     t = _one_table(_table(graph), v)
+    v = _fitted(v, v.length)
+    conj = t.conj.__getitem__
     pairs = []
     ends = set()
-    for key, c in v.keyed.items():
-        rev = tuple(map(t.conj.__getitem__, reversed(key)))
-        pairs.append((rev, c * t.sqrt_weight(rev)))
+    for (key, mono), s in v.keyed.items():
+        rev = tuple(map(conj, reversed(key)))
+        m, f = t.loop_sqrt(rev)
+        pairs.append(((rev, mono + m), s * f))
         ends.add(_anchor(v, key, v.length))
     if len(ends) > 1:
         raise ValueError("the loops of a vector share one start vertex")
-    return _vec(v.length, ends.pop() if ends else v.start, t, pairs)
+    return _vec(v.length, ends.pop() if ends else v.start, t, pairs,
+                v._den, v._half, v._top + v.length * t._top)
 
 
 def concat(u: LoopVector, v: LoopVector) -> LoopVector:
     """Bilinear extension of loop concatenation."""
     t = _one_table(u.table, v)
-    if v.keyed and any(_anchor(u, key, u.length) != v.start for key in u.keyed):
+    if v.keyed and any(_anchor(u, key, u.length) != v.start for key, _ in u.keyed):
         raise ValueError("paths do not compose")
+    den, half, top = _aligned(u, v)
+    u, v = _at(u, den, half), _at(v, den, half)
     return _vec(u.length + v.length, u.start, t, [
-        (k1 + k2, c1 * c2) for k1, c1 in u.keyed.items() for k2, c2 in v.keyed.items()
-    ])
+        ((k1 + k2, m1 + m2), s1 * s2)
+        for (k1, m1), s1 in u.keyed.items() for (k2, m2), s2 in v.keyed.items()
+    ], den, half, top)
 
 
 def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
@@ -312,18 +411,20 @@ def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
     word = concat(f, star(graph, g)) if side == "left" else concat(star(graph, g), f)
     for k in range(n, 0, -1):
         word = cap(word, k)
-    got = word.keyed.get(()) if word.start == graph.basepoint else None
-    return got if got is not None else Coefficient.zero(graph.context)
+    if word.start != graph.basepoint:
+        return Coefficient.zero(graph.context)
+    return _loop_coefficients(word).get((), Coefficient.zero(graph.context))
 
 
 def apply_modular(v: LoopVector) -> LoopVector:
     """The diagonal modular operator: l -> w(l) * l."""
+    v = _fitted(v, 2 * v.length)
     t = v.table
     pairs = []
-    for key, c in v.keyed.items():
-        s = t.sqrt_weight(key)
-        pairs.append((key, c * (s * s)))
-    return _vec(v.length, v.start, t, pairs)
+    for (key, mono), s in v.keyed.items():
+        m, f = t.loop_sqrt(key)
+        pairs.append(((key, mono + 2 * m), s * (f * f)))
+    return _vec(v.length, v.start, t, pairs, v._den, v._half, v._top + 2 * v.length * t._top)
 
 
 @dataclass(frozen=True)
@@ -352,14 +453,15 @@ class ModularRelationError(ArithmeticError):
     """inner(f, g, left) != inner(Delta f, g, right) on a basis pair."""
 
 
-def _capped(c: Coefficient, factors, zero: Coefficient) -> Coefficient:
-    """``c`` times each cap coefficient in turn, as nested caps multiply it;
-    a term that reaches zero is dropped, as ``cap`` drops it."""
-    for s in factors:
-        if c.is_zero():
-            return zero
-        c = c * s
-    return zero if c.is_zero() else c
+def _capped(context, m: int, s, factors, den: int, half: int, top: int) -> Coefficient:
+    """The term ``(m, s)`` times each cap coefficient in turn, as nested caps
+    multiply it, as a coefficient (zero when ``cap`` would drop it)."""
+    for mk, fk in factors:
+        m += mk
+        s = s * fk
+    if not s:
+        return Coefficient.zero(context)
+    return _packed_coefficient(context, ((m, s),), den, half, top)
 
 
 def _inner_pairs(graph, vecs):
@@ -379,15 +481,23 @@ def _inner_pairs(graph, vecs):
     each level, so the walks take O(N n) cap steps for N loops of length n
     (and test O(N n d) children at out-degree d).  Each leaf multiplies its
     cap coefficients in the order of ``inner``'s nested caps: outward for
-    left, inward for right.
+    left, inward for right.  All terms share one packing, which bounds the
+    sum of every operand's digits, so each word's term and its caps fit.
     """
     t = _table(graph)
-    zero = Coefficient.zero(graph.context)
-    stars = []
+    ctx = graph.context
+    zero = Coefficient.zero(ctx)
+    stars = [star(graph, h) for h in vecs]
+    deltas = [apply_modular(f) for f in vecs]
+    if not vecs:
+        return
+    den, half, top = _aligned(*vecs, *deltas, *stars, *(t,) * max(vecs[0].length, 1))
+    t.repack(den, half)
+    terms = []
     root = [{}, None]  # node: [edge index -> child node, basis index of a word's end]
-    for j, h in enumerate(vecs):
-        ((word, c),) = star(graph, h).keyed.items()
-        stars.append(c)
+    for j, h in enumerate(stars):
+        (((word, mj), sj),) = _at(h, den, half).keyed.items()
+        terms.append((mj, sj))
         node = root
         for e in word:
             got = node[0].get(e)
@@ -396,8 +506,8 @@ def _inner_pairs(graph, vecs):
             node = got
         node[1] = j
     for i, f in enumerate(vecs):
-        ((key, cf),) = f.keyed.items()
-        ((_, cdf),) = apply_modular(f).keyed.items()
+        (((key, mf), sf),) = _at(f, den, half).keyed.items()
+        (((_, mdf), sdf),) = _at(deltas[i], den, half).keyed.items()
         # (node, left coefficients, right coefficients); None once a side dies
         live = [(root, (), ())]
         for e in reversed(key):
@@ -413,11 +523,11 @@ def _inner_pairs(graph, vecs):
         rows = {}
         for node, lsq, rsq in live:
             j = node[1]
-            c = stars[j]
+            mj, sj = terms[j]
             rows[j] = (
-                zero if lsq is None else _capped(cf * c, lsq, zero),
-                zero if rsq is None else _capped(c * cf, rsq[::-1], zero),
-                zero if rsq is None else _capped(c * cdf, rsq[::-1], zero),
+                zero if lsq is None else _capped(ctx, mf + mj, sf * sj, lsq, den, half, top),
+                zero if rsq is None else _capped(ctx, mj + mf, sj * sf, rsq[::-1], den, half, top),
+                zero if rsq is None else _capped(ctx, mj + mdf, sj * sdf, rsq[::-1], den, half, top),
             )
         for j in sorted(rows.keys() | {i}):
             yield (i, j) + rows.get(j, (zero, zero, zero))
@@ -468,20 +578,25 @@ def relations(graph, max_len: int):
     if max_len < 0:
         raise ValueError("maximum loop length must be nonnegative")
     ctx = graph.context
+    targets = {}  # cup anchor -> its outgoing weight sum, the delooping target
     for n in range(max_len + 1):
         vecs = basis(graph, n)
         if n <= max_len - 2:
             detail = None
             ok_zig = True
             for v in vecs:
-                (key,) = v.keyed
+                ((key, _),) = v.keyed
                 for i in range(n + 1):
                     up = cup(graph, v, i)
-                    anchor_sum = Coefficient.zero(ctx)
-                    for e in graph.out_edges(_anchor(v, key, i)):
-                        anchor_sum = anchor_sum + Coefficient.of_weight(e.weight)
-                    want = v.scaled(anchor_sum)
                     got = cap(up, i + 1)
+                    at = _anchor(v, key, i)
+                    target = targets.get(at)
+                    if target is None:
+                        target = Coefficient.zero(ctx)
+                        for e in graph.out_edges(at):
+                            target = target + Coefficient.of_weight(e.weight)
+                        targets[at] = target
+                    want = v.scaled(target)
                     if detail is None and not got.eq(want):
                         detail = "  got:\n%s\n  want:\n%s" % (format_vector(got),
                                                                format_vector(want))
@@ -496,9 +611,7 @@ def relations(graph, max_len: int):
             ok_gram = ok_mod = True
             for i, j, lhs, right, rhs in _inner_pairs(graph, vecs):
                 if i == j:
-                    (key,) = vecs[i].keyed
-                    t = vecs[i].table
-                    s = t.sqrt_weight(tuple(map(t.conj.__getitem__, reversed(key))))
+                    (s,) = star(graph, vecs[i]).terms.values()  # w(l)^(-1/2)
                     want_l = Coefficient.one(ctx)
                     want_r = s * s
                 else:

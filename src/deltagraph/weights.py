@@ -22,7 +22,9 @@ coefficient, packed by Kronecker substitution with balanced digits.  A
 product of monomials is then one int addition, and ``==`` compares ints.  A
 bound on the digits, kept on each coefficient, re-packs at a wider digit
 before a digit could carry into its neighbour.  ``Coefficient.terms`` builds
-the reduced ``(Weight, scalar)`` pairs when it is read.
+the reduced ``(Weight, scalar)`` pairs when it is read.  The loop vectors of
+``loop_algebra`` pack their monomials the same way, and both re-pack by one
+rule, :func:`_aligned` and :func:`_repacked`.
 """
 from __future__ import annotations
 
@@ -409,7 +411,7 @@ class Coefficient:
             return other
         x, y = self, other
         if y._den != x._den or y._half != x._half:
-            x, y = _aligned(x, y)
+            x, y = _aligned_pair(x, y)
             a, b = x._packed, y._packed
         acc = dict(a)
         for k, s in b:
@@ -428,7 +430,7 @@ class Coefficient:
         half = x._half
         top = x._top + y._top
         if y._den != x._den or y._half != half or top >= half:
-            x, y = _aligned(x, y)
+            x, y = _aligned_pair(x, y)
             a, b, half, top = x._packed, y._packed, x._half, x._top + y._top
         if len(a) == 1 and len(b) == 1:
             ((k1, s1),), ((k2, s2),) = a, b
@@ -519,28 +521,53 @@ def _real(context: GeneratorContext, v: float) -> Coefficient:
     return c
 
 
-def _repacked(c: Coefficient, den: int, half: int) -> Coefficient:
-    """Exact ``c`` packed over ``den`` (a multiple of its own) at the digit
-    width of ``half``, which must exceed its scaled bound."""
-    m = den // c._den
-    if half == c._half:
-        packed = tuple((k * m, s) for k, s in c._packed)
-    else:
-        size, old = len(c.context.names), c._half
-        packed = tuple(sorted(
-            (_pack([n * m for n in _unpack(k, size, old)], half), s) for k, s in c._packed
-        ))
-    return _exact_coefficient(c.context, packed, den, half, c._top * m)
+def _aligned(*xs) -> tuple[int, int, int]:
+    """``(den, half, top)`` for a product of ``xs`` (exact coefficients, loop
+    vectors or edge tables, each packed by its ``_den``, ``_half`` and
+    ``_top``): the lcm of their denominators, the sum ``top`` of their
+    bounds over it, and a width, at least each of theirs, that holds it.
+    A product or sum of any of ``xs``, repeats counted, fits it."""
+    den = math.lcm(*(x._den for x in xs))
+    top = sum(x._top * (den // x._den) for x in xs)
+    return den, _half_for(top, max(x._half for x in xs)), top
 
 
-def _aligned(x: Coefficient, y: Coefficient) -> tuple[Coefficient, Coefficient]:
-    """Exact x and y re-packed at one denominator, the lcm of theirs, and at
-    one digit width that holds the sum of their bounds, so that their sums
-    and products fit."""
-    den = math.lcm(x._den, y._den)
-    top = x._top * (den // x._den) + y._top * (den // y._den)
-    half = _half_for(top, max(x._half, y._half))
-    return _repacked(x, den, half), _repacked(y, den, half)
+def _repacked(x, den: int, half: int, size: int):
+    """``(f, top)``: ``f`` re-packs a monomial of ``x``, over ``size``
+    generators, at a packing from :func:`_aligned` of x and more, and
+    ``top`` is x's bound there."""
+    m, old = den // x._den, x._half
+    if half == old:
+        return m.__mul__, x._top * m
+    return (lambda k: _pack([n * m for n in _unpack(k, size, old)], half)), x._top * m
+
+
+def _coefficient_at(c: Coefficient, den: int, half: int) -> Coefficient:
+    """Exact ``c`` re-packed over ``den`` at the width of ``half``."""
+    if c._den == den and c._half == half:
+        return c
+    f, top = _repacked(c, den, half, len(c.context.names))
+    return _exact_coefficient(c.context, tuple(sorted((f(k), s) for k, s in c._packed)),
+                              den, half, top)
+
+
+def _aligned_pair(x: Coefficient, y: Coefficient) -> tuple[Coefficient, Coefficient]:
+    """Exact x and y re-packed at the packing of their product."""
+    den, half, _ = _aligned(x, y)
+    return _coefficient_at(x, den, half), _coefficient_at(y, den, half)
+
+
+def _packed_coefficient(context: GeneratorContext, pairs, den: int, half: int,
+                        top: int) -> Coefficient:
+    """The coefficient ``sum(s * m)`` of ``(packed monomial m, scalar s)``
+    pairs with distinct monomials; when a scalar is a float, the float
+    coefficient of its value, summed in order of ``m``."""
+    if any(type(s) is float for _, s in pairs):
+        size, total = len(context.names), 0.0
+        for m, s in sorted(pairs):
+            total += s * _exact(context, _unpack(m, size, half), den).value if m else s
+        return _real(context, total)
+    return _exact_coefficient(context, _sorted_terms(dict(pairs)), den, half, top)
 
 
 def _exact_eq(x: Coefficient, y: Coefficient) -> bool:
@@ -548,7 +575,7 @@ def _exact_eq(x: Coefficient, y: Coefficient) -> bool:
     if x.context is not y.context and x.context != y.context:
         return False
     if x._den != y._den or x._half != y._half:
-        x, y = _aligned(x, y)
+        x, y = _aligned_pair(x, y)
     return x._packed == y._packed
 
 

@@ -450,7 +450,7 @@ class TestOutputs:
 
         def doubled(e1, e2, memo):
             got = contraction(e1, e2, memo)
-            return got and got + got
+            return got and (got[0], got[1] + got[1])
 
         monkeypatch.setattr(loop_algebra, "_contraction", doubled)
         code, out, _ = run(capsys, "tl-check", "single_chain:q=2", "--max-len", "2")

@@ -20,6 +20,8 @@ Core claims:
       graphs (a graph and its ball) raise under every map that would mix
       them, each graph's own maps give the same loops, and ``terms`` reads
       the loops back
+    - vectors stay exact when w(e)^(1/2) passes the packed digit's bound, and
+      a float product past the float range raises ``OverflowError``
 """
 
 import os
@@ -416,17 +418,15 @@ class TestMixedWeights:
         # the edges' w(e)^(1/2); with exact and float edges in one loop they
         # agree with Path.weight within tolerance
         g = _mixed_grid()
-        t = loop_algebra._table(g)
         for n in range(5):
             for l, v in zip(enumerate_loops(g, n), basis(g, n)):
                 w = l.weight
-                ((key, _),) = v.keyed.items()
-                ((_, s),) = star(g, v).keyed.items()
+                (s,) = star(g, v).terms.values()
                 assert s.isclose(Coefficient.of_weight(w.inverse().sqrt()))
                 assert star(g, star(g, v)).eq(v)
-                ((_, d),) = apply_modular(v).keyed.items()
+                (d,) = apply_modular(v).terms.values()
                 assert d.isclose(Coefficient.of_weight(w))
-                r = t.sqrt_weight(tuple(t.conj[k] for k in reversed(key)))
+                r = s  # the Gram check squares the star coefficient
                 assert (r * r).isclose(Coefficient.of_weight(w.inverse()))
         assert all(passed for _, _, passed, _ in relations(g, 4))
 
@@ -556,3 +556,66 @@ class TestEdgeTables:
 def _loop_ids(v):
     (l,) = v.terms
     return l.edge_ids()
+
+
+def _power_chain(k):
+    """``single_chain(2)`` with every rightward weight q^k, leftward q^-k;
+    a digit of q that carried would show as a power of p."""
+    ctx = GeneratorContext((("q", 2.0), ("p", 3.0)), 1e-9)
+    wq = ctx.gen("q", k)
+    wqi = wq.inverse()
+
+    def out(m):
+        return (Edge(("l", m), m, m - 1, wqi, ("r", m - 1)),
+                Edge(("r", m), m, m + 1, wq, ("l", m + 1)))
+
+    return DeltaGraph(3.0, ctx, 0, out)
+
+
+class TestVectorPackingBound:
+    """Loop vectors whose w(e)^(1/2) reach and pass the packed digit's bound
+    stay exact, as coefficients do in ``test_exact_core.TestPackingBound``:
+    the products of cup, cap, star and the trie walks widen the packing
+    before a digit could wrap."""
+
+    @pytest.mark.parametrize("k", [2 ** 31 - 1, 2 ** 63])
+    def test_huge_exponent_chain(self, k):
+        g = _power_chain(k)
+        assert all(passed for _, _, passed, _ in relations(g, 4))
+        for n in range(5):
+            vecs = basis(g, n)
+            for v in vecs:
+                assert star(g, star(g, v)) == v
+            for i, j, _, right, _ in _inner_pairs(g, vecs):
+                if i == j:
+                    (l,) = vecs[i].terms
+                    assert right.text() == Coefficient.of_weight(l.weight.inverse()).text()
+        up = cup(g, basis(g, 0)[0], 0)
+        want = ["q^%s" % Fraction(k, 2), "q^%s" % Fraction(-k, 2)]
+        assert sorted(c.text() for c in up.terms.values()) == sorted(want)
+        delta = Coefficient.of_weight(g.context.gen("q", k)) + Coefficient.of_weight(
+            g.context.gen("q", -k))
+        for v in basis(g, 2):
+            for i in range(3):
+                (c,) = cap(cup(g, v, i), i + 1).terms.values()
+                assert c.text() == delta.text()
+
+
+class TestFloatOverflow:
+    def test_cup_and_cap_products_raise(self):
+        # w(e)^(1/2) is 1e100, and the loops carry 1e250: a product past the
+        # float range raises, as a Coefficient product does (the CLI's exit
+        # status 3 for a cap sum is in test_cli)
+        g = parse_graph(
+            "delta-graph v1\ndelta 2.5\nvertex 0\nvertex 1\n"
+            "edge e0 0 1 weight 1e200 conjugate e1\nedge e1 1 0 weight 1e-200 conjugate e0\n"
+            "basepoint 0\n"
+        ).graph
+        big = Coefficient.of_weight(g.context.float_weight(1e250))
+        empty, there_and_back = enumerate_loops(g, 0)[0], enumerate_loops(g, 2)[0]
+        with pytest.raises(OverflowError, match="outside the float range"):
+            cup(g, loop_vector(g, empty, big), 0)
+        with pytest.raises(OverflowError, match="outside the float range"):
+            cap(loop_vector(g, there_and_back, big), 1)
+        ((_, c),) = cap(loop_vector(g, there_and_back), 1).terms.items()
+        assert c.isclose(Coefficient.of_weight(g.context.float_weight(1e100)))
