@@ -22,7 +22,7 @@ from .graph import (
     tracial_ball,
     vid_key,
 )
-from .isomorphism import edges_inject
+from .isomorphism import edge_tables
 from .weights import Weight
 
 
@@ -116,6 +116,7 @@ def _check_action(
     failures: list[str] = []
     checked = 0
     skipped = 0
+    adj = edge_tables(b, b)[0].adj
     for gen in action.generators:
         fwd = _forward_map(gen, b)
         images = [v2 for v2 in fwd.values() if v2 in b]
@@ -143,23 +144,19 @@ def _check_action(
                         (gen.weight * wv[v]).text(),
                     )
                 )
-        # adjacency: compare full out-edge weight classes at interior pairs
+        # adjacency: compare the edge class multisets joining interior pairs
         for u in sorted(b.interior, key=vid_key):
             iu = fwd.get(u)
             if iu is None or iu not in b or iu in b.boundary:
                 skipped += 1
                 continue
-            by_target: dict = {}
-            for e in b.out_edges(u):
-                by_target.setdefault(e.target, []).append(e)
-            for t, edges in by_target.items():
+            for t in dict.fromkeys(e.target for e in b.out_edges(u)):
                 it = fwd.get(t)
                 if it is None or it not in b:
                     skipped += 1
                     continue
                 checked += 1
-                img_edges = [e for e in b.out_edges(iu) if e.target == it]
-                if not edges_inject(edges, img_edges, True):
+                if adj[u][t] != adj[iu].get(it, 0):
                     failures.append(
                         "generator %s does not preserve the edges %r -> %r"
                         % (gen.label, u, t)

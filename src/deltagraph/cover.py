@@ -24,7 +24,7 @@ from .graph import (
     loop_weight_counts,
     vid_key,
 )
-from .weights import Weight, reduce_generators
+from .weights import Weight, _ambiguity, reduce_generators
 
 
 class LoopLiftError(ValueError):
@@ -106,23 +106,16 @@ class _Interner:
         hits = [other for other in near if not (w.is_exact and other.weight.is_exact)]
         exact = [other.weight for other in hits if other.weight.is_exact]
         if len(exact) > 1:
-            raise _ambiguity(w, cv.target, *exact[:2])
+            raise _ambiguity(w, exact[0], exact[1], " at %r" % (cv.target,))
         if hits:
             if not w.is_exact and hits[0].weight.is_exact:
                 self.floated.setdefault(hits[0], w)
             return hits[0]
         for other in near:  # exact classes that a new exact class would sit beside
             if other in self.floated:
-                raise _ambiguity(self.floated[other], cv.target, other.weight, w)
+                raise _ambiguity(self.floated[other], other.weight, w, " at %r" % (cv.target,))
         bucket.append((lw, cv))
         return cv
-
-
-def _ambiguity(w: Weight, target, w1: Weight, w2: Weight) -> ValueError:
-    return ValueError(
-        "float weight %s at %r is within tolerance of the distinct exact weights %s and %s"
-        % (w.text(), target, w1.text(), w2.text())
-    )
 
 
 def tracial_cover(g: DeltaGraph, radius: int) -> CoverResult:

@@ -10,12 +10,23 @@ in the manner of VF2 (Cordella et al., TPAMI 2004).  Mappings come out in
 that stored-edge order, not sorted by vertex id.  No canonical labeling.
 Two truncations are isomorphic when a vertex bijection induces an edge
 bijection preserving source, target, weight, conjugation and boundary flags.
+
+Before a search both truncations are compiled once (:func:`edge_tables`):
+distinct edge weights become small class ids, as nauty and Traces reduce
+labels first (McKay & Piperno 2014), and edge multisets interned ids, so the
+search compares ints and never calls ``Weight.eq``.  A weight within
+tolerance of two weights of different classes (a float 2.0 against exact
+``a^1`` and ``b^1`` where a = b = 2) raises ``ValueError``, in the wording of
+the tracial cover's rule.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from collections import Counter
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Edge, TruncatedGraph, VertexId, bfs_tree
+from .weights import Weight, _ambiguity
 
 
 def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
@@ -39,47 +50,102 @@ def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
     )
 
 
-def _weq(w1, w2) -> bool:
+def _weq(w1: Weight, w2: Weight) -> bool:
     """Weight equality that also works across generator contexts, where it
-    falls back to a value comparison at the tighter tolerance."""
+    compares ``log_value`` at the tighter tolerance, as the cover does."""
     if w1.context == w2.context:
         return w1.eq(w2)
     tol = min(w1.context.tolerance, w2.context.tolerance)
-    return abs(w1.value - w2.value) <= tol * max(w1.value, w2.value)
+    return abs(w1.log_value - w2.log_value) <= tol
 
 
-def edges_inject(small: Sequence[Edge], big: Sequence[Edge], bijective: bool) -> bool:
-    """Can the small edge multiset map into the big one class by class?
-
-    Edges match when their weights are equal (:func:`_weq`), and a
-    self-conjugate edge only matches a self-conjugate one.  With
-    ``bijective`` the map must also be onto.
-    """
-    if len(small) > len(big) or (bijective and len(small) != len(big)):
-        return False
-    remaining = list(big)
-    for e in small:
-        for i, f in enumerate(remaining):
-            if _weq(e.weight, f.weight) and (e.conjugate == e.eid) == (f.conjugate == f.eid):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
+def _straddle(ws, rel, others, back):
+    """A weight of ``ws`` and two of ``others`` it is related to by ``rel``
+    whose relations ``back`` differ, if there is one."""
+    for w, js in zip(ws, rel):
+        for j in js[1:]:
+            if back[j] != back[js[0]]:
+                return w, others[js[0]], others[j]
 
 
-def _neighbours(t: TruncatedGraph) -> dict[VertexId, set[VertexId]]:
-    """Out-targets and in-sources of every vertex."""
-    nbrs: dict[VertexId, set[VertexId]] = {v: set() for v in t.vertices}
+def _classes(ws1: Sequence[Weight], ws2: Sequence[Weight]) -> tuple[dict, dict]:
+    """Class ids of two lists of distinct weights: weights related by
+    :func:`_weq` share an id, and a weight related to none has its own.
+    ``ValueError`` unless the relation splits into disjoint complete blocks,
+    naming a weight (a float one if any) within tolerance of two weights of
+    different classes."""
+    rel = [[j for j, w2 in enumerate(ws2) if _weq(w1, w2)] for w1 in ws1]
+    back = [[i for i, js in enumerate(rel) if j in js] for j in range(len(ws2))]
+    found = [s for s in (_straddle(ws1, rel, ws2, back), _straddle(ws2, back, ws1, rel)) if s]
+    if found:
+        raise _ambiguity(*min(found, key=lambda s: s[0].is_exact))
+    ids: dict = {}
+    cls1 = {w: ids.setdefault(tuple(js) or (1, i), len(ids))
+            for i, (w, js) in enumerate(zip(ws1, rel))}
+    cls2 = {w: ids.setdefault(tuple(rel[i[0]]) if i else (2, j), len(ids))
+            for j, (w, i) in enumerate(zip(ws2, back))}
+    return cls1, cls2
+
+
+class EdgeTable(NamedTuple):
+    """A truncation's edges as interned multisets of edge classes, an edge's
+    class being ``2 * cls[weight] + (self-conjugate)``.  ``out`` maps each
+    vertex to the id of its out-edge multiset, and ``adj`` each vertex to
+    its out-targets and in-sources, each to the id of the multiset of the
+    edges from the vertex to it (0, the empty one, for an in-source only)."""
+
+    cls: dict[Weight, int]
+    out: dict[VertexId, int]
+    adj: dict[VertexId, dict[VertexId, int]]
+
+    def edge_class(self, e: Edge) -> int:
+        return 2 * self.cls[e.weight] + (e.conjugate == e.eid)
+
+
+def _table(t: TruncatedGraph, cls: dict[Weight, int], step: dict, grow) -> EdgeTable:
+    out, adj = {}, {v: {} for v in t.vertices}
     for v in t.vertices:
+        o, row = 0, adj[v]
         for e in t.out_edges(v):
-            nbrs[v].add(e.target)
-            nbrs[e.target].add(v)
-    return nbrs
+            c = 2 * cls[e.weight] + (e.conjugate == e.eid)
+            # a multiset with a class added is never the empty one, id 0
+            o = step.get((o, c)) or grow(o, c)
+            i = row.get(e.target, 0)
+            row[e.target] = step.get((i, c)) or grow(i, c)
+            adj[e.target].setdefault(v, 0)
+        out[v] = o
+    return EdgeTable(cls, out, adj)
 
 
-def _between(t: TruncatedGraph, u: VertexId, m: VertexId) -> list[Edge]:
-    return [e for e in t.out_edges(u) if e.target == m]
+def edge_tables(
+    g1: TruncatedGraph, g2: TruncatedGraph
+) -> tuple[EdgeTable, EdgeTable, Callable[[int, int], bool]]:
+    """Both truncations compiled once, against each other's weights
+    (:func:`_classes`) and with one id per class multiset across the two
+    (the same object twice is compiled once), and ``into(a, b)``: does
+    multiset ``a`` map into ``b`` class by class?  Equal ids map onto."""
+    ws1, ws2 = (list(dict.fromkeys(e.weight for v in g.vertices for e in g.out_edges(v)))
+                for g in (g1, g2))
+    cls1, cls2 = _classes(ws1, ws2)
+    forms: list[tuple[int, ...]] = [()]  # id -> sorted class tuple
+    ids = {(): 0}
+    step: dict[tuple[int, int], int] = {}  # (id, class) -> id with the class added
+
+    def grow(i: int, c: int) -> int:
+        form = tuple(sorted(forms[i] + (c,)))
+        got = step[i, c] = ids.setdefault(form, len(ids))
+        if got == len(forms):
+            forms.append(form)
+        return got
+
+    t1 = _table(g1, cls1, step, grow)
+    t2 = t1 if g2 is g1 else _table(g2, cls2, step, grow)
+
+    @lru_cache(maxsize=None)
+    def into(a: int, b: int) -> bool:
+        return not Counter(forms[a]) - Counter(forms[b])
+
+    return t1, t2, into
 
 
 def matchings(
@@ -93,16 +159,19 @@ def matchings(
     sent along an edge of the image of its tree parent, trying roots in the
     order given and candidates in g2's stored-edge order, so mappings come
     out in that order, not sorted by vertex id.  Edges between mapped
-    vertices must inject class by class (:func:`edges_inject`), and onto
-    where their source is matched exactly: every vertex when ``bijective``,
-    else the interior ones, which also carry their full outgoing multiset.
-    ``bijective`` also requires boundary flags to agree.
+    vertices must inject class by class (their class multisets in
+    :func:`edge_tables`), and onto where their source is matched exactly:
+    every vertex when ``bijective``, else the interior ones, which also
+    carry their full outgoing multiset.  ``bijective`` also requires
+    boundary flags to agree.  ``ValueError`` where the two weight sets do
+    not split into classes (:func:`_classes`).
     """
     parent = bfs_tree(g1.out_edges, g1.basepoint)
     if len(parent) != len(g1.vertices):
         raise ValueError("matching requires truncations connected from the basepoint")
     order = list(parent)
-    nbrs1, nbrs2 = _neighbours(g1), _neighbours(g2)
+    t1, t2, into = edge_tables(g1, g2)
+    out1, out2, adj1, adj2 = t1.out, t2.out, t1.adj, t2.adj
     mapping: dict[VertexId, VertexId] = {}
     inverse: dict[VertexId, VertexId] = {}
 
@@ -111,32 +180,40 @@ def matchings(
             return False
         # partial mode: on a fair ball an interior vertex's out-sum is delta, so onto cannot fail
         onto = bijective or u not in g1.boundary
-        if onto and not edges_inject(g1.out_edges(u), g2.out_edges(v), True):
+        if onto and out1[u] != out2[v]:
             return False
-        if not edges_inject(_between(g1, u, u), _between(g2, v, v), onto):
+        row1, row2 = adj1[u], adj2[v]
+        a, b = row1.get(u, 0), row2.get(v, 0)
+        if a != b and (onto or not into(a, b)):
             return False
         # a pair not touched by u or v in either graph carries no edges on
-        # either side, so only these mapped vertices need checking
-        near = {m for m in nbrs1[u] if m in mapping}
-        near.update(inverse[w] for w in nbrs2[v] if w in inverse)
-        # The edges m -> u need no check of their own.  Each is the conjugate
-        # of an edge u -> m of inverse weight, so the check below injects
-        # them class by class; and where m is matched exactly, onto follows
-        # once all of m's targets are mapped, since m's whole out-multiset
-        # was matched onto.
-        for m in near:
-            if not edges_inject(_between(g1, u, m), _between(g2, v, mapping[m]), onto):
-                return False
+        # either side, so only mapped neighbours need checking.  The edges
+        # m -> u need no check of their own.  Each is the conjugate of an
+        # edge u -> m of inverse weight, so the check below maps them class
+        # by class; and where m is matched exactly, onto follows once all of
+        # m's targets are mapped, since m's whole out-multiset was matched
+        # onto.
+        for m, a in row1.items():
+            if m in mapping:
+                b = row2.get(mapping[m], 0)
+                if a != b and (onto or not into(a, b)):
+                    return False
+        if onto:  # edges from v to a mapped vertex whose preimage u does not touch
+            for w, b in row2.items():
+                if b and w in inverse and inverse[w] not in row1:
+                    return False
         return True
+
+    tree_class = [None] + [t1.edge_class(parent[u]) for u in order[1:]]
 
     def candidates(i: int) -> Iterator[VertexId]:
         if i == 0:
             return iter(roots)
-        e = parent[order[i]]
+        want = tree_class[i]
         got = dict.fromkeys(
             f.target
-            for f in g2.out_edges(mapping[e.source])
-            if f.target not in inverse and _weq(f.weight, e.weight)
+            for f in g2.out_edges(mapping[parent[order[i]].source])
+            if f.target not in inverse and t2.edge_class(f) == want
         )
         return iter(got)
 

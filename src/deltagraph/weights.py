@@ -596,6 +596,17 @@ def group_weights(counts: Iterable[tuple[Weight, int]]) -> tuple[tuple[Weight, i
     return tuple(groups)
 
 
+def _ambiguity(w: Weight, w1: Weight, w2: Weight, where: str = "") -> ValueError:
+    """The error for a weight ``w`` (found ``where``) within tolerance of two
+    weights that are not one class, so that it has no class of its own."""
+    kinds = ("float ", "exact ")
+    pair = kinds[w1.is_exact] if w1.is_exact == w2.is_exact else ""
+    return ValueError(
+        "%sweight %s%s is within tolerance of the distinct %sweights %s and %s"
+        % (kinds[w.is_exact], w.text(), where, pair, w1.text(), w2.text())
+    )
+
+
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 

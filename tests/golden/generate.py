@@ -101,6 +101,10 @@ def runs() -> list[list[str]]:
         ["spectrum", "double_chain:a=1e200,b=1e-200", "--n", "2", "--float"],
         ["tl-check", "single_chain:q=2", "--max-len", "-1"],
         ["invariants", "grid:a=2,b=3", "--shift-bound", "-1"],
+        # a = b: every vertex has two neighbours of each weight, so the matcher backtracks
+        ["invariants", "grid:a=2,b=2", "--radius", "3", "--shift-bound", "2"],
+        ["invariants", "grid:a=2,b=2", "--radius", "3", "--shift-bound", "2", "--float"],
+        ["invariants", "cayley:k=3,w1=2,w2=3,w3=5", "--radius", "3", "--shift-bound", "2"],
         ["validate", "single_chain:q=1"],
     ]
     for m in ("2", "3", "4", "5"):

@@ -3,6 +3,7 @@ non-isomorphic pairs that the count checks pass, and the mappings of the
 shared matcher carrying every edge."""
 
 import math
+import os
 
 import pytest
 
@@ -24,7 +25,7 @@ from deltagraph import (
     validate,
     vertex_weighting,
 )
-from deltagraph.isomorphism import matchings
+from deltagraph.isomorphism import _classes, matchings
 
 
 class TestIsoCheck:
@@ -332,3 +333,51 @@ def test_carries_edges_wants_exact_images(chain, assert_carries_edges):
     assert_carries_edges(without({(1, 0)}), b, ident)
     with pytest.raises(AssertionError, match="out-edges of no edge"):
         assert_carries_edges(without({(0, 1), (1, 0)}), b, ident)
+
+
+def _huge_pair(tolerance):
+    """One edge pair q^1100 / q^-1100, whose values are past the float range."""
+    return parse_graph(
+        "delta-graph v1\ndelta 2\ngenerator q 2.0\ntolerance %s\nvertex 0\nvertex 1\n"
+        "edge e0 0 1 weight q^1100 conjugate e1\nedge e1 1 0 weight q^-1100 conjugate e0\n"
+        "basepoint 0\n" % tolerance
+    ).graph
+
+
+def test_cross_context_weights_compare_past_the_float_range():
+    # the contexts differ in tolerance only, so weights compare by log_value
+    b1, b2 = ball(_huge_pair("1e-09"), 1), ball(_huge_pair("1e-10"), 1)
+    assert b1.context != b2.context
+    assert iso_check(b1, b2) == {0: 0, 1: 1}
+    assert iso_check(b2, b1) == {0: 0, 1: 1}
+
+
+AMBIGUOUS = os.path.join(os.path.dirname(__file__), "golden", "ambiguous.dg")
+
+
+@pytest.mark.parametrize("radius", [1, 3])
+def test_float_between_exact_classes_has_no_class(radius):
+    # ambiguous.dg is double_chain(2, 2) with a^1 written as 2.0, within
+    # tolerance of both a^1 and b^1, which are distinct exact weights: the
+    # weights do not split into classes, in either order; against itself the
+    # file's 2.0 and b^1 are one class
+    with open(AMBIGUOUS, encoding="utf-8") as fh:
+        amb = ball(parse_graph(fh.read()).graph, radius)
+    b = ball(double_chain(2, 2), radius)
+    for g1, g2 in ((b, amb), (amb, b)):
+        with pytest.raises(ValueError, match=r"^float weight 2 is within tolerance of the "
+                                             r"distinct exact weights a\^1 and b\^1$"):
+            iso_check(g1, g2)
+    m = iso_check(amb, amb)
+    assert m is not None and len(m) == {1: 3, 3: 7}[radius]
+
+
+def test_classes_need_complete_blocks():
+    ctx = double_chain(2, 3).context
+    x, y, z = (ctx.float_weight(1 + k * 0.9e-9) for k in range(3))
+    a, b = ctx.gen("a"), ctx.gen("b")
+    # x and z are each within tolerance of y but not of each other
+    cls1, cls2 = _classes([x, z, a], [y, b])
+    assert cls1[x] == cls1[z] == cls2[y] and len({cls1[a], cls2[b], cls1[x]}) == 3
+    with pytest.raises(ValueError, match="distinct float weights"):
+        _classes([x, z], [x, y])

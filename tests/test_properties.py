@@ -11,8 +11,12 @@
     - on the same combinations over every oracle graph, cup, cap, star,
       concat, scaled, the modular operator and both inner products read back
       as a reference model that multiplies ``Coefficient``s over ``Path``s
+    - ``iso_check`` and ``partial_automorphisms`` give the mappings, in the
+      order, of a reference model that matches edges weight by weight with a
+      greedy scan, on every oracle graph's balls and on float read-backs
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from deltagraph import (
@@ -33,6 +37,7 @@ from deltagraph import (
     iso_check,
     lattice_shift_action,
     parse_graph,
+    partial_automorphisms,
     quotient,
     recover,
     serialize_graph,
@@ -42,9 +47,10 @@ from deltagraph import (
     vertex_weighting,
     zero_vector,
 )
-from deltagraph.graph import Path
+from deltagraph.graph import Path, bfs_tree
 from deltagraph.io import GraphFormatError
 from deltagraph.loop_algebra import _inner_pairs
+from test_isomorphism import _float_ball
 from test_loop_algebra import ORACLE_GRAPHS
 
 WEIGHTS = st.sampled_from([2, 3, 0.5, 1.5])
@@ -361,3 +367,108 @@ def test_kernel_matches_coefficient_model(name, n, data):
     _assert_models(apply_modular(v), _model_modular(mv), exact)
     for side in ("left", "right"):
         assert _same(inner(g, v, h, side), _model_inner(g, mv, mh, side), exact)
+
+
+def _model_weq(w1, w2):
+    if w1.context == w2.context:
+        return w1.eq(w2)
+    tol = min(w1.context.tolerance, w2.context.tolerance)
+    return abs(w1.value - w2.value) <= tol * max(w1.value, w2.value)
+
+
+def _model_inject(small, big, onto):
+    """Greedy: each small edge takes the first remaining big edge of an
+    equal weight and the same self-conjugacy."""
+    if len(small) > len(big) or (onto and len(small) != len(big)):
+        return False
+    remaining = list(big)
+    for e in small:
+        for i, f in enumerate(remaining):
+            if _model_weq(e.weight, f.weight) and (e.conjugate == e.eid) == (f.conjugate == f.eid):
+                del remaining[i]
+                break
+        else:
+            return False
+    return True
+
+
+def _model_matchings(g1, g2, roots, bijective):
+    """The backtracking matcher, rescanning edge lists at every pair."""
+    parent = bfs_tree(g1.out_edges, g1.basepoint)
+    order = list(parent)
+
+    def nbrs(t, v):
+        return {e.target for e in t.out_edges(v)} | {
+            u for u in t.vertices for e in t.out_edges(u) if e.target == v}
+
+    def between(t, u, m):
+        return [e for e in t.out_edges(u) if e.target == m]
+
+    def compatible(u, v):
+        if bijective and (u in g1.boundary) != (v in g2.boundary):
+            return False
+        onto = bijective or u not in g1.boundary
+        if onto and not _model_inject(g1.out_edges(u), g2.out_edges(v), True):
+            return False
+        near = {m for m in nbrs(g1, u) if m in mapping}
+        near.update(inverse[w] for w in nbrs(g2, v) if w in inverse)
+        return _model_inject(between(g1, u, u), between(g2, v, v), onto) and all(
+            _model_inject(between(g1, u, m), between(g2, v, mapping[m]), onto) for m in near)
+
+    def candidates(i):
+        if i == 0:
+            return iter(roots)
+        e = parent[order[i]]
+        return iter(dict.fromkeys(f.target for f in g2.out_edges(mapping[e.source])
+                                  if f.target not in inverse and _model_weq(f.weight, e.weight)))
+
+    mapping, inverse = {}, {}
+    stack = [candidates(0)]
+    while stack:
+        i = len(stack) - 1
+        u = order[i]
+        if u in mapping:
+            del inverse[mapping.pop(u)]
+        v = next((v for v in stack[-1] if compatible(u, v)), None)
+        if v is None:
+            stack.pop()
+            continue
+        mapping[u], inverse[v] = v, u
+        if i + 1 == len(order):
+            yield dict(mapping)
+        else:
+            stack.append(candidates(i + 1))
+
+
+def _items(m):
+    return None if m is None else list(m.items())
+
+
+def _model_iso(g1, g2):
+    if len(g1.vertices) != len(g2.vertices) or g1.edge_count() != g2.edge_count():
+        return None
+    return _items(next(_model_matchings(g1, g2, [g2.basepoint], True), None))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sampled_from(DIFFERENTIAL_GRAPHS), st.integers(0, 3), st.integers(0, 2))
+def test_matcher_matches_greedy_model(name, r, s):
+    g = ORACLE_GRAPHS[name]()
+    b, big = ball(g, r), ball(g, r + s)
+    assert _items(iso_check(b, b)) == _model_iso(b, b)
+    if not vertex_weighting(big):
+        return  # partial automorphisms need a tracial graph
+    roots = [v for v in big.vertices if big.distance[v] <= s]
+    want = [_items(m) for m in _model_matchings(b, big, roots, False)]
+    assert [_items(a.mapping) for a in partial_automorphisms(g, r, s)] == want
+
+
+@pytest.mark.parametrize("make, radius", [
+    (lambda: double_chain(2, 2), 1), (lambda: double_chain(2, 2), 3), (lambda: grid(2, 2), 3),
+], ids=["double_chain-r1", "double_chain-r3", "grid-r3"])
+def test_float_read_backs_match_greedy_model(make, radius):
+    # a = b, so a float read-back joins the a and b edges in one class
+    b, f = ball(make(), radius), _float_ball(make(), radius)
+    for g1, g2 in ((b, b), (b, f), (f, b), (f, f)):
+        got = _items(iso_check(g1, g2))
+        assert got is not None and got == _model_iso(g1, g2)
