@@ -79,14 +79,15 @@ def cayley(
     ctx = GeneratorContext(tuple(zip(names, phis)), tolerance)
     gens = [ctx.gen(n) for n in names]
     invs = [w.inverse() for w in gens]
+    ms, ps = ["m%d" % i for i in range(k)], ["p%d" % i for i in range(k)]
 
     def out(v: tuple):
         edges = []
         for i in range(k):
             up = v[:i] + (v[i] + 1,) + v[i + 1 :]
             dn = v[:i] + (v[i] - 1,) + v[i + 1 :]
-            edges.append(Edge(("m%d" % i, v), v, dn, invs[i], ("p%d" % i, dn)))
-            edges.append(Edge(("p%d" % i, v), v, up, gens[i], ("m%d" % i, up)))
+            edges.append(Edge((ms[i], v), v, dn, invs[i], (ps[i], dn)))
+            edges.append(Edge((ps[i], v), v, up, gens[i], (ms[i], up)))
         return tuple(edges)
 
     delta = sum(w + 1 / w for w in phis)

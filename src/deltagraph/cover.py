@@ -35,12 +35,34 @@ class LoopLiftError(ValueError):
         self.weight = weight
 
 
-@dataclass(frozen=True)
 class CoverVertex:
-    """A class of based paths: common target vertex and common total weight."""
+    """A class of based paths: common target vertex and common total weight.
 
-    target: object
-    weight: Weight
+    An immutable value, equal by ``(target, weight)`` and hashed once, when
+    made.  Not a tuple, so ``isinstance(v, tuple)`` never takes it for a
+    lattice point."""
+
+    __slots__ = ("target", "weight", "_hash")
+
+    def __init__(self, target, weight: Weight):
+        init = object.__setattr__
+        init(self, "target", target)
+        init(self, "weight", weight)
+        init(self, "_hash", hash((target, weight)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a CoverVertex" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not CoverVertex:
+            return NotImplemented
+        return (self.target, self.weight) == (other.target, other.weight)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return CoverVertex, (self.target, self.weight)
 
     def _vid_key_(self):
         return ("cv", self.weight.key(), vid_key(self.target))

@@ -21,7 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .weights import GeneratorContext, Weight
 
@@ -58,9 +58,12 @@ def vid_key(v):
     return ("r", repr(v))
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Directed edge; ``conjugate`` names the paired reverse edge."""
+class Edge(NamedTuple):
+    """Directed edge; ``conjugate`` names the paired reverse edge.
+
+    A tuple record, built, hashed and compared in C: edges are equal and
+    hash alike when their fields are, and assigning a field raises
+    ``AttributeError``."""
 
     eid: EdgeId
     source: VertexId
@@ -248,12 +251,12 @@ class TruncatedGraph(DeltaGraph):
         self.radius = int(radius)
         self.distance = dict(distance)
         self.exhausted = exhausted
-        self._edges: dict[EdgeId, Edge] = {}
-        for es in self._out.values():
-            for e in es:
-                if e.eid in self._edges:
-                    raise GraphConstructionError("duplicate edge id %r" % (e.eid,))
-                self._edges[e.eid] = e
+        self._edges: dict[EdgeId, Edge] = {e.eid: e for es in self._out.values() for e in es}
+        if len(self._edges) < sum(map(len, self._out.values())):
+            seen: set = set()  # the first id met twice; seen.add returns None
+            dup = next(e.eid for es in self._out.values() for e in es
+                       if e.eid in seen or seen.add(e.eid))
+            raise GraphConstructionError("duplicate edge id %r" % (dup,))
 
     @property
     def interior(self) -> tuple[VertexId, ...]:
@@ -539,11 +542,14 @@ def enumerate_loops(g: DeltaGraph, n: int) -> tuple[Path, ...]:
     b = ball(g, (n + 1) // 2)
     dist = b.distance
     loops: list[Path] = []
+    by_key: dict[VertexId, list[Edge]] = {}  # each vertex's out-edges, sorted once
 
     def steps(v: VertexId, remaining: int):
         """The edges out of v, by ``vid_key`` of their ids, whose target is
         within ``remaining - 1`` steps of the basepoint."""
-        es = sorted(b.out_edges(v), key=lambda e: vid_key(e.eid))
+        es = by_key.get(v)
+        if es is None:
+            es = by_key[v] = sorted(b.out_edges(v), key=lambda e: vid_key(e.eid))
         return iter([e for e in es if dist.get(e.target, remaining) < remaining])
 
     # depth first from an explicit stack of edge iterators, so the loop

@@ -60,6 +60,7 @@ def serialize_graph(
     """
     t = window(g, radius)
     order, vname, ename = _bfs_names(t)
+    texts: dict[Weight, str] = {}  # each distinct weight is rendered once
     lines = [HEADER, "delta %s" % _fmt(t.delta)]
     for name, value in t.context.generators:
         lines.append("generator %s %s" % (name, _fmt(value)))
@@ -73,7 +74,8 @@ def serialize_graph(
         for e in t.out_edges(v):
             lines.append(
                 "edge %s %s %s weight %s conjugate %s"
-                % (ename[e.eid], vname[v], vname[e.target], e.weight.text(),
+                % (ename[e.eid], vname[v], vname[e.target],
+                   texts.get(e.weight) or texts.setdefault(e.weight, e.weight.text()),
                    ename[t.conjugate_edge(e).eid])
             )
     lines.append("basepoint %s" % vname[t.basepoint])
@@ -214,12 +216,14 @@ def parse_graph(text: str) -> GraphDocument:
     vertices = []
     vertex_weights = {}
     seen_v = set()
+    declared: dict[str, VertexId] = {}  # each declared token is parsed once
     for ln, tok, wtext in vertex_rows:
         vid = _vid_from_token(tok)
         if vid in seen_v:
             fail(ln, "duplicate vertex %s" % tok)
         seen_v.add(vid)
         vertices.append(vid)
+        declared[tok] = vid
         if wtext is not None:
             vertex_weights[vid] = weight_at(ln, wtext)
 
@@ -227,8 +231,9 @@ def parse_graph(text: str) -> GraphDocument:
     for ln, eid, src, dst, wtext, conj in edge_rows:
         if eid in edges_by_id:
             fail(ln, "duplicate edge %s" % eid)
-        s = _vid_from_token(src)
-        d = _vid_from_token(dst)
+        # another spelling of a declared id, such as 007 for 7, parses to it
+        s = declared[src] if src in declared else _vid_from_token(src)
+        d = declared[dst] if dst in declared else _vid_from_token(dst)
         if s not in seen_v:
             fail(ln, "edge %s references undeclared vertex %s" % (eid, src))
         if d not in seen_v:

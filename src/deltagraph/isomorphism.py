@@ -14,7 +14,10 @@ bijection preserving source, target, weight, conjugation and boundary flags.
 Before a search both truncations are compiled once (:func:`edge_tables`):
 distinct edge weights become small class ids, as nauty and Traces reduce
 labels first (McKay & Piperno 2014), and edge multisets interned ids, so the
-search compares ints and never calls ``Weight.eq``.  A weight within
+search compares ints and never calls ``Weight.eq``.  The table of the graph
+mapped into also carries candidate rows: per vertex and edge class, the
+targets of its out-edges of that class in stored-edge order, so listing the
+candidates along a tree edge is one dict lookup.  A weight within
 tolerance of two weights of different classes (a float 2.0 against exact
 ``a^1`` and ``b^1`` where a = b = 2) raises ``ValueError``, in the wording of
 the tracial cover's rule.
@@ -92,29 +95,38 @@ class EdgeTable(NamedTuple):
     class being ``2 * cls[weight] + (self-conjugate)``.  ``out`` maps each
     vertex to the id of its out-edge multiset, and ``adj`` each vertex to
     its out-targets and in-sources, each to the id of the multiset of the
-    edges from the vertex to it (0, the empty one, for an in-source only)."""
+    edges from the vertex to it (0, the empty one, for an in-source only).
+    ``rows`` maps each vertex to its candidate row, in a table that the
+    matcher maps into (else it is empty): per class, the targets of the
+    vertex's out-edges of that class, once each, in stored-edge order."""
 
     cls: dict[Weight, int]
     out: dict[VertexId, int]
     adj: dict[VertexId, dict[VertexId, int]]
+    rows: dict[VertexId, dict[int, tuple[VertexId, ...]]]
 
     def edge_class(self, e: Edge) -> int:
         return 2 * self.cls[e.weight] + (e.conjugate == e.eid)
 
 
-def _table(t: TruncatedGraph, cls: dict[Weight, int], step: dict, grow) -> EdgeTable:
-    out, adj = {}, {v: {} for v in t.vertices}
+def _table(t: TruncatedGraph, cls: dict[Weight, int], step: dict, grow,
+           with_rows: bool) -> EdgeTable:
+    out, adj, rows = {}, {v: {} for v in t.vertices}, {}
     for v in t.vertices:
-        o, row = 0, adj[v]
-        for e in t.out_edges(v):
-            c = 2 * cls[e.weight] + (e.conjugate == e.eid)
+        o, row, by_class = 0, adj[v], {}
+        for eid, _, target, weight, conj in t.out_edges(v):
+            c = 2 * cls[weight] + (conj == eid)
             # a multiset with a class added is never the empty one, id 0
             o = step.get((o, c)) or grow(o, c)
-            i = row.get(e.target, 0)
-            row[e.target] = step.get((i, c)) or grow(i, c)
-            adj[e.target].setdefault(v, 0)
+            i = row.get(target, 0)
+            row[target] = step.get((i, c)) or grow(i, c)
+            adj[target].setdefault(v, 0)
+            if with_rows and target not in by_class.get(c, ()):
+                by_class[c] = by_class.get(c, ()) + (target,)
         out[v] = o
-    return EdgeTable(cls, out, adj)
+        if with_rows:
+            rows[v] = by_class
+    return EdgeTable(cls, out, adj, rows)
 
 
 def edge_tables(
@@ -123,7 +135,8 @@ def edge_tables(
     """Both truncations compiled once, against each other's weights
     (:func:`_classes`) and with one id per class multiset across the two
     (the same object twice is compiled once), and ``into(a, b)``: does
-    multiset ``a`` map into ``b`` class by class?  Equal ids map onto."""
+    multiset ``a`` map into ``b`` class by class?  Equal ids map onto.
+    Only g2's table carries candidate rows."""
     ws1, ws2 = (list(dict.fromkeys(e.weight for v in g.vertices for e in g.out_edges(v)))
                 for g in (g1, g2))
     cls1, cls2 = _classes(ws1, ws2)
@@ -138,8 +151,8 @@ def edge_tables(
             forms.append(form)
         return got
 
-    t1 = _table(g1, cls1, step, grow)
-    t2 = t1 if g2 is g1 else _table(g2, cls2, step, grow)
+    t1 = _table(g1, cls1, step, grow, g2 is g1)
+    t2 = t1 if g2 is g1 else _table(g2, cls2, step, grow, True)
 
     @lru_cache(maxsize=None)
     def into(a: int, b: int) -> bool:
@@ -171,7 +184,7 @@ def matchings(
         raise ValueError("matching requires truncations connected from the basepoint")
     order = list(parent)
     t1, t2, into = edge_tables(g1, g2)
-    out1, out2, adj1, adj2 = t1.out, t2.out, t1.adj, t2.adj
+    out1, out2, adj1, adj2, rows2 = t1.out, t2.out, t1.adj, t2.adj, t2.rows
     mapping: dict[VertexId, VertexId] = {}
     inverse: dict[VertexId, VertexId] = {}
 
@@ -209,13 +222,8 @@ def matchings(
     def candidates(i: int) -> Iterator[VertexId]:
         if i == 0:
             return iter(roots)
-        want = tree_class[i]
-        got = dict.fromkeys(
-            f.target
-            for f in g2.out_edges(mapping[parent[order[i]].source])
-            if f.target not in inverse and t2.edge_class(f) == want
-        )
-        return iter(got)
+        row = rows2[mapping[parent[order[i]].source]].get(tree_class[i], ())
+        return (v for v in row if v not in inverse)
 
     stack = [candidates(0)]
     while stack:

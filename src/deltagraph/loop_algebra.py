@@ -27,7 +27,7 @@ only where a value leaves a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import exp, fsum, inf, log
 
 from .graph import Edge, Path, VertexId, enumerate_loops, loop_weight_counts, vid_key
 from .weights import Coefficient, Weight, group_weights
@@ -554,15 +554,35 @@ def modular_spectrum(graph, n: int, verify: bool | None = None) -> ModularSpectr
     return ModularSpectrum(n, group_weights(counts), bool(run))
 
 
+def _anchor_sum(graph, at: VertexId) -> tuple[Coefficient, str | None]:
+    """The outgoing weight sum at a cup anchor, which cap_(i+1) o cup_i
+    multiplies by, and the detail naming the anchor when the sum is not
+    delta.  The log of the sum is formed from the edges' ``log_value`` and
+    compared with log(delta) within the context's tolerance, so no exponent
+    overflows.  (A cup never anchors on the frontier, so every sum counts.)"""
+    es = graph.out_edges(at)
+    total = Coefficient.zero(graph.context)
+    for e in es:
+        total = total + Coefficient.of_weight(e.weight)
+    logs = [e.weight.log_value for e in es]
+    top = max(logs, default=-inf)
+    if top > -inf:
+        top += log(fsum(exp(x - top) for x in logs))
+    if abs(top - log(graph.delta)) <= graph.context.tolerance:
+        return total, None
+    return total, "  anchor %r: outgoing sum %s != delta %r" % (at, total.text(), graph.delta)
+
+
 def relations(graph, max_len: int):
     """The TLJ(delta) relation suite on the loop spaces of length 0..max_len.
 
     Yields ``(name, n, passed, detail)`` records, in this order for each n:
 
     - for n <= max_len - 2, at every cup position i of every basis loop:
-      ``delooping`` (cap_(i+1) o cup_i is the outgoing weight sum at the cup
-      anchor, delta by fairness) and ``zigzag`` (cap_i o cup_i and
-      cap_(i+2) o cup_i are the identity where defined);
+      ``delooping`` (cap_(i+1) o cup_i is delta: it is the outgoing weight
+      sum at the cup anchor, which must equal delta within the context's
+      tolerance) and ``zigzag`` (cap_i o cup_i and cap_(i+2) o cup_i are
+      the identity where defined);
     - ``star-involution`` (star o star = id);
     - for n <= max(2, max_len // 2) when loops exist, over every basis pair:
       ``gram`` (left Gram matrix the identity, right one diag(1/w(l))) and
@@ -571,14 +591,15 @@ def relations(graph, max_len: int):
       loops of length n, as in ``modular_spectrum``; the pairs the walks do
       not reach are zero on every side.
 
-    ``detail`` is the got/want text of the first failed delooping at n, else
-    None.  Comparisons are ``LoopVector.eq``/``Coefficient.eq``.  A negative
+    ``detail`` names the first unfair anchor (:func:`_anchor_sum`), or gives
+    the got/want text of the first failed delooping, at n; else None.
+    Comparisons are ``LoopVector.eq``/``Coefficient.eq``.  A negative
     ``max_len`` raises ``ValueError``.
     """
     if max_len < 0:
         raise ValueError("maximum loop length must be nonnegative")
     ctx = graph.context
-    targets = {}  # cup anchor -> its outgoing weight sum, the delooping target
+    targets = {}  # cup anchor -> _anchor_sum: the delooping target, and if unfair, why
     for n in range(max_len + 1):
         vecs = basis(graph, n)
         if n <= max_len - 2:
@@ -590,14 +611,13 @@ def relations(graph, max_len: int):
                     up = cup(graph, v, i)
                     got = cap(up, i + 1)
                     at = _anchor(v, key, i)
-                    target = targets.get(at)
-                    if target is None:
-                        target = Coefficient.zero(ctx)
-                        for e in graph.out_edges(at):
-                            target = target + Coefficient.of_weight(e.weight)
-                        targets[at] = target
+                    if at not in targets:
+                        targets[at] = _anchor_sum(graph, at)
+                    target, unfair = targets[at]
                     want = v.scaled(target)
-                    if detail is None and not got.eq(want):
+                    if detail is None and unfair:
+                        detail = unfair
+                    elif detail is None and not got.eq(want):
                         detail = "  got:\n%s\n  want:\n%s" % (format_vector(got),
                                                                format_vector(want))
                     if i >= 1 and not cap(up, i).eq(v):

@@ -1,6 +1,8 @@
 """CLI behaviour: exit codes, FAIL lines, determinism, the build/cover
 pipeline from the examples."""
 
+import os
+
 import pytest
 
 from deltagraph import (
@@ -23,6 +25,19 @@ _OVERFLOW_CHAIN = (
     "edge e3 2 1 weight 1e-200 conjugate e1\n"
     "basepoint 0\n"
 )
+
+# the same 1e200 / 1e-200 pairs on a 6-cycle, fair at delta 1e200 (the
+# 1e-200 is lost in the float sum); a loop of length <= 4 cannot wrap, so
+# its weight is 1
+_OVERFLOW_CYCLE = "".join(
+    ["delta-graph v1\ndelta 1e200\n"]
+    + ["vertex %d\n" % i for i in range(6)]
+    + ["edge r%d %d %d weight 1e200 conjugate l%d\nedge l%d %d %d weight 1e-200 conjugate r%d\n"
+       % (i, i, (i + 1) % 6, i, i, (i + 1) % 6, i, i) for i in range(6)]
+    + ["basepoint 0\n"]
+)
+
+_GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 _CHAIN_DOC = (
     "delta-graph v1\n"
@@ -114,13 +129,28 @@ class TestBasics:
     def test_overflowing_factors_of_a_unit_weight_loop(self, tmp_path, capsys):
         # star, the modular operator and the Gram check multiply w(e)^(1/2),
         # at most 1e100 here, so the loops of weight 1 stay in range
-        p = tmp_path / "chain.dg"
-        p.write_text(_OVERFLOW_CHAIN)
+        p = tmp_path / "cycle.dg"
+        p.write_text(_OVERFLOW_CYCLE)
         code, out, err = run(capsys, "tl-check", str(p), "--max-len", "4")
         assert code == 0 and err == ""
         lines = out.splitlines()
         assert lines and all(l.startswith("PASS ") for l in lines)
         assert "PASS star-involution n=4" in lines
+
+    def test_tl_check_checks_delooping_against_delta(self, capsys):
+        # unfair.dg is a grid(2, 3) ball with a unit self-loop at v2 and v10;
+        # cap o cup at v2 is its own outgoing sum, which is not delta, and
+        # every length from 2 has a cup anchored at v2
+        code, out, err = run(capsys, "tl-check", os.path.join(_GOLDEN, "unfair.dg"),
+                             "--max-len", "6")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        fails = [l for l in lines if l.startswith("FAIL ")]
+        assert fails == ["FAIL delooping n=%d" % n for n in (2, 3, 4)] + [
+            "FAIL tl-check 3 relation(s) failed"]
+        assert lines[lines.index("FAIL delooping n=2") - 1] == (
+            "  anchor 'v2': outgoing sum 1 + a^-1 + a^1 + b^-1 + b^1 != delta 5.833333333333334")
+        assert "PASS delooping n=1" in lines and "PASS zigzag n=2" in lines
 
     @pytest.mark.parametrize("cmd", ["loops", "spectrum"])
     def test_loops_past_the_recursion_limit(self, tmp_path, capsys, cmd):

@@ -10,6 +10,8 @@ Core claims:
     - the loop weight group matches the known answers
 """
 
+import copy
+
 import pytest
 
 from deltagraph import (
@@ -30,6 +32,35 @@ from deltagraph import (
 )
 from deltagraph.cover import CoverVertex, LoopLiftError, _Interner
 from deltagraph.weights import GeneratorContext
+
+
+class TestCoverVertex:
+    """A cover vertex is an immutable value that is not a tuple."""
+
+    def test_equal_fields_equal_vertices(self):
+        ctx = GeneratorContext((("q", 2.0),))
+        cv = CoverVertex((0, 1), ctx.gen("q"))
+        same = CoverVertex((0, 1), ctx.gen("q"))
+        assert cv == same and hash(cv) == hash(same) and cv is not same
+        assert {cv: 1}[same] == 1
+        assert cv != CoverVertex((0, 1), ctx.gen("q", 2))
+        assert cv != CoverVertex((0, 2), ctx.gen("q"))
+        assert repr(cv) == "[q^1, (0, 1)]"
+
+    def test_not_a_tuple(self):
+        # builders and the CLI tell lattice points apart by isinstance(v, tuple)
+        cv = CoverVertex((0, 1), GeneratorContext((("q", 2.0),)).gen("q"))
+        assert not isinstance(cv, tuple)
+        assert cv.__eq__(((0, 1), cv.weight)) is NotImplemented
+        assert cv != ((0, 1), cv.weight)
+
+    def test_fields_cannot_be_assigned(self):
+        cv = CoverVertex(0, GeneratorContext((("q", 2.0),)).identity())
+        with pytest.raises(AttributeError):
+            cv.weight = cv.weight.inverse()
+        with pytest.raises(AttributeError):
+            cv.target = 1
+        assert copy.deepcopy(cv) == cv
 
 
 class TestPathGraph:

@@ -18,7 +18,7 @@ from deltagraph import (
     validate,
     vertex_weighting,
 )
-from deltagraph.graph import GraphConstructionError, vid_key
+from deltagraph.graph import GraphConstructionError, TruncatedGraph, vid_key
 
 
 class TestValidate:
@@ -115,6 +115,41 @@ class TestValidate:
         g = DeltaGraph(2.0, ctx, 0, out)
         with pytest.raises(GraphConstructionError):
             ball(g, 1)
+
+
+class TestEdgeRecord:
+    """An edge is a tuple record: a value compared and hashed by its fields."""
+
+    def test_equality_and_hash_by_fields(self):
+        ctx = GeneratorContext((("q", 2.0),))
+        e = Edge("e0", 0, 1, ctx.gen("q"), "e1")
+        same = Edge("e0", 0, 1, ctx.gen("q"), "e1")
+        assert e == same and hash(e) == hash(same) and e is not same
+        assert e != Edge("e0", 0, 1, ctx.gen("q", -1), "e1")
+        assert e != Edge("e0", 0, 2, ctx.gen("q"), "e1")
+        assert (e.eid, e.source, e.target, e.weight, e.conjugate) == ("e0", 0, 1, ctx.gen("q"), "e1")
+        assert {e: 1}[same] == 1
+
+    def test_fields_cannot_be_assigned(self):
+        e = Edge("e0", 0, 1, GeneratorContext((("q", 2.0),)).gen("q"), "e1")
+        with pytest.raises(AttributeError):
+            e.weight = e.weight.inverse()
+        with pytest.raises(AttributeError):
+            e.target = 2
+
+    def test_repr(self):
+        ctx = GeneratorContext((("q", 2.0),))
+        assert repr(Edge("e0", 0, 1, ctx.gen("q"), "e1")) == "Edge('e0': 0->1, q^1)"
+        assert repr(Edge(("r", 3), 3, 4, ctx.float_weight(0.5), ("l", 4))) == (
+            "Edge(('r', 3): 3->4, 0.5)")
+
+    def test_truncation_names_the_first_duplicate_id(self):
+        w = GeneratorContext((("q", 2.0),)).identity()
+        out = {0: (Edge("a", 0, 1, w, "b"), Edge("c", 0, 1, w, "d")),
+               1: (Edge("b", 1, 0, w, "a"), Edge("c", 1, 0, w, "a"), Edge("b", 1, 0, w, "a"))}
+        with pytest.raises(GraphConstructionError, match=r"^duplicate edge id 'c'$"):
+            TruncatedGraph(delta=2.0, context=w.context, basepoint=0, radius=1, out=out,
+                           distance={0: 0, 1: 1}, boundary=())
 
 
 class TestBall:

@@ -95,6 +95,21 @@ class TestParse:
         assert doc.graph.out_edges((0, 0))[0].target == (1, 0)
         assert doc.action.generator("t").act((0, 0)) == (1, 0)
 
+    def test_endpoint_spelled_otherwise_than_its_vertex(self):
+        # an edge endpoint that is not a declared token but parses to a
+        # declared id (007 for 7) names that vertex
+        text = (
+            "delta-graph v1\ndelta 2.5\ngenerator q 2.0\nvertex 7\nvertex (0,1)\n"
+            "edge r0 007 (0,01) weight q^1 conjugate l1\n"
+            "edge l1 (0,1) 7 weight q^-1 conjugate r0\n"
+            "basepoint 07\n"
+        )
+        g = parse_graph(text).graph
+        assert g.basepoint == 7 and g.declared_vertices == (7, (0, 1))
+        (e,) = g.out_edges(7)
+        assert (e.eid, e.source, e.target, e.conjugate) == ("r0", 7, (0, 1), "l1")
+        assert g.out_edges((0, 1))[0].target == 7
+
     def test_weight_half_exponent(self):
         text = CHAIN_DOC.replace("q^1", "q^1/2").replace("q^-1", "q^-1/2")
         doc = parse_graph(text)

@@ -25,7 +25,7 @@ from deltagraph import (
     validate,
     vertex_weighting,
 )
-from deltagraph.isomorphism import _classes, matchings
+from deltagraph.isomorphism import _classes, edge_tables, matchings
 
 
 class TestIsoCheck:
@@ -168,6 +168,36 @@ def test_regular_non_isomorphic_pairs(g1, g2, radius):
 # the path 0-1-2-3-4 with a second edge pair between 2 and 3; a fair ball
 # cannot pin the onto checks, as its interior out-multisets already sum to delta
 UNFAIR_PATH = _unit_graph(5, [(0, 1), (1, 2), (2, 3), (2, 3), (3, 4)])
+
+
+def _filtered_candidates(t, table, v, want):
+    """The candidate filter that the rows replace: the targets of v's stored
+    out-edges of class ``want``, once each, in stored order."""
+    return list(dict.fromkeys(f.target for f in t.out_edges(v) if table.edge_class(f) == want))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ball(grid(2, 3), 3),
+    lambda: ball(PARALLEL, 2),
+    lambda: ball(SELF_LOOPS, 2),
+    lambda: ball(UNFAIR_PATH, 3),
+    lambda: _float_ball(grid(2, 2), 3),
+], ids=["grid", "parallel", "self-loops", "unfair-path", "float-grid"])
+def test_candidate_rows_are_the_stored_edge_filter(make):
+    t = make()
+    t1, t2, _ = edge_tables(t, t)
+    assert t1 is t2 and set(t2.rows) == set(t.vertices)
+    for v in t.vertices:
+        classes = {t2.edge_class(e) for e in t.out_edges(v)}
+        assert set(t2.rows[v]) == classes
+        for c in classes:
+            assert list(t2.rows[v][c]) == _filtered_candidates(t, t2, v, c)
+
+
+def test_only_the_image_table_has_candidate_rows():
+    b1, b2 = ball(grid(2, 3), 2), ball(grid(2, 3), 3)
+    t1, t2, _ = edge_tables(b1, b2)
+    assert t1.rows == {} and set(t2.rows) == set(b2.vertices)
 
 
 def test_partial_maps_interior_vertices_onto():

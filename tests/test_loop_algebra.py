@@ -558,10 +558,13 @@ def _loop_ids(v):
     return l.edge_ids()
 
 
-def _power_chain(k):
-    """``single_chain(2)`` with every rightward weight q^k, leftward q^-k;
-    a digit of q that carried would show as a power of p."""
-    ctx = GeneratorContext((("q", 2.0), ("p", 3.0)), 1e-9)
+def _power_chain(k, fair=True):
+    """A chain with every rightward weight q^k and leftward q^-k; a digit of
+    q that carried would show as a power of p.  q is 2^(1/k) as a float, so
+    q^k stays finite (about 2, or 1 where q rounds to 1.0) and the chain is
+    fair at delta = q^k + q^-k.  Unless ``fair``: then q is 2, past the
+    float range at these k, and delta is 3."""
+    ctx = GeneratorContext((("q", 2.0 ** (1 / k) if fair else 2.0), ("p", 3.0)), 1e-9)
     wq = ctx.gen("q", k)
     wqi = wq.inverse()
 
@@ -569,7 +572,7 @@ def _power_chain(k):
         return (Edge(("l", m), m, m - 1, wqi, ("r", m - 1)),
                 Edge(("r", m), m, m + 1, wq, ("l", m + 1)))
 
-    return DeltaGraph(3.0, ctx, 0, out)
+    return DeltaGraph(wq.value + wqi.value if fair else 3.0, ctx, 0, out)
 
 
 class TestVectorPackingBound:
@@ -599,6 +602,16 @@ class TestVectorPackingBound:
             for i in range(3):
                 (c,) = cap(cup(g, v, i), i + 1).terms.values()
                 assert c.text() == delta.text()
+
+    @pytest.mark.parametrize("k", [2 ** 31 - 1, 2 ** 63])
+    def test_unfair_huge_exponent_chain_fails_delooping(self, k):
+        # the anchor sums q^k + q^-k are compared with delta through logs,
+        # so delooping fails where their values would overflow
+        recs = {(name, n): (passed, detail)
+                for name, n, passed, detail in relations(_power_chain(k, fair=False), 2)}
+        assert recs["delooping", 0] == (
+            False, "  anchor 0: outgoing sum q^-%d + q^%d != delta 3.0" % (k, k))
+        assert recs["zigzag", 0] == (True, None)
 
 
 class TestFloatOverflow:

@@ -463,6 +463,17 @@ def test_matcher_matches_greedy_model(name, r, s):
     assert [_items(a.mapping) for a in partial_automorphisms(g, r, s)] == want
 
 
+def test_partial_automorphisms_keep_the_candidate_filter_order():
+    # the mappings, in order, are those of the model, whose candidates are a
+    # dict.fromkeys filter over g2's stored out-edges at every level
+    g = grid(2, 3)
+    b, big = ball(g, 3), ball(g, 5)
+    roots = [v for v in big.vertices if big.distance[v] <= 2]
+    want = [_items(m) for m in _model_matchings(b, big, roots, False)]
+    got = [_items(a.mapping) for a in partial_automorphisms(g, 3, 2)]
+    assert len(got) == len(roots) == 13 and got == want
+
+
 @pytest.mark.parametrize("make, radius", [
     (lambda: double_chain(2, 2), 1), (lambda: double_chain(2, 2), 3), (lambda: grid(2, 2), 3),
 ], ids=["double_chain-r1", "double_chain-r3", "grid-r3"])
