@@ -24,7 +24,7 @@ from .graph import (
     loop_weight_counts,
     vid_key,
 )
-from .weights import Weight, _ambiguity, reduce_generators
+from .weights import Weight, _Classes, reduce_generators
 
 
 class LoopLiftError(ValueError):
@@ -77,35 +77,22 @@ class CoverResult(NamedTuple):
 
 
 class _Interner:
-    """Canonicalizes cover vertices: one per class of equal weights at a target.
-
-    Two exact weights are equal when they are the same monomial, so grid(2,2)'s
-    ``a`` and ``b`` stay apart.  Otherwise weights are equal when their
-    ``log_value`` lie within the tolerance, and a weight lands on the first
-    class at its target that it matches.  So a float loop weight near 1 lands
-    on the root, and an exact class and its float twin are one.  The classes
-    (``buckets``, per target, in creation order) are made at the first float
-    weight, so exact-only graphs compute no log.
-
-    Where two distinct exact classes at one target lie within the tolerance,
-    a float weight near both has no class of its own: ``ValueError`` when a
-    float weight matches both, or when an exact class would be made beside
-    one that a float weight already took (``floated``).
+    """Canonicalizes cover vertices: one per tolerance class of weights at a
+    target (:class:`weights._Classes`, one per target).  So grid(2,2)'s
+    exact ``a`` and ``b`` stay apart, a float loop weight near 1 lands on
+    the root, and an exact class and its float twin are one.  The classes
+    are made at the first float weight, so exact-only graphs compute no log.
 
     ``known`` maps every vertex looked up to its class, and every lookup
     returns the stored instance, so dict lookups and the source check of
-    :meth:`DeltaGraph.out_edges` compare by identity first.  ``ball`` also
-    steps one edge past its radius, and interns the states it reaches there.
-    They are created after every state inside the ball, so they come last in
-    each bucket and never capture a lookup that a state inside the ball
-    matches.
-    """
+    :meth:`DeltaGraph.out_edges` compare by identity first.  ``ball``
+    interns the states one step past its radius after every state inside,
+    so those never stand for a class that a state inside the ball is in."""
 
     def __init__(self, tolerance: float):
         self.tolerance = tolerance
         self.known: dict[CoverVertex, CoverVertex] = {}
-        self.buckets: dict[object, list[tuple[float, CoverVertex]]] | None = None
-        self.floated: dict[CoverVertex, Weight] = {}  # exact class -> a float weight it took
+        self.classes: dict[object, _Classes] | None = None
 
     def get(self, target, weight: Weight) -> CoverVertex:
         cv = CoverVertex(target, weight)
@@ -115,29 +102,16 @@ class _Interner:
         return got
 
     def _match(self, cv: CoverVertex) -> CoverVertex:
-        w = cv.weight
-        if self.buckets is None:
-            if w.is_exact:
+        if self.classes is None:
+            if cv.weight.is_exact:
                 return cv
-            self.buckets = {}
+            self.classes = {}  # at the first float weight, class the vertices so far
             for k in self.known:
-                self.buckets.setdefault(k.target, []).append((k.weight.log_value, k))
-        lw = w.log_value
-        bucket = self.buckets.setdefault(cv.target, [])
-        near = [other for lv, other in bucket if abs(lw - lv) <= self.tolerance]
-        hits = [other for other in near if not (w.is_exact and other.weight.is_exact)]
-        exact = [other.weight for other in hits if other.weight.is_exact]
-        if len(exact) > 1:
-            raise _ambiguity(w, exact[0], exact[1], " at %r" % (cv.target,))
-        if hits:
-            if not w.is_exact and hits[0].weight.is_exact:
-                self.floated.setdefault(hits[0], w)
-            return hits[0]
-        for other in near:  # exact classes that a new exact class would sit beside
-            if other in self.floated:
-                raise _ambiguity(self.floated[other], other.weight, w, " at %r" % (cv.target,))
-        bucket.append((lw, cv))
-        return cv
+                self._match(k)
+        at = self.classes.get(cv.target)
+        if at is None:
+            at = self.classes[cv.target] = _Classes(self.tolerance, " at %r" % (cv.target,))
+        return at.add(cv.weight, cv)
 
 
 def tracial_cover(g: DeltaGraph, radius: int) -> CoverResult:
@@ -182,8 +156,7 @@ def lift_loop(g: DeltaGraph, l: Path, cover: TruncatedGraph | None = None) -> Pa
             "not a loop at the basepoint %r: the path runs from %r to %r"
             % (g.basepoint, l.start, l.target)
         )
-    ctx = g.context
-    if not l.weight.eq(ctx.identity()):
+    if not l.weight.is_identity():
         raise LoopLiftError(l.weight)
     if cover is None:
         cover = tracial_cover(g, max(len(l), 1)).graph
@@ -200,7 +173,7 @@ def lift_loop(g: DeltaGraph, l: Path, cover: TruncatedGraph | None = None) -> Pa
         cv = ce.target
     if cv != cover.basepoint:
         raise AssertionError("weight-1 loop failed to close in the cover")
-    return Path(cover.basepoint, tuple(edges), ctx)
+    return Path(cover.basepoint, tuple(edges), g.context)
 
 
 @dataclass(frozen=True)
@@ -225,9 +198,7 @@ def loop_weight_group(g: DeltaGraph, max_len: int) -> LoopWeightGroup:
     The weights come from walk counts (:func:`loop_weight_counts`), not from
     enumerating loops; the reduction is canonical, so repeated weights do
     not change the generators."""
-    ctx = g.context
-    identity = ctx.identity()
     weights = []
     for n in range(1, max_len + 1):
-        weights.extend(w for w, _ in loop_weight_counts(g, n) if not w.eq(identity))
-    return LoopWeightGroup(reduce_generators(weights, ctx), max_len)
+        weights.extend(w for w, _ in loop_weight_counts(g, n) if not w.is_identity())
+    return LoopWeightGroup(reduce_generators(weights, g.context), max_len)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .weights import GeneratorContext, Weight
+from .weights import GeneratorContext, Weight, _log_sum
 
 VertexId = Hashable
 EdgeId = Hashable
@@ -433,7 +433,6 @@ def validate(g: DeltaGraph, radius: int | None = None) -> ValidationReport:
 
     inv_bad: list[str] = []
     wprod_bad: list[str] = []
-    identity = b.context.identity()
     for e in b.edges():
         if not b.has_edge(e.conjugate):
             inv_bad.append("edge %r has no conjugate %r" % (e.eid, e.conjugate))
@@ -444,16 +443,20 @@ def validate(g: DeltaGraph, radius: int | None = None) -> ValidationReport:
             continue
         if c.eid == e.eid and e.source != e.target:
             inv_bad.append("edge %r is self-conjugate but not a self-loop" % (e.eid,))
-        if not (e.weight * c.weight).eq(identity):
+        if not (e.weight * c.weight).is_identity():
             wprod_bad.append(
                 "w(%r) * w(%r) = %s != 1" % (e.eid, c.eid, (e.weight * c.weight).text())
             )
 
     fair_bad: list[str] = []
     for v in b.interior:
-        total = sum(e.weight.value for e in b.out_edges(v))
-        if not b.context.close(total, b.delta):
-            fair_bad.append("vertex %r: outgoing sum %.12g != delta %.12g" % (v, total, b.delta))
+        total = _log_sum(e.weight for e in b.out_edges(v))
+        if abs(total - math.log(b.delta)) > b.context.tolerance:
+            try:
+                shown = math.exp(total)
+            except OverflowError:  # a sum past the float range shows as inf
+                shown = math.inf
+            fair_bad.append("vertex %r: outgoing sum %.12g != delta %.12g" % (v, shown, b.delta))
 
     conn_bad: list[str] = []
     if declared is not None and b.exhausted:

@@ -17,10 +17,8 @@ labels first (McKay & Piperno 2014), and edge multisets interned ids, so the
 search compares ints and never calls ``Weight.eq``.  The table of the graph
 mapped into also carries candidate rows: per vertex and edge class, the
 targets of its out-edges of that class in stored-edge order, so listing the
-candidates along a tree edge is one dict lookup.  A weight within
-tolerance of two weights of different classes (a float 2.0 against exact
-``a^1`` and ``b^1`` where a = b = 2) raises ``ValueError``, in the wording of
-the tracial cover's rule.
+candidates along a tree edge is one dict lookup.  Weight classes relate
+g1's weights to g2's, never within one graph (:func:`_classes`).
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Edge, TruncatedGraph, VertexId, bfs_tree
-from .weights import Weight, _ambiguity
+from .weights import Weight, _ambiguity, _near
 
 
 def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
@@ -53,15 +51,6 @@ def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
     )
 
 
-def _weq(w1: Weight, w2: Weight) -> bool:
-    """Weight equality that also works across generator contexts, where it
-    compares ``log_value`` at the tighter tolerance, as the cover does."""
-    if w1.context == w2.context:
-        return w1.eq(w2)
-    tol = min(w1.context.tolerance, w2.context.tolerance)
-    return abs(w1.log_value - w2.log_value) <= tol
-
-
 def _straddle(ws, rel, others, back):
     """A weight of ``ws`` and two of ``others`` it is related to by ``rel``
     whose relations ``back`` differ, if there is one."""
@@ -72,12 +61,12 @@ def _straddle(ws, rel, others, back):
 
 
 def _classes(ws1: Sequence[Weight], ws2: Sequence[Weight]) -> tuple[dict, dict]:
-    """Class ids of two lists of distinct weights: weights related by
-    :func:`_weq` share an id, and a weight related to none has its own.
+    """Class ids of two lists of distinct weights, related bipartitely (each
+    of ws1 to each of ws2, never within a list) by :func:`weights._near`:
+    related weights share an id, and a weight related to none has its own.
     ``ValueError`` unless the relation splits into disjoint complete blocks,
-    naming a weight (a float one if any) within tolerance of two weights of
-    different classes."""
-    rel = [[j for j, w2 in enumerate(ws2) if _weq(w1, w2)] for w1 in ws1]
+    naming a weight (a float one if any) near two of different classes."""
+    rel = [[j for j, w2 in enumerate(ws2) if _near(w1, w2)] for w1 in ws1]
     back = [[i for i, js in enumerate(rel) if j in js] for j in range(len(ws2))]
     found = [s for s in (_straddle(ws1, rel, ws2, back), _straddle(ws2, back, ws1, rel)) if s]
     if found:

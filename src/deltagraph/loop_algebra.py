@@ -27,11 +27,11 @@ only where a value leaves a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, inf, log
+from math import inf, log
 
 from .graph import Edge, Path, VertexId, enumerate_loops, loop_weight_counts, vid_key
 from .weights import Coefficient, Weight, group_weights
-from .weights import _aligned, _coefficient_at, _packed_coefficient, _repacked
+from .weights import _aligned, _coefficient_at, _log_sum, _packed_coefficient, _repacked
 
 
 class _EdgeTable:
@@ -557,18 +557,13 @@ def modular_spectrum(graph, n: int, verify: bool | None = None) -> ModularSpectr
 def _anchor_sum(graph, at: VertexId) -> tuple[Coefficient, str | None]:
     """The outgoing weight sum at a cup anchor, which cap_(i+1) o cup_i
     multiplies by, and the detail naming the anchor when the sum is not
-    delta.  The log of the sum is formed from the edges' ``log_value`` and
-    compared with log(delta) within the context's tolerance, so no exponent
-    overflows.  (A cup never anchors on the frontier, so every sum counts.)"""
+    delta, compared through logs (:func:`weights._log_sum`) as ``validate``
+    does, so no exponent overflows.  (A cup never anchors on the frontier.)"""
     es = graph.out_edges(at)
     total = Coefficient.zero(graph.context)
     for e in es:
         total = total + Coefficient.of_weight(e.weight)
-    logs = [e.weight.log_value for e in es]
-    top = max(logs, default=-inf)
-    if top > -inf:
-        top += log(fsum(exp(x - top) for x in logs))
-    if abs(top - log(graph.delta)) <= graph.context.tolerance:
+    if abs(_log_sum(e.weight for e in es) - log(graph.delta)) <= graph.context.tolerance:
         return total, None
     return total, "  anchor %r: outgoing sum %s != delta %r" % (at, total.text(), graph.delta)
 

@@ -4,7 +4,8 @@ Weights live in a multiplicative group of positive reals.  Exact weights are
 monomials ``prod g_i^(r_i)`` with rational exponents over the generators
 declared in a :class:`GeneratorContext`; rational exponents keep square roots
 inside the group.  Weights that are not monomials in the declared generators
-use float mode, where equality is tolerance-based.
+use float mode.  Two weights are equal by one rule, :func:`_near`, and a set
+of weights splits into tolerance classes by one, :class:`_Classes`.
 
 An exact weight is stored as a tuple of ints ``num``, one per generator in
 the context's order, over one positive common denominator ``den``, with
@@ -16,15 +17,9 @@ exact weight is computed on first use and raises ``OverflowError`` when it
 leaves the positive float range.
 
 A :class:`Coefficient`, the scalar of the loop algebra, is a rational linear
-combination of exact weights, or one float.  An exact coefficient stores each
-monomial as one int: its exponent numerators over a denominator D kept on the
-coefficient, packed by Kronecker substitution with balanced digits.  A
-product of monomials is then one int addition, and ``==`` compares ints.  A
-bound on the digits, kept on each coefficient, re-packs at a wider digit
-before a digit could carry into its neighbour.  ``Coefficient.terms`` builds
-the reduced ``(Weight, scalar)`` pairs when it is read.  The loop vectors of
-``loop_algebra`` pack their monomials the same way, and both re-pack by one
-rule, :func:`_aligned` and :func:`_repacked`.
+combination of exact weights, each packed into one int, or one float.  The
+loop vectors of ``loop_algebra`` pack their monomials the same way, and both
+re-pack by one rule, :func:`_aligned` and :func:`_repacked`.
 """
 from __future__ import annotations
 
@@ -48,11 +43,9 @@ class WeightFormatError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorContext:
-    """Declares the ambient group: named positive generators and a tolerance.
-
-    The tolerance governs all float-mode comparisons: two values are equal
-    when ``|v1 - v2| <= tolerance * max(v1, v2)`` and both are finite.
-    """
+    """Declares the ambient group: named positive generators and a tolerance,
+    the bound on ``|log v1 - log v2|`` for a float weight to equal another
+    (:func:`_near`); logs of exact weights come from their exponents."""
 
     generators: tuple[tuple[str, float], ...]
     tolerance: float = 1e-9
@@ -109,9 +102,6 @@ class GeneratorContext:
         if not (value > 0) or math.isinf(value):
             raise ValueError("weights must be positive finite reals, got %r" % value)
         return Weight(self, None, 1, value)
-
-    def close(self, v1: float, v2: float) -> bool:
-        return abs(v1 - v2) <= self.tolerance * max(v1, v2) < math.inf
 
 
 def _require_same_context(c1: GeneratorContext, c2: GeneratorContext):
@@ -237,17 +227,13 @@ class Weight:
         return _float_result(self.context, math.sqrt(self.value))
 
     def eq(self, other: "Weight") -> bool:
-        """Exact exponent comparison when both exact, else tolerance on value."""
+        """The tolerance rule, :func:`_near`, within one context."""
         if other.context is not self.context:
             _require_same_context(self.context, other.context)
-        if self.num is not None and other.num is not None:
-            return self.num == other.num and self.den == other.den
-        return self.context.close(self.value, other.value)
+        return _near(self, other)
 
     def is_identity(self) -> bool:
-        if self.is_exact:
-            return not any(self.num)
-        return self.context.close(self.value, 1.0)
+        return _near(self, self.context._identity)
 
     def key(self):
         """Deterministic sort/group key; exact and float keys never collide."""
@@ -279,6 +265,27 @@ class Weight:
 
     def __repr__(self):
         return "Weight(%s)" % self.text()
+
+
+def _near(w1: Weight, w2: Weight) -> bool:
+    """The one equality rule for weights.  Two exact weights of one context
+    are equal when they are the same monomial, so ``a^1`` and ``b^1`` differ
+    even where a = b; any other pair when their ``log_value`` differ by at
+    most the tolerance, the tighter one across contexts.  Never overflows."""
+    c1, c2 = w1.context, w2.context
+    if w1.num is not None and w2.num is not None and (c1 is c2 or c1 == c2):
+        return w1.num == w2.num and w1.den == w2.den
+    return abs(w1.log_value - w2.log_value) <= min(c1.tolerance, c2.tolerance)
+
+
+def _log_sum(ws: Iterable[Weight]) -> float:
+    """``log`` of the weights' sum from their ``log_value`` (the largest plus
+    ``log(fsum(exp(...)))``), so no exponent overflows; ``-inf`` for none."""
+    logs = [w.log_value for w in ws]
+    top = max(logs, default=-math.inf)
+    if top > -math.inf:
+        top += math.log(math.fsum(math.exp(x - top) for x in logs))
+    return top
 
 
 def _scalar(s):
@@ -579,26 +586,61 @@ def _exact_eq(x: Coefficient, y: Coefficient) -> bool:
     return x._packed == y._packed
 
 
+class _Classes:
+    """One set of distinct weights split into tolerance classes as they are
+    added: a weight joins the class of the members near it (:func:`_near`),
+    or starts one.  A weight near two classes, or near part of one, raises
+    :func:`_ambiguity` (``where`` in its text), so every order of a set
+    raises or gives the same classes, its complete blocks.  Only members
+    within ``tolerance`` of a weight in ``log_value`` are tested."""
+
+    def __init__(self, tolerance: float, where: str = ""):
+        self.tolerance = tolerance
+        self.where = where
+        self.classes: list[tuple[object, list[tuple[float, Weight]]]] = []  # (item, members)
+
+    def add(self, w: Weight, item=None):
+        """The item of ``w``'s class: ``item`` (default ``w``) if w starts one."""
+        lw = w.log_value
+        hit = None  # w's class and a member of it near w
+        for cls in self.classes:
+            near = [m for lv, m in cls[1] if abs(lv - lw) <= self.tolerance and _near(m, w)]
+            if near and hit:
+                raise _ambiguity(w, hit[1], near[0], self.where)
+            if near and len(near) < len(cls[1]):
+                raise _ambiguity(near[0], next(m for _, m in cls[1] if m not in near), w, self.where)
+            if near:
+                hit = (cls, near[0])
+        cls = hit[0] if hit else (w if item is None else item, [])
+        if hit is None:
+            self.classes.append(cls)
+        cls[1].append((lw, w))
+        return cls[0]
+
+
 def group_weights(counts: Iterable[tuple[Weight, int]]) -> tuple[tuple[Weight, int], ...]:
-    """``(weight, count)`` pairs grouped by tolerance-aware equality, as
-    (representative, multiplicity) pairs in ascending order of value (by
-    ``log_value``, so exact weights past the float range are ordered too).
+    """``(weight, count)`` pairs merged by tolerance class (:class:`_Classes`)
+    into (representative, multiplicity) pairs, in ascending order of
+    ``log_value``, so exact weights past the float range are ordered too.
     A weight may appear in several pairs; the result does not depend on
-    their order."""
-    groups: list[tuple[Weight, int]] = []
-    for w, c in sorted(counts, key=lambda p: (p[0].log_value, p[0].key())):
-        for i, (rep, m) in enumerate(groups):
-            if rep.eq(w):
-                groups[i] = (rep, m + c)
-                break
-        else:
-            groups.append((w, c))
-    return tuple(groups)
+    their order.  ``ValueError`` unless the weights split into complete
+    tolerance blocks: a chain x ~ y ~ z with x and z apart raises, naming y."""
+    merged: dict[Weight, int] = {}
+    for w, c in counts:
+        merged[w] = merged.get(w, 0) + c
+    classes = _Classes(max((w.context.tolerance for w in merged), default=0.0))
+    groups: dict[Weight, int] = {}
+    for w in sorted(merged, key=lambda w: (w.log_value, w.key())):
+        rep = classes.add(w)
+        groups[rep] = groups.get(rep, 0) + merged[w]
+    return tuple(groups.items())
 
 
 def _ambiguity(w: Weight, w1: Weight, w2: Weight, where: str = "") -> ValueError:
     """The error for a weight ``w`` (found ``where``) within tolerance of two
-    weights that are not one class, so that it has no class of its own."""
+    weights that are not one class, so that it has no class of its own;
+    the two are named in :meth:`Weight.key` order."""
+    w1, w2 = sorted((w1, w2), key=Weight.key)
     kinds = ("float ", "exact ")
     pair = kinds[w1.is_exact] if w1.is_exact == w2.is_exact else ""
     return ValueError(
@@ -707,12 +749,10 @@ def reduce_generators(
         denom = math.lcm(*(w.den for w in ws))
         basis = _lattice_basis([[n * (denom // w.den) for n in w.num] for w in ws])
         return tuple(_exact(context, tuple(row), denom) for row in basis)
-    # float path: dedupe by tolerance on sorted values
-    reps: list[float] = []
+    # float path: dedupe by the tolerance rule on sorted values, folded to >= 1
+    reps: list[Weight] = []
     for v in sorted(w.value for w in ws):
-        v = v if v >= 1.0 else 1.0 / v
-        if context.close(v, 1.0):
-            continue
-        if not any(context.close(v, r) for r in reps):
-            reps.append(v)
-    return tuple(context.float_weight(v) for v in reps)
+        f = context.float_weight(v if v >= 1.0 else 1.0 / v)
+        if not f.is_identity() and not any(f.eq(r) for r in reps):
+            reps.append(f)
+    return tuple(reps)

@@ -382,6 +382,20 @@ def test_cross_context_weights_compare_past_the_float_range():
     assert iso_check(b2, b1) == {0: 0, 1: 1}
 
 
+def test_huge_exact_pair_against_a_float_pair_is_absent():
+    # one context: q^1100 against the float 2.0 compares through log_value,
+    # unequal, instead of raising OverflowError through the value
+    huge = ball(_huge_pair("1e-09"), 1)
+    floats = ball(parse_graph(
+        "delta-graph v1\ndelta 2\ngenerator q 2.0\ntolerance 1e-09\nvertex 0\nvertex 1\n"
+        "edge e0 0 1 weight 2.0 conjugate e1\nedge e1 1 0 weight 0.5 conjugate e0\n"
+        "basepoint 0\n"
+    ).graph, 1)
+    assert huge.context == floats.context
+    assert iso_check(huge, floats) is None
+    assert iso_check(floats, huge) is None
+
+
 AMBIGUOUS = os.path.join(os.path.dirname(__file__), "golden", "ambiguous.dg")
 
 

@@ -58,6 +58,7 @@ from deltagraph import (
     serialize_graph,
     single_chain,
     star,
+    validate,
     vertex_weighting,
     zero_vector,
 )
@@ -612,6 +613,17 @@ class TestVectorPackingBound:
         assert recs["delooping", 0] == (
             False, "  anchor 0: outgoing sum q^-%d + q^%d != delta 3.0" % (k, k))
         assert recs["zigzag", 0] == (True, None)
+
+
+@pytest.mark.parametrize("k", [2 ** 31 - 1, 2 ** 63])
+def test_fairness_compares_sums_through_logs(k):
+    # validate sums the out-weights in the log domain, as delooping does:
+    # the fair chain passes, and the unfair one, whose q^k is past the float
+    # range, fails with its sum shown as inf instead of raising
+    assert validate(_power_chain(k), 3).check("fairness").passed
+    fair = validate(_power_chain(k, fair=False), 3).check("fairness")
+    assert not fair.passed
+    assert fair.details[0] == "vertex 0: outgoing sum inf != delta 3"
 
 
 class TestFloatOverflow:

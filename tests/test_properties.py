@@ -14,7 +14,12 @@
     - ``iso_check`` and ``partial_automorphisms`` give the mappings, in the
       order, of a reference model that matches edges weight by weight with a
       greedy scan, on every oracle graph's balls and on float read-backs
+    - the tolerance classes of one set of weights (``weights._Classes``) are
+      its complete blocks in every order of adding, else every order raises,
+      as a brute-force model says; ``group_weights`` agrees
 """
+
+from itertools import permutations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -50,6 +55,7 @@ from deltagraph import (
 from deltagraph.graph import Path, bfs_tree
 from deltagraph.io import GraphFormatError
 from deltagraph.loop_algebra import _inner_pairs
+from deltagraph.weights import GeneratorContext, _Classes, group_weights
 from test_isomorphism import _float_ball
 from test_loop_algebra import ORACLE_GRAPHS
 
@@ -483,3 +489,55 @@ def test_float_read_backs_match_greedy_model(make, radius):
     for g1, g2 in ((b, b), (b, f), (f, b), (f, f)):
         got = _items(iso_check(g1, g2))
         assert got is not None and got == _model_iso(g1, g2)
+
+
+# a = b, so distinct exact weights share values; floats a step of 0.6e-9 in
+# log apart chain x ~ y ~ z with x and z apart at the tolerance 1e-9
+CLASS_CTX = GeneratorContext((("a", 2.0), ("b", 2.0)), 1e-9)
+CLASS_POOL = [CLASS_CTX.exact(a=i, b=j)
+              for i, j in ((0, 0), (1, 0), (0, 1), (-1, 1), (2, 0), (1, 1))]
+CLASS_POOL += [CLASS_CTX.float_weight(base * (1 + k * 0.6e-9))
+               for base in (1.0, 2.0, 4.0) for k in range(4)]
+
+
+def _built_classes(order):
+    """The partition ``_Classes`` makes adding ``order``, or None if it raises."""
+    classes, by_item = _Classes(CLASS_CTX.tolerance), {}
+    try:
+        for w in order:
+            by_item.setdefault(classes.add(w), set()).add(w)
+    except ValueError:
+        return None
+    return frozenset(map(frozenset, by_item.values()))
+
+
+def _model_blocks(ws):
+    """The connected components of the tolerance relation when each is a
+    complete block (every pair related), else None."""
+    def near(x, y):
+        if x.is_exact and y.is_exact:
+            return x == y
+        return abs(x.log_value - y.log_value) <= CLASS_CTX.tolerance
+
+    blocks: list[set] = []
+    for w in ws:
+        hit = [b for b in blocks if any(near(w, x) for x in b)]
+        blocks = [b for b in blocks if not any(b is h for h in hit)] + [{w}.union(*hit)]
+    if any(not near(x, y) for b in blocks for x in b for y in b):
+        return None
+    return frozenset(map(frozenset, blocks))
+
+
+@given(st.lists(st.sampled_from(CLASS_POOL), min_size=1, max_size=5, unique=True))
+def test_weight_classes_are_complete_blocks_in_every_order(ws):
+    want = _model_blocks(ws)
+    for order in permutations(ws):
+        assert _built_classes(order) == want
+    counts = [(w, 1) for w in ws]
+    if want is None:
+        with pytest.raises(ValueError, match="is within tolerance of the distinct"):
+            group_weights(counts)
+    else:
+        key = lambda w: (w.log_value, w.key())
+        reps = [(min(b, key=key), len(b)) for b in want]
+        assert list(group_weights(counts)) == sorted(reps, key=lambda p: key(p[0]))

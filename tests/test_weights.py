@@ -13,6 +13,7 @@ from deltagraph.weights import (
     GeneratorContext,
     WeightFormatError,
     _lattice_basis,
+    group_weights,
     parse_weight,
     reduce_generators,
 )
@@ -96,6 +97,22 @@ class TestEquality:
         with pytest.raises(ContextMismatchError):
             CTX.exact(q=1).eq(CTX2.exact(a=1))
 
+    def test_exact_weights_compare_as_monomials(self):
+        # a = b: equal values, distinct exact weights; a float is near both
+        ctx = GeneratorContext((("a", 2.0), ("b", 2.0)))
+        a, b = ctx.gen("a"), ctx.gen("b")
+        assert not a.eq(b) and not (a.inverse() * b).is_identity()
+        assert ctx.float_weight(2.0).eq(a) and ctx.float_weight(2.0).eq(b)
+        assert ctx.float_weight(1.0).is_identity()
+
+    def test_exact_against_float_past_the_float_range(self):
+        # compared through log_value, so q^1100 (value past the float range)
+        # is unequal to a float instead of raising OverflowError
+        huge = CTX.gen("q", 1100)
+        assert not huge.eq(CTX.float_weight(2.0))
+        assert not CTX.float_weight(2.0).eq(huge)
+        assert not huge.is_identity() and not huge.inverse().is_identity()
+
 
 class TestText:
     def test_exact_forms(self):
@@ -157,6 +174,30 @@ class TestReduceGenerators:
         ws = [ctx.float_weight(v) for v in (2.0, 0.5, 2.0 + 1e-12, 1.0, 3.0)]
         gens = reduce_generators(ws, ctx)
         assert [round(g.value, 9) for g in gens] == [2.0, 3.0]
+
+
+class TestGroupWeights:
+    def test_tolerance_chain_raises_naming_the_middle_weight(self):
+        # 1 ~ y ~ z with 1 and z apart is no complete block, in any order
+        ctx = GeneratorContext(())
+        ws = [ctx.float_weight(1 + k * 0.8e-9) for k in range(3)]
+        for order in (ws, ws[::-1], [ws[0], ws[2], ws[1]]):
+            with pytest.raises(ValueError, match=r"^float weight %s is within tolerance of the "
+                                                 r"distinct float weights 1 and %s$"
+                                                 % (ws[1].text(), ws[2].text())):
+                group_weights((w, 1) for w in order)
+
+    def test_blocks_merge_by_class(self):
+        ctx = GeneratorContext((("a", 2.0), ("b", 2.0)))
+        a, b, f = ctx.gen("a"), ctx.gen("b"), ctx.float_weight(2.0 + 1e-12)
+        # a float near one exact weight joins its class, which the exact
+        # weight, first in log order, stands for
+        assert group_weights([(f, 2), (a, 1), (a, 3)]) == ((a, 6),)
+        # a^1 and b^1 are distinct exact weights: the float near both has no class
+        assert group_weights([(a, 1), (b, 1)]) == ((a, 1), (b, 1))
+        with pytest.raises(ValueError, match="within tolerance of the distinct exact weights "
+                                             r"a\^1 and b\^1"):
+            group_weights([(a, 1), (b, 1), (f, 1)])
 
 
 def _det(m) -> Fraction:
