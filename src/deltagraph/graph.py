@@ -453,10 +453,12 @@ def validate(g: DeltaGraph, radius: int | None = None) -> ValidationReport:
         total = _log_sum(e.weight for e in b.out_edges(v))
         if abs(total - math.log(b.delta)) > b.context.tolerance:
             try:
-                shown = math.exp(total)
+                shown = "%.12g" % math.exp(total)
             except OverflowError:  # a sum past the float range shows as inf
-                shown = math.inf
-            fair_bad.append("vertex %r: outgoing sum %.12g != delta %.12g" % (v, shown, b.delta))
+                shown = "inf"
+            if shown == "0" and total > -math.inf:  # a positive sum below the float range
+                shown = "exp(%.12g)" % total
+            fair_bad.append("vertex %r: outgoing sum %s != delta %.12g" % (v, shown, b.delta))
 
     conn_bad: list[str] = []
     if declared is not None and b.exhausted:

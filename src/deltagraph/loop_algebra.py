@@ -21,17 +21,93 @@ terms are one dict ``(loop key, packed monomial) -> scalar`` under one
 packing, so the maps add monomials and multiply scalars, and a loop's weight
 (star, the modular operator, the Gram check) is read one way: the sum of its
 edges' monomials and the product of their scalars, over the
-conjugate-reversed loop for w(l)^(-1/2).  A :class:`Coefficient` is built
-only where a value leaves a vector.
+conjugate-reversed loop for w(l)^(-1/2).
+
+This module alone knows the packing: a monomial's exponent numerators over
+a denominator ``_den`` are one int, ``sum(n_i * B**i)`` over the generators
+in context order, with balanced digits in ``[-B/2, B/2)`` (``_half`` is B/2).
+Each vector, edge table and packed coefficient bounds its digits' size by
+``_top`` below B/2, and a product that could pass it re-packs its operands at
+a wider digit first (:func:`_aligned`, :func:`_repacked`), so results stay
+exact for any exponent.  A :class:`Coefficient`, a plain sum of weights, is
+packed where it scales a vector and built only where a value leaves one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log
+from math import inf, lcm, log
 
 from .graph import Edge, Path, VertexId, enumerate_loops, loop_weight_counts, vid_key
 from .weights import Coefficient, Weight, group_weights
-from .weights import _aligned, _coefficient_at, _log_sum, _packed_coefficient, _repacked
+from .weights import _exact, _exact_coefficient, _log_sum, _real
+
+# Packed digits start 32 bits wide, in [-2^31, 2^31); digits that need more
+# are re-packed at twice the width.
+_HALF = 1 << 31
+
+
+def _pack(num, half: int) -> int:
+    """``sum(n_i * B**i)`` for the base ``B = 2 * half``."""
+    bits = half.bit_length()
+    key = 0
+    for n in reversed(num):
+        key = (key << bits) + n
+    return key
+
+
+def _unpack(key: int, size: int, half: int) -> tuple[int, ...]:
+    """The ``size`` balanced digits, in ``[-half, half)``, of a packed key."""
+    bits, mask = half.bit_length(), 2 * half - 1
+    num = []
+    for _ in range(size):
+        d = ((key + half) & mask) - half
+        num.append(d)
+        key = (key - d) >> bits
+    return tuple(num)
+
+
+def _half_for(top: int, half: int = _HALF) -> int:
+    """``half``, doubled in width until digits of size ``top`` fit."""
+    while top >= half:
+        half = 1 << (2 * half.bit_length() - 1)
+    return half
+
+
+def _aligned(*xs) -> tuple[int, int, int]:
+    """``(den, half, top)`` for a product of ``xs`` (loop vectors, edge
+    tables or packed coefficients, each packed by its ``_den``, ``_half``
+    and ``_top``): the lcm of their denominators, the sum ``top`` of their
+    bounds over it, and a width, at least each of theirs, that holds it.
+    A product or sum of any of ``xs``, repeats counted, fits it."""
+    den = lcm(*(x._den for x in xs))
+    top = sum(x._top * (den // x._den) for x in xs)
+    return den, _half_for(top, max(x._half for x in xs)), top
+
+
+def _repacked(x, den: int, half: int, size: int):
+    """``(f, top)``: ``f`` re-packs a monomial of ``x``, over ``size``
+    generators, at a packing from :func:`_aligned` of x and more, and
+    ``top`` is x's bound there."""
+    m, old = den // x._den, x._half
+    if half == old:
+        return m.__mul__, x._top * m
+    return (lambda k: _pack([n * m for n in _unpack(k, size, old)], half)), x._top * m
+
+
+class _Packed:
+    """An exact coefficient's terms as ``pairs`` of (packed monomial,
+    scalar), over ``_den = lcm(2, their denominators)`` at the width that
+    holds their digits, ``_top``.  :meth:`LoopVector.scaled` keeps one on
+    the coefficient, as its ``_packed``, from first use."""
+
+    __slots__ = ("pairs", "_den", "_half", "_top")
+
+    def __init__(self, terms: tuple):
+        den = self._den = lcm(2, *(w.den for w, _ in terms))
+        nums = [[n * (den // w.den) for n in w.num] for w, _ in terms]
+        self._top = max((abs(n) for num in nums for n in num), default=0)
+        self._half = _half_for(self._top)
+        self.pairs = tuple((_pack(num, self._half), s) for num, (_, s) in zip(nums, terms))
 
 
 class _EdgeTable:
@@ -47,10 +123,10 @@ class _EdgeTable:
     has entered the table or its vectors.  A conjugate that does not name
     the edge back, or an edge id that names two different edges, raises
     ``ValueError``.  The table also memoizes the cup rows of each anchor off
-    the frontier.
+    the frontier, and the :class:`Weight` of each packed monomial read out.
     """
 
-    __slots__ = ("graph", "edges", "conj", "sqrt", "floats", "_index", "_rows",
+    __slots__ = ("graph", "edges", "conj", "sqrt", "floats", "_index", "_rows", "_weights",
                  "_den", "_half", "_top")
 
     def __init__(self, graph):
@@ -61,20 +137,24 @@ class _EdgeTable:
         self.floats = False
         self._index: dict = {}  # edge id -> index
         self._rows: dict = {}  # anchor -> cup rows
-        one = Coefficient.one(graph.context)
-        self._den, self._half, self._top = one._den, one._half, one._top
+        self._weights: dict = {}  # (monomial, den, half) -> Weight
+        self._den, self._half, self._top = 2, _HALF, 0
 
     def _add(self, e: Edge) -> int:
         k = self._index[e.eid] = len(self.edges)
         self.edges.append(e)
         self.conj.append(k)
-        c = Coefficient.of_weight(e.weight.sqrt())
-        if c.is_exact and (c._den != self._den or c._half != self._half):
-            self.repack(*_aligned(self, c)[:2])
-            c = _coefficient_at(c, self._den, self._half)
-        self.sqrt.append(_terms_of(c)[0])
-        self._top = max(self._top, c._top)
-        self.floats = self.floats or not c.is_exact
+        r = e.weight.sqrt()
+        if r.is_exact:
+            den = lcm(self._den, r.den)
+            num = [n * (den // r.den) for n in r.num]
+            top = max(map(abs, num), default=0)
+            self.repack(den, _half_for(max(top, self._top * (den // self._den)), self._half))
+            self.sqrt.append((_pack(num, self._half), 1))
+            self._top = max(self._top, top)
+        else:
+            self.sqrt.append((0, r.value))
+            self.floats = True
         return k
 
     def repack(self, den: int, half: int) -> None:
@@ -114,6 +194,14 @@ class _EdgeTable:
             got = self._rows[at] = tuple((k, self.conj[k]) + self.sqrt[k] for k in ks)
         return got
 
+    def weight(self, m: int, den: int, half: int) -> Weight:
+        """The weight of the monomial m packed at ``(den, half)``; memoized."""
+        got = self._weights.get((m, den, half))
+        if got is None:
+            ctx = self.graph.context
+            got = self._weights[m, den, half] = _exact(ctx, _unpack(m, len(ctx.names), half), den)
+        return got
+
     def loop_sqrt(self, key: tuple[int, ...]) -> tuple:
         """w(l)^(1/2) of the path l with these edges, as in ``sqrt``.  Over
         the conjugate-reversed key it is w(l)^(-1/2)."""
@@ -149,8 +237,8 @@ class LoopVector:
     A vector holds its ``length``, the ``start`` vertex its loops share, its
     graph's edge table and ``keyed``, a dict from ``(loop key, packed
     monomial)`` to a nonzero scalar, the loop key being the tuple of the
-    loop's edge indices into that table; the monomials are packed as in
-    :class:`Coefficient`, by ``(_den, _half, _top)``.  :func:`loop_vector`,
+    loop's edge indices into that table; the monomials are packed by
+    ``(_den, _half, _top)``.  :func:`loop_vector`,
     :func:`zero_vector` and :func:`basis` make the vectors of a graph, and
     every map here keeps its operands' table; operands from different
     graphs' tables raise ``ValueError``.  ``terms`` reads a vector back as a
@@ -191,14 +279,21 @@ class LoopVector:
 
     def scaled(self, c: Coefficient) -> "LoopVector":
         t, v = self.table, self
-        den, half, top = v._den, v._half, v._top + c._top
-        if c.is_exact and (c._den != den or c._half != half or top >= half):
-            den, half, top = _aligned(v, c)
-            v, c = _at(v, den, half), _coefficient_at(c, den, half)
-        t.floats = t.floats or not c.is_exact
-        return _vec(v.length, v.start, t, [((key, mono + m), s * f)
+        if c.terms is None:
+            t.floats = True
+            pairs, top = ((0, c.fvalue),), v._top
+        else:
+            p = c._packed
+            if p is None:
+                p = c._packed = _Packed(c.terms)
+            pairs, top = p.pairs, v._top + p._top
+            if p._den != v._den or p._half != v._half or top >= v._half:
+                den, half, top = _aligned(v, p)
+                v, (f, _) = _at(v, den, half), _repacked(p, den, half, len(c.context.names))
+                pairs = [(f(m), s) for m, s in pairs]
+        return _vec(v.length, v.start, t, [((key, mono + m), s * r)
                                            for (key, mono), s in v.keyed.items()
-                                           for m, f in _terms_of(c)], den, half, top)
+                                           for m, r in pairs], v._den, v._half, top)
 
     def eq(self, other: "LoopVector") -> bool:
         """Loop-wise ``Coefficient.eq``, an absent loop counting as zero."""
@@ -273,10 +368,17 @@ def _fitted(v: LoopVector, k: int) -> LoopVector:
     return v
 
 
-def _terms_of(c: Coefficient) -> tuple:
-    """The ``(packed monomial, scalar)`` terms of ``c``; a float is its value
-    over the monomial 0."""
-    return c._packed if c.is_exact else ((0, c.fvalue),)
+def _coefficient(t: _EdgeTable, pairs, den: int, half: int) -> Coefficient:
+    """The coefficient ``sum(s * m)`` of ``(packed monomial m, scalar s)``
+    pairs with distinct monomials, packed over ``den`` at the width of
+    ``half``; when a scalar is a float, the float coefficient of its value,
+    summed in order of ``m``."""
+    if t.floats and any(type(s) is float for _, s in pairs):
+        total = 0.0
+        for m, s in sorted(pairs):
+            total += s * t.weight(m, den, half).value if m else s
+        return _real(t.graph.context, total)
+    return _exact_coefficient(t.graph.context, {t.weight(m, den, half): s for m, s in pairs})
 
 
 def _loop_coefficients(v: LoopVector) -> dict:
@@ -284,9 +386,7 @@ def _loop_coefficients(v: LoopVector) -> dict:
     groups: dict = {}
     for (key, m), s in v.keyed.items():
         groups.setdefault(key, []).append((m, s))
-    ctx = v.table.graph.context
-    return {key: _packed_coefficient(ctx, pairs, v._den, v._half, v._top)
-            for key, pairs in groups.items()}
+    return {key: _coefficient(v.table, pairs, v._den, v._half) for key, pairs in groups.items()}
 
 
 def zero_vector(graph, length: int) -> LoopVector:
@@ -453,15 +553,13 @@ class ModularRelationError(ArithmeticError):
     """inner(f, g, left) != inner(Delta f, g, right) on a basis pair."""
 
 
-def _capped(context, m: int, s, factors, den: int, half: int, top: int) -> Coefficient:
+def _capped(t: _EdgeTable, m: int, s, factors, den: int, half: int) -> Coefficient:
     """The term ``(m, s)`` times each cap coefficient in turn, as nested caps
     multiply it, as a coefficient (zero when ``cap`` would drop it)."""
     for mk, fk in factors:
         m += mk
         s = s * fk
-    if not s:
-        return Coefficient.zero(context)
-    return _packed_coefficient(context, ((m, s),), den, half, top)
+    return _coefficient(t, ((m, s),) if s else (), den, half)
 
 
 def _inner_pairs(graph, vecs):
@@ -485,13 +583,12 @@ def _inner_pairs(graph, vecs):
     sum of every operand's digits, so each word's term and its caps fit.
     """
     t = _table(graph)
-    ctx = graph.context
-    zero = Coefficient.zero(ctx)
+    zero = Coefficient.zero(graph.context)
     stars = [star(graph, h) for h in vecs]
     deltas = [apply_modular(f) for f in vecs]
     if not vecs:
         return
-    den, half, top = _aligned(*vecs, *deltas, *stars, *(t,) * max(vecs[0].length, 1))
+    den, half, _ = _aligned(*vecs, *deltas, *stars, *(t,) * max(vecs[0].length, 1))
     t.repack(den, half)
     terms = []
     root = [{}, None]  # node: [edge index -> child node, basis index of a word's end]
@@ -525,9 +622,9 @@ def _inner_pairs(graph, vecs):
             j = node[1]
             mj, sj = terms[j]
             rows[j] = (
-                zero if lsq is None else _capped(ctx, mf + mj, sf * sj, lsq, den, half, top),
-                zero if rsq is None else _capped(ctx, mj + mf, sj * sf, rsq[::-1], den, half, top),
-                zero if rsq is None else _capped(ctx, mj + mdf, sj * sdf, rsq[::-1], den, half, top),
+                zero if lsq is None else _capped(t, mf + mj, sf * sj, lsq, den, half),
+                zero if rsq is None else _capped(t, mj + mf, sj * sf, rsq[::-1], den, half),
+                zero if rsq is None else _capped(t, mj + mdf, sj * sdf, rsq[::-1], den, half),
             )
         for j in sorted(rows.keys() | {i}):
             yield (i, j) + rows.get(j, (zero, zero, zero))

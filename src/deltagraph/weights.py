@@ -17,9 +17,9 @@ exact weight is computed on first use and raises ``OverflowError`` when it
 leaves the positive float range.
 
 A :class:`Coefficient`, the scalar of the loop algebra, is a rational linear
-combination of exact weights, each packed into one int, or one float.  The
-loop vectors of ``loop_algebra`` pack their monomials the same way, and both
-re-pack by one rule, :func:`_aligned` and :func:`_repacked`.
+combination of exact weights, stored as its ``(Weight, scalar)`` terms, or
+one float.  How the loop vectors of ``loop_algebra`` pack monomials into ints
+is that module's own business.
 """
 from __future__ import annotations
 
@@ -293,43 +293,6 @@ def _scalar(s):
     return s.numerator if type(s) is Fraction and s.denominator == 1 else s
 
 
-def _sorted_terms(acc: dict) -> tuple:
-    """The nonzero terms of a packed int -> scalar dict, sorted by the int."""
-    return tuple(sorted((k, s if type(s) is int else _scalar(s)) for k, s in acc.items() if s))
-
-
-# Packed digits start 32 bits wide, in [-2^31, 2^31); digits that need more
-# are re-packed at twice the width.
-_HALF = 1 << 31
-
-
-def _pack(num, half: int) -> int:
-    """``sum(n_i * B**i)`` for the base ``B = 2 * half``."""
-    bits = half.bit_length()
-    key = 0
-    for n in reversed(num):
-        key = (key << bits) + n
-    return key
-
-
-def _unpack(key: int, size: int, half: int) -> tuple[int, ...]:
-    """The ``size`` balanced digits, in ``[-half, half)``, of a packed key."""
-    bits, mask = half.bit_length(), 2 * half - 1
-    num = []
-    for _ in range(size):
-        d = ((key + half) & mask) - half
-        num.append(d)
-        key = (key - d) >> bits
-    return tuple(num)
-
-
-def _half_for(top: int, half: int = _HALF) -> int:
-    """``half``, doubled in width until digits of size ``top`` fit."""
-    while top >= half:
-        half = 1 << (2 * half.bit_length() - 1)
-    return half
-
-
 def _by_exponents(terms) -> list:
     return sorted(terms, key=lambda t: t[0].exponents)
 
@@ -337,130 +300,75 @@ def _by_exponents(terms) -> list:
 class Coefficient:
     """Scalar closed under the sums the cup map produces.
 
-    Exact mode: a rational linear combination of exact monomial weights.
-    The exponent numerators of a monomial, over a denominator ``den`` kept on
-    the coefficient, are packed into one int by Kronecker substitution,
-    ``sum(n_i * B**i)`` over the generators in context order, with balanced
-    digits in ``[-B/2, B/2)``.  The coefficient stores ``(packed int,
-    scalar)`` pairs sorted by the int, with nonzero scalars that are ``int``
-    when integral and ``Fraction`` otherwise.  :meth:`of_weight` starts
-    ``den`` at ``lcm(2, w.den)`` and it is never reduced, so square roots of
-    integer-exponent weights and their products all share ``den == 2``, and
-    a product of single-term coefficients is one int addition.  Operands at
-    different denominators or digit widths are re-packed at the lcm of the
-    denominators (one int multiply per term while the width stays).
-
-    Digits never carry into their neighbour: each coefficient keeps ``top``,
-    a bound on its digits' size, below ``B/2``.  A product's bound is the sum
-    of its operands' (one int compare), and past ``B/2`` the operands are
-    re-packed, doubling the digit width until the bound fits, so results
-    stay exact for any exponent.  ``terms``, the ``(Weight, scalar)`` pairs with reduced
-    weights sorted by ``(num, den)``, is built on each read; text and
-    ``value`` visit them in order of ``Weight.exponents``.  ``==``, ``eq``
-    and ``hash`` agree across denominators and widths.  Float mode: ``terms``
-    is None and ``fvalue`` holds one float.  Immutable.
+    Exact mode: a rational linear combination of exact monomial weights,
+    stored as ``terms``, the ``(Weight, scalar)`` pairs with reduced weights
+    sorted by ``(num, den)`` and nonzero scalars that are ``int`` when
+    integral and ``Fraction`` otherwise.  ``+`` and ``*`` merge terms by
+    weight, and ``==``, ``eq`` and ``hash`` compare ``terms``; text and
+    ``value`` visit them in order of ``Weight.exponents``.  Float mode:
+    ``terms`` is None and ``fvalue`` holds one float.  Immutable; the loop
+    algebra keeps its packing of the terms in ``_packed``, filled on first
+    use.
     """
 
-    __slots__ = ("context", "fvalue", "_packed", "_den", "_half", "_top")
+    __slots__ = ("context", "terms", "fvalue", "_packed")
 
     @classmethod
     def zero(cls, context: GeneratorContext) -> "Coefficient":
-        return _exact_coefficient(context, (), 2, _HALF, 0)
+        return _exact_coefficient(context, {})
 
     @classmethod
     def one(cls, context: GeneratorContext) -> "Coefficient":
-        return _exact_coefficient(context, ((0, 1),), 2, _HALF, 0)
+        return _exact_coefficient(context, {context.identity(): 1})
 
     @classmethod
     def of_weight(cls, w: Weight, scalar=1) -> "Coefficient":
         if w.is_exact:
-            s = scalar if type(scalar) is int else _scalar(Fraction(scalar))
-            m = 1 if w.den % 2 == 0 else 2
-            num = tuple(n * m for n in w.num)
-            top = max(map(abs, num), default=0)
-            half = _half_for(top)
-            return _exact_coefficient(
-                w.context, ((_pack(num, half), s),) if s else (), w.den * m, half, top
-            )
+            return _exact_coefficient(w.context, {w: Fraction(scalar)})
         return _real(w.context, float(scalar) * w.value)
 
     @property
     def is_exact(self) -> bool:
-        return self._packed is not None
-
-    @property
-    def terms(self) -> tuple | None:
-        packed = self._packed
-        if packed is None:
-            return None
-        ctx, den, half = self.context, self._den, self._half
-        size = len(ctx.names)
-        items = [(_exact(ctx, _unpack(k, size, half), den), s) for k, s in packed]
-        if len(items) > 1:
-            items.sort(key=lambda t: (t[0].num, t[0].den))
-        return tuple(items)
+        return self.terms is not None
 
     def is_zero(self) -> bool:
-        if self._packed is not None:
-            return not self._packed
+        if self.terms is not None:
+            return not self.terms
         return self.fvalue == 0
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        a, b = self._packed, other._packed
+        a, b = self.terms, other.terms
         if a is None or b is None:
             return _real(self.context, self.value() + other.value())
         ctx = self.context
         if other.context is not ctx:
             _require_same_context(ctx, other.context)
-        if not b:
-            return self
-        if not a:
-            return other
-        x, y = self, other
-        if y._den != x._den or y._half != x._half:
-            x, y = _aligned_pair(x, y)
-            a, b = x._packed, y._packed
         acc = dict(a)
-        for k, s in b:
-            got = acc.get(k)
-            acc[k] = s if got is None else got + s
-        return _exact_coefficient(ctx, _sorted_terms(acc), x._den, x._half, max(x._top, y._top))
+        for w, s in b:
+            acc[w] = acc.get(w, 0) + s
+        return _exact_coefficient(ctx, acc)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
-        a, b = self._packed, other._packed
+        a, b = self.terms, other.terms
         if a is None or b is None:
             return _real(self.context, self.value() * other.value())
         ctx = self.context
         if other.context is not ctx:
             _require_same_context(ctx, other.context)
-        x, y = self, other
-        half = x._half
-        top = x._top + y._top
-        if y._den != x._den or y._half != half or top >= half:
-            x, y = _aligned_pair(x, y)
-            a, b, half, top = x._packed, y._packed, x._half, x._top + y._top
-        if len(a) == 1 and len(b) == 1:
-            ((k1, s1),), ((k2, s2),) = a, b
-            s = s1 * s2
-            if type(s) is not int:
-                s = _scalar(s)
-            return _exact_coefficient(ctx, ((k1 + k2, s),), x._den, half, top)
         acc: dict = {}
-        for k1, s1 in a:
-            for k2, s2 in b:
-                k = k1 + k2
-                got = acc.get(k)
-                acc[k] = s1 * s2 if got is None else got + s1 * s2
-        return _exact_coefficient(ctx, _sorted_terms(acc), x._den, half, top)
+        for w1, s1 in a:
+            for w2, s2 in b:
+                w = w1 * w2
+                acc[w] = acc.get(w, 0) + s1 * s2
+        return _exact_coefficient(ctx, acc)
 
     def __neg__(self) -> "Coefficient":
-        if self._packed is not None:
-            return _exact_coefficient(self.context, tuple((k, -s) for k, s in self._packed),
-                                      self._den, self._half, self._top)
+        if self.terms is not None:
+            return _exact_coefficient(self.context, {w: -s for w, s in self.terms})
         return _real(self.context, -self.fvalue)
 
     def value(self) -> float:
-        if self._packed is None:
+        if self.terms is None:
             return self.fvalue
         total = 0.0
         for w, r in _by_exponents(self.terms):
@@ -474,14 +382,14 @@ class Coefficient:
 
     def eq(self, other: "Coefficient") -> bool:
         """Exact term comparison when both exact, else tolerance on value."""
-        if self._packed is not None and other._packed is not None:
-            return _exact_eq(self, other)
+        if self.terms is not None and other.terms is not None:
+            return self == other
         return self.isclose(other)
 
     def text(self) -> str:
-        if self._packed is None:
+        if self.terms is None:
             return format(self.fvalue, ".17g")
-        if not self._packed:
+        if not self.terms:
             return "0"
         parts = []
         for w, r in _by_exponents(self.terms):
@@ -494,13 +402,9 @@ class Coefficient:
     def __eq__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
-        if self._packed is None or other._packed is None:
-            return (
-                self._packed is other._packed
-                and self.fvalue == other.fvalue
-                and (self.context is other.context or self.context == other.context)
-            )
-        return _exact_eq(self, other)
+        if self.context is not other.context and self.context != other.context:
+            return False
+        return self.terms == other.terms and self.fvalue == other.fvalue
 
     def __hash__(self):
         return hash((self.terms, self.fvalue))
@@ -512,10 +416,14 @@ class Coefficient:
 _new = object.__new__
 
 
-def _exact_coefficient(context: GeneratorContext, packed: tuple, den: int, half: int,
-                       top: int) -> Coefficient:
+def _exact_coefficient(context: GeneratorContext, acc: dict) -> Coefficient:
+    """The exact coefficient of a ``Weight -> scalar`` dict, less its zero
+    scalars."""
+    terms = [(w, s if type(s) is int else _scalar(s)) for w, s in acc.items() if s]
+    if len(terms) > 1:
+        terms.sort(key=lambda t: (t[0].num, t[0].den))
     c = _new(Coefficient)
-    c.context, c.fvalue, c._packed, c._den, c._half, c._top = context, None, packed, den, half, top
+    c.context, c.terms, c.fvalue, c._packed = context, tuple(terms), None, None
     return c
 
 
@@ -524,66 +432,8 @@ def _real(context: GeneratorContext, v: float) -> Coefficient:
     if not -math.inf < v < math.inf:
         raise OverflowError("coefficient %r is outside the float range" % v)
     c = _new(Coefficient)
-    c.context, c.fvalue, c._packed, c._den, c._half, c._top = context, v, None, 1, 1, 0
+    c.context, c.terms, c.fvalue, c._packed = context, None, v, None
     return c
-
-
-def _aligned(*xs) -> tuple[int, int, int]:
-    """``(den, half, top)`` for a product of ``xs`` (exact coefficients, loop
-    vectors or edge tables, each packed by its ``_den``, ``_half`` and
-    ``_top``): the lcm of their denominators, the sum ``top`` of their
-    bounds over it, and a width, at least each of theirs, that holds it.
-    A product or sum of any of ``xs``, repeats counted, fits it."""
-    den = math.lcm(*(x._den for x in xs))
-    top = sum(x._top * (den // x._den) for x in xs)
-    return den, _half_for(top, max(x._half for x in xs)), top
-
-
-def _repacked(x, den: int, half: int, size: int):
-    """``(f, top)``: ``f`` re-packs a monomial of ``x``, over ``size``
-    generators, at a packing from :func:`_aligned` of x and more, and
-    ``top`` is x's bound there."""
-    m, old = den // x._den, x._half
-    if half == old:
-        return m.__mul__, x._top * m
-    return (lambda k: _pack([n * m for n in _unpack(k, size, old)], half)), x._top * m
-
-
-def _coefficient_at(c: Coefficient, den: int, half: int) -> Coefficient:
-    """Exact ``c`` re-packed over ``den`` at the width of ``half``."""
-    if c._den == den and c._half == half:
-        return c
-    f, top = _repacked(c, den, half, len(c.context.names))
-    return _exact_coefficient(c.context, tuple(sorted((f(k), s) for k, s in c._packed)),
-                              den, half, top)
-
-
-def _aligned_pair(x: Coefficient, y: Coefficient) -> tuple[Coefficient, Coefficient]:
-    """Exact x and y re-packed at the packing of their product."""
-    den, half, _ = _aligned(x, y)
-    return _coefficient_at(x, den, half), _coefficient_at(y, den, half)
-
-
-def _packed_coefficient(context: GeneratorContext, pairs, den: int, half: int,
-                        top: int) -> Coefficient:
-    """The coefficient ``sum(s * m)`` of ``(packed monomial m, scalar s)``
-    pairs with distinct monomials; when a scalar is a float, the float
-    coefficient of its value, summed in order of ``m``."""
-    if any(type(s) is float for _, s in pairs):
-        size, total = len(context.names), 0.0
-        for m, s in sorted(pairs):
-            total += s * _exact(context, _unpack(m, size, half), den).value if m else s
-        return _real(context, total)
-    return _exact_coefficient(context, _sorted_terms(dict(pairs)), den, half, top)
-
-
-def _exact_eq(x: Coefficient, y: Coefficient) -> bool:
-    """Exact x == y; False across unequal contexts."""
-    if x.context is not y.context and x.context != y.context:
-        return False
-    if x._den != y._den or x._half != y._half:
-        x, y = _aligned_pair(x, y)
-    return x._packed == y._packed
 
 
 class _Classes:
@@ -739,8 +589,9 @@ def reduce_generators(
 
     Exact mode reduces the exponent vectors to a lattice basis, so e.g.
     ``{x, x^-1, x^2}`` collapses to ``(x,)``.  Float mode falls back to
-    tolerance deduplication, keeping the >1 member of each inverse pair and
-    dropping values indistinguishable from 1.
+    tolerance deduplication in ``log_value`` order, keeping the >1 member of
+    each inverse pair (a float unless past the float range) and dropping
+    values indistinguishable from 1.
     """
     ws = list(weights)
     if all(w.is_exact for w in ws):
@@ -749,10 +600,13 @@ def reduce_generators(
         denom = math.lcm(*(w.den for w in ws))
         basis = _lattice_basis([[n * (denom // w.den) for n in w.num] for w in ws])
         return tuple(_exact(context, tuple(row), denom) for row in basis)
-    # float path: dedupe by the tolerance rule on sorted values, folded to >= 1
     reps: list[Weight] = []
-    for v in sorted(w.value for w in ws):
-        f = context.float_weight(v if v >= 1.0 else 1.0 / v)
-        if not f.is_identity() and not any(f.eq(r) for r in reps):
+    for w in sorted(ws, key=lambda w: w.log_value):
+        try:
+            v = w.value
+            f = context.float_weight(v if v >= 1.0 else 1.0 / v)
+        except (OverflowError, ValueError):  # w or 1 / w is past the float range
+            f = w if w.log_value > 0 else w.inverse()
+        if not f.is_identity() and not any(_near(f, r) for r in reps):
             reps.append(f)
     return tuple(reps)

@@ -83,10 +83,24 @@ NON_INVERSE = _pairs(
 )
 BROKEN = ("self-conjugate.dg", "wrong-endpoints.dg", "non-inverse.dg")
 
+# parallel pairs q^1/3, q^-1/3 between two vertices: at q = 8 every outgoing
+# sum is 2 + 1/2 = delta, and loop weights are monomials over denominator 3
+THIRDS = (
+    "delta-graph v1\n"
+    "delta 2.5\n"
+    "generator q 8\n"
+    "vertex 0\nvertex 1\n"
+    "edge e0 0 1 weight q^1/3 conjugate e1\n"
+    "edge e1 1 0 weight q^-1/3 conjugate e0\n"
+    "edge e2 0 1 weight q^-1/3 conjugate e3\n"
+    "edge e3 1 0 weight q^1/3 conjugate e2\n"
+    "basepoint 0\n"
+)
+
 
 def runs() -> list[list[str]]:
     out = []
-    for g in SPECS + ("mixed.dg",):
+    for g in SPECS + ("mixed.dg", "thirds.dg"):
         out += [
             ["tl-check", g, "--max-len", "4"],
             ["spectrum", g, "--n", "4", "--verify-all"],
@@ -197,6 +211,7 @@ def write_inputs():
     chain_action = serialize_graph(chain, 4, actions=builders.chain_shift_action(chain, 3))
     for name, text in (
         ("mixed.dg", mixed),
+        ("thirds.dg", THIRDS),
         ("overflow.dg", OVERFLOW),
         ("self-loop.dg", SELF_LOOP),
         ("ambiguous.dg", ambiguous),

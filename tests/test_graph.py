@@ -91,6 +91,16 @@ class TestValidate:
         assert not fair.passed
         assert fair.details == ("vertex 0: outgoing sum inf != delta 5",)
 
+    def test_underflowing_out_sum_shows_its_log(self):
+        # vertex 1's only out-weight, q^-1100, is positive but below the
+        # float range, so its sum shows as exp of its log, not as 0
+        text = ("delta-graph v1\ndelta 2\ngenerator q 2.0\nvertex 0\nvertex 1\n"
+                "edge e0 0 1 weight q^1100 conjugate e1\n"
+                "edge e1 1 0 weight q^-1100 conjugate e0\nbasepoint 0\n")
+        fair = validate(parse_graph(text).graph, 4).check("fairness")
+        assert fair.details == ("vertex 0: outgoing sum inf != delta 2",
+                                "vertex 1: outgoing sum exp(-762.461898616) != delta 2")
+
     def test_disconnected_explicit_graph(self):
         ctx = GeneratorContext(())
         one = ctx.identity()

@@ -10,10 +10,12 @@
       are the identity, and ``inner`` equals the trie rows of ``_inner_pairs``
     - on the same combinations over every oracle graph, cup, cap, star,
       concat, scaled, the modular operator and both inner products read back
-      as a reference model that multiplies ``Coefficient``s over ``Path``s
+      as a reference model that multiplies ``Coefficient``s over ``Path``s,
+      also when scaled by coefficients whose exponents pass the packed digit
     - ``iso_check`` and ``partial_automorphisms`` give the mappings, in the
       order, of a reference model that matches edges weight by weight with a
-      greedy scan, on every oracle graph's balls and on float read-backs
+      greedy scan, on every oracle graph's balls, on float read-backs and
+      where a boundary vertex's edges inject without matching onto
     - the tolerance classes of one set of weights (``weights._Classes``) are
       its complete blocks in every order of adding, else every order raises,
       as a brute-force model says; ``group_weights`` agrees
@@ -56,6 +58,7 @@ from deltagraph.graph import Path, bfs_tree
 from deltagraph.io import GraphFormatError
 from deltagraph.loop_algebra import _inner_pairs
 from deltagraph.weights import GeneratorContext, _Classes, group_weights
+from test_exact_core import bound_exponent, rationals
 from test_isomorphism import _float_ball
 from test_loop_algebra import ORACLE_GRAPHS
 
@@ -375,6 +378,31 @@ def test_kernel_matches_coefficient_model(name, n, data):
         assert _same(inner(g, v, h, side), _model_inner(g, mv, mh, side), exact)
 
 
+@settings(PROPERTY, max_examples=100)
+@given(st.sampled_from((0, 2)), st.data())
+def test_kernel_packs_exponents_near_the_digit_bound(n, data):
+    # vectors scaled, once and twice, by a coefficient whose exponents lie
+    # near and past the packed digit's bound: products in the maps must
+    # re-pack, not carry
+    g = double_chain(2, 3)  # loops have weights other than 1
+    names = g.context.names
+    exponents = st.lists(bound_exponent, min_size=len(names), max_size=len(names))
+    k = Coefficient.zero(g.context)
+    for es, s in data.draw(st.lists(st.tuples(exponents, rationals), min_size=1, max_size=3)):
+        k = k + Coefficient.of_weight(g.context.exact(dict(zip(names, es))), s)
+    vecs = basis(g, n)
+    ks = data.draw(st.lists(st.integers(-2, 2), min_size=len(vecs), max_size=len(vecs)))
+    v = _combination(g, n, vecs, ks)
+    mv = {next(iter(b.terms)): _scalar(g, c) for b, c in zip(vecs, ks) if c}
+    for _ in range(2):
+        v, mv = v.scaled(k), _model_scaled(mv, k)
+        _assert_models(v, mv, True)
+        _assert_models(star(g, v), _model_star(g, mv), True)
+        _assert_models(apply_modular(v), _model_modular(mv), True)
+        for i in range(n + 1):
+            _assert_models(cap(cup(g, v, i), i + 1), _model_cap(_model_cup(g, mv, i), i + 1), True)
+
+
 def _model_weq(w1, w2):
     if w1.context == w2.context:
         return w1.eq(w2)
@@ -478,6 +506,24 @@ def test_partial_automorphisms_keep_the_candidate_filter_order():
     want = [_items(m) for m in _model_matchings(b, big, roots, False)]
     got = [_items(a.mapping) for a in partial_automorphisms(g, 3, 2)]
     assert len(got) == len(roots) == 13 and got == want
+
+
+def test_partial_automorphisms_inject_at_the_boundary():
+    # K4 with its perfect matching {0-1, 2-3} doubled, unit weights, delta 4:
+    # boundary vertices of the radius-1 ball are not matched onto, so where
+    # a doubled pair meets a single edge in the image the matcher tests a
+    # partial injection of edge multisets, not their equality
+    pairs = [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)]
+    lines = ["delta-graph v1", "delta 4"] + ["vertex %d" % v for v in range(4)]
+    for i, (u, v) in enumerate(pairs):
+        lines += ["edge f%d %d %d weight 1 conjugate b%d" % (i, u, v, i),
+                  "edge b%d %d %d weight 1 conjugate f%d" % (i, v, u, i)]
+    g = parse_graph("\n".join(lines + ["basepoint 0"]) + "\n").graph
+    b, big = ball(g, 1), ball(g, 2)
+    roots = [v for v in big.vertices if big.distance[v] <= 1]
+    want = [_items(m) for m in _model_matchings(b, big, roots, False)]
+    got = [_items(a.mapping) for a in partial_automorphisms(g, 1, 1)]
+    assert len(got) == 8 and got == want
 
 
 @pytest.mark.parametrize("make, radius", [

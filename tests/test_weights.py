@@ -175,6 +175,14 @@ class TestReduceGenerators:
         gens = reduce_generators(ws, ctx)
         assert [round(g.value, 9) for g in gens] == [2.0, 3.0]
 
+    def test_float_path_past_the_float_range(self):
+        # q^+-1100 overflow a float: they are ordered, folded and deduplicated
+        # in the log domain, and kept exact
+        ws = [CTX.gen("q", 1100), CTX.float_weight(3.0)]
+        assert reduce_generators(ws, CTX) == (CTX.float_weight(3.0), CTX.gen("q", 1100))
+        ws.append(CTX.gen("q", -1100))
+        assert reduce_generators(ws, CTX) == (CTX.gen("q", 1100), CTX.float_weight(3.0))
+
 
 class TestGroupWeights:
     def test_tolerance_chain_raises_naming_the_middle_weight(self):
