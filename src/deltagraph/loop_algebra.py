@@ -15,119 +15,66 @@ Since w(e) w(e-bar) = 1, cup and cap leave a loop's weight unchanged, so a
 loop is its edges and its weight is read off them only where an output asks
 for it.  Every vector belongs to one graph: it keys each loop by the tuple of
 its edges' int indices in that graph's edge table, which also holds each
-edge's conjugate, learnt from the graph, and w(e)^(1/2) as a packed monomial
-and a scalar.  Vectors of different graphs do not combine.  A vector's
-terms are one dict ``(loop key, packed monomial) -> scalar`` under one
-packing, so the maps add monomials and multiply scalars, and a loop's weight
-(star, the modular operator, the Gram check) is read one way: the sum of its
-edges' monomials and the product of their scalars, over the
-conjugate-reversed loop for w(l)^(-1/2).
+edge's conjugate, learnt from the graph, and w(e)^(1/2) as a monomial and a
+scalar.  Vectors of different graphs do not combine.
 
-This module alone knows the packing: a monomial's exponent numerators over
-a denominator ``_den`` are one int, ``sum(n_i * B**i)`` over the generators
-in context order, with balanced digits in ``[-B/2, B/2)`` (``_half`` is B/2).
-Each vector, edge table and packed coefficient bounds its digits' size by
-``_top`` below B/2, and a product that could pass it re-packs its operands at
-a wider digit first (:func:`_aligned`, :func:`_repacked`), so results stay
-exact for any exponent.  A :class:`Coefficient`, a plain sum of weights, is
-packed where it scales a vector and built only where a value leaves one.
+A monomial is an id in the edge table: the table interns each exact
+:class:`Weight` its vectors meet, id 0 being the identity, and keeps one
+product row per id, so ``prod[a][b]`` is the id of the product of monomials
+a and b, computed by ``Weight`` arithmetic on first use and exact for any
+exponent.  A vector's terms are one dict ``(loop key, monomial id) ->
+scalar``, so the maps multiply monomials through ``prod`` and multiply
+scalars, and a loop's weight (star, the modular operator, the Gram check) is
+read one way: the product of its edges' monomials and of their scalars, over
+the conjugate-reversed loop for w(l)^(-1/2).  A :class:`Coefficient`, a plain
+sum of weights, is interned where it scales a vector and built only where a
+value leaves one; on a table that has met a float, every loop reads as the
+float coefficient of its value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, lcm, log
+from math import inf, log
 
 from .graph import Edge, Path, VertexId, enumerate_loops, loop_weight_counts, vid_key
 from .weights import Coefficient, Weight, group_weights
-from .weights import _exact, _exact_coefficient, _log_sum, _real
-
-# Packed digits start 32 bits wide, in [-2^31, 2^31); digits that need more
-# are re-packed at twice the width.
-_HALF = 1 << 31
+from .weights import _exact_coefficient, _log_sum, _real, _require_same_context
 
 
-def _pack(num, half: int) -> int:
-    """``sum(n_i * B**i)`` for the base ``B = 2 * half``."""
-    bits = half.bit_length()
-    key = 0
-    for n in reversed(num):
-        key = (key << bits) + n
-    return key
+class _Row(dict):
+    """Monomial a's products in one table: ``row[b]`` is the id of
+    ``weights[a] * weights[b]``, interned on first use."""
 
+    __slots__ = ("table", "a")
 
-def _unpack(key: int, size: int, half: int) -> tuple[int, ...]:
-    """The ``size`` balanced digits, in ``[-half, half)``, of a packed key."""
-    bits, mask = half.bit_length(), 2 * half - 1
-    num = []
-    for _ in range(size):
-        d = ((key + half) & mask) - half
-        num.append(d)
-        key = (key - d) >> bits
-    return tuple(num)
+    def __init__(self, table: "_EdgeTable", a: int):
+        self.table, self.a = table, a
 
-
-def _half_for(top: int, half: int = _HALF) -> int:
-    """``half``, doubled in width until digits of size ``top`` fit."""
-    while top >= half:
-        half = 1 << (2 * half.bit_length() - 1)
-    return half
-
-
-def _aligned(*xs) -> tuple[int, int, int]:
-    """``(den, half, top)`` for a product of ``xs`` (loop vectors, edge
-    tables or packed coefficients, each packed by its ``_den``, ``_half``
-    and ``_top``): the lcm of their denominators, the sum ``top`` of their
-    bounds over it, and a width, at least each of theirs, that holds it.
-    A product or sum of any of ``xs``, repeats counted, fits it."""
-    den = lcm(*(x._den for x in xs))
-    top = sum(x._top * (den // x._den) for x in xs)
-    return den, _half_for(top, max(x._half for x in xs)), top
-
-
-def _repacked(x, den: int, half: int, size: int):
-    """``(f, top)``: ``f`` re-packs a monomial of ``x``, over ``size``
-    generators, at a packing from :func:`_aligned` of x and more, and
-    ``top`` is x's bound there."""
-    m, old = den // x._den, x._half
-    if half == old:
-        return m.__mul__, x._top * m
-    return (lambda k: _pack([n * m for n in _unpack(k, size, old)], half)), x._top * m
-
-
-class _Packed:
-    """An exact coefficient's terms as ``pairs`` of (packed monomial,
-    scalar), over ``_den = lcm(2, their denominators)`` at the width that
-    holds their digits, ``_top``.  :meth:`LoopVector.scaled` keeps one on
-    the coefficient, as its ``_packed``, from first use."""
-
-    __slots__ = ("pairs", "_den", "_half", "_top")
-
-    def __init__(self, terms: tuple):
-        den = self._den = lcm(2, *(w.den for w, _ in terms))
-        nums = [[n * (den // w.den) for n in w.num] for w, _ in terms]
-        self._top = max((abs(n) for num in nums for n in num), default=0)
-        self._half = _half_for(self._top)
-        self.pairs = tuple((_pack(num, self._half), s) for num, (_, s) in zip(nums, terms))
+    def __missing__(self, b: int) -> int:
+        t = self.table
+        got = self[b] = t.intern(t.weights[self.a] * t.weights[b])
+        return got
 
 
 class _EdgeTable:
-    """The edges of one graph that its loop vectors key their terms by.
+    """The edges of one graph that its loop vectors key their terms by, and
+    the monomials those terms carry.
 
     Each edge gets an int index when first seen, kept for the table's
     lifetime, and its conjugate, found by ``graph.conjugate_edge``, is
     indexed with it; ``edges``, ``conj`` and ``sqrt`` hold, per index, the
-    :class:`Edge`, the index of its conjugate and w(e)^(1/2) as ``(packed
-    monomial, scalar)``: ``(m, 1)`` for an exact weight, ``(0, value)`` for a
-    float one.  The monomials share the table's packing ``(_den, _half,
-    _top)``, which only widens.  ``floats`` records whether a float scalar
-    has entered the table or its vectors.  A conjugate that does not name
-    the edge back, or an edge id that names two different edges, raises
-    ``ValueError``.  The table also memoizes the cup rows of each anchor off
-    the frontier, and the :class:`Weight` of each packed monomial read out.
+    :class:`Edge`, the index of its conjugate and w(e)^(1/2) as ``(monomial
+    id, scalar)``: ``(id, 1)`` for an exact weight, ``(0, value)`` for a
+    float one.  ``weights`` holds the exact :class:`Weight` of each monomial
+    id, id 0 the identity, and ``prod`` its product :class:`_Row`.
+    ``floats`` records whether a float scalar has entered the table or its
+    vectors.  A conjugate that does not name the edge back, or an edge id
+    that names two different edges, raises ``ValueError``.  The table also
+    memoizes the cup rows of each anchor off the frontier.
     """
 
-    __slots__ = ("graph", "edges", "conj", "sqrt", "floats", "_index", "_rows", "_weights",
-                 "_den", "_half", "_top")
+    __slots__ = ("graph", "edges", "conj", "sqrt", "floats", "weights", "prod",
+                 "_index", "_ids", "_rows")
 
     def __init__(self, graph):
         self.graph = graph
@@ -135,10 +82,21 @@ class _EdgeTable:
         self.conj: list[int] = []
         self.sqrt: list[tuple] = []
         self.floats = False
+        one = graph.context.identity()
+        self.weights: list[Weight] = [one]
+        self.prod: list[_Row] = [_Row(self, 0)]
         self._index: dict = {}  # edge id -> index
+        self._ids: dict = {one: 0}  # Weight -> monomial id
         self._rows: dict = {}  # anchor -> cup rows
-        self._weights: dict = {}  # (monomial, den, half) -> Weight
-        self._den, self._half, self._top = 2, _HALF, 0
+
+    def intern(self, w: Weight) -> int:
+        """The monomial id of the exact weight w, a new one if w is new."""
+        got = self._ids.get(w)
+        if got is None:
+            got = self._ids[w] = len(self.weights)
+            self.weights.append(w)
+            self.prod.append(_Row(self, got))
+        return got
 
     def _add(self, e: Edge) -> int:
         k = self._index[e.eid] = len(self.edges)
@@ -146,24 +104,11 @@ class _EdgeTable:
         self.conj.append(k)
         r = e.weight.sqrt()
         if r.is_exact:
-            den = lcm(self._den, r.den)
-            num = [n * (den // r.den) for n in r.num]
-            top = max(map(abs, num), default=0)
-            self.repack(den, _half_for(max(top, self._top * (den // self._den)), self._half))
-            self.sqrt.append((_pack(num, self._half), 1))
-            self._top = max(self._top, top)
+            self.sqrt.append((self.intern(r), 1))
         else:
             self.sqrt.append((0, r.value))
             self.floats = True
         return k
-
-    def repack(self, den: int, half: int) -> None:
-        """Re-pack over ``den`` at the width of ``half``, from ``_aligned``."""
-        if den != self._den or half != self._half:
-            f, self._top = _repacked(self, den, half, len(self.graph.context.names))
-            self.sqrt = [(f(m), s) for m, s in self.sqrt]
-            self._den, self._half = den, half
-            self._rows.clear()
 
     def index(self, e: Edge) -> int:
         k = self._index.get(e.eid)
@@ -181,9 +126,8 @@ class _EdgeTable:
         return k
 
     def rows(self, at: VertexId) -> tuple:
-        """``(e, e-bar) + sqrt[e]`` for each edge e out of ``at``; memoized
-        until the table re-packs, except that a frontier anchor raises every
-        time."""
+        """``(e, e-bar) + sqrt[e]`` for each edge e out of ``at``; memoized,
+        except that a frontier anchor raises every time."""
         got = self._rows.get(at)
         if got is None:
             if self.graph.is_frontier(at):
@@ -194,21 +138,14 @@ class _EdgeTable:
             got = self._rows[at] = tuple((k, self.conj[k]) + self.sqrt[k] for k in ks)
         return got
 
-    def weight(self, m: int, den: int, half: int) -> Weight:
-        """The weight of the monomial m packed at ``(den, half)``; memoized."""
-        got = self._weights.get((m, den, half))
-        if got is None:
-            ctx = self.graph.context
-            got = self._weights[m, den, half] = _exact(ctx, _unpack(m, len(ctx.names), half), den)
-        return got
-
     def loop_sqrt(self, key: tuple[int, ...]) -> tuple:
         """w(l)^(1/2) of the path l with these edges, as in ``sqrt``.  Over
         the conjugate-reversed key it is w(l)^(-1/2)."""
+        prod, sqrt = self.prod, self.sqrt
         m, f = 0, 1
         for k in key:
-            mk, fk = self.sqrt[k]
-            m += mk
+            mk, fk = sqrt[k]
+            m = prod[m][mk]
             f = f * fk
         return m, f
 
@@ -235,23 +172,21 @@ class LoopVector:
     on one graph.
 
     A vector holds its ``length``, the ``start`` vertex its loops share, its
-    graph's edge table and ``keyed``, a dict from ``(loop key, packed
-    monomial)`` to a nonzero scalar, the loop key being the tuple of the
-    loop's edge indices into that table; the monomials are packed by
-    ``(_den, _half, _top)``.  :func:`loop_vector`,
-    :func:`zero_vector` and :func:`basis` make the vectors of a graph, and
-    every map here keeps its operands' table; operands from different
-    graphs' tables raise ``ValueError``.  ``terms`` reads a vector back as a
-    dict from :class:`Path` to coefficient, built on the first read.
+    graph's edge table and ``keyed``, a dict from ``(loop key, monomial id)``
+    to a nonzero scalar, the loop key being the tuple of the loop's edge
+    indices into that table.  :func:`loop_vector`, :func:`zero_vector` and
+    :func:`basis` make the vectors of a graph, and every map here keeps its
+    operands' table; operands from different graphs' tables raise
+    ``ValueError``.  ``terms`` reads a vector back as a dict from
+    :class:`Path` to coefficient, built on the first read.
     """
 
-    __slots__ = ("length", "start", "table", "keyed", "_den", "_half", "_top", "_terms")
+    __slots__ = ("length", "start", "table", "keyed", "_terms")
     __hash__ = None  # mapping-valued; never used as a key
 
-    def __init__(self, length: int, start: VertexId, table: _EdgeTable, keyed: dict,
-                 den: int, half: int, top: int):
+    def __init__(self, length: int, start: VertexId, table: _EdgeTable, keyed: dict):
         self.length, self.start, self.table, self.keyed = length, start, table, keyed
-        self._den, self._half, self._top, self._terms = den, half, top, None
+        self._terms = None
 
     @property
     def terms(self) -> dict[Path, Coefficient]:
@@ -273,38 +208,37 @@ class LoopVector:
         t = _one_table(self.table, other)
         if self.keyed and other.keyed and self.start != other.start:
             raise ValueError("the loops of a vector share one start vertex")
-        x, y = _aligned_pair(self, other)
         return _vec(self.length, self.start if self.keyed else other.start, t,
-                    [*x.keyed.items(), *y.keyed.items()], x._den, x._half, max(x._top, y._top))
+                    [*self.keyed.items(), *other.keyed.items()])
 
     def scaled(self, c: Coefficient) -> "LoopVector":
-        t, v = self.table, self
+        """``c`` times the vector; a coefficient of another generator
+        context raises ``ContextMismatchError``."""
+        t = self.table
+        if c.context is not t.graph.context:
+            _require_same_context(t.graph.context, c.context)
         if c.terms is None:
             t.floats = True
-            pairs, top = ((0, c.fvalue),), v._top
+            pairs = ((0, c.fvalue),)
         else:
             p = c._packed
-            if p is None:
-                p = c._packed = _Packed(c.terms)
-            pairs, top = p.pairs, v._top + p._top
-            if p._den != v._den or p._half != v._half or top >= v._half:
-                den, half, top = _aligned(v, p)
-                v, (f, _) = _at(v, den, half), _repacked(p, den, half, len(c.context.names))
-                pairs = [(f(m), s) for m, s in pairs]
-        return _vec(v.length, v.start, t, [((key, mono + m), s * r)
-                                           for (key, mono), s in v.keyed.items()
-                                           for m, r in pairs], v._den, v._half, top)
+            if p is None or p[0] is not t:
+                p = c._packed = (t, tuple((t.intern(w), s) for w, s in c.terms))
+            pairs = p[1]
+        prod = t.prod
+        return _vec(self.length, self.start, t, [((key, prod[mono][m]), s * r)
+                                                 for (key, mono), s in self.keyed.items()
+                                                 for m, r in pairs])
 
     def eq(self, other: "LoopVector") -> bool:
         """Loop-wise ``Coefficient.eq``, an absent loop counting as zero."""
         _one_table(self.table, other)
         if self.length != other.length:
             return False
-        x, y = _aligned_pair(self, other)
-        if x.keyed == y.keyed and (not x.keyed or x.start == y.start):
+        if self.keyed == other.keyed and (not self.keyed or self.start == other.start):
             return True
-        a, b = _loop_coefficients(x), _loop_coefficients(y)
-        if a and b and x.start != y.start:
+        a, b = _loop_coefficients(self), _loop_coefficients(other)
+        if a and b and self.start != other.start:
             b = {(None,) + key: c for key, c in b.items()}  # no loop in common
         zero = Coefficient.zero(self.table.graph.context)
         return all(a.get(key, zero).eq(b.get(key, zero)) for key in a.keys() | b.keys())
@@ -313,19 +247,17 @@ class LoopVector:
         if not isinstance(other, LoopVector):
             return NotImplemented
         _one_table(self.table, other)
-        x, y = _aligned_pair(self, other)
-        return (self.length == other.length and x.keyed == y.keyed
-                and (not x.keyed or self.start == other.start))
+        return (self.length == other.length and self.keyed == other.keyed
+                and (not self.keyed or self.start == other.start))
 
     def __repr__(self):
         return "LoopVector(%d, %r)" % (self.length, self.terms)
 
 
-def _vec(length: int, start: VertexId, table: _EdgeTable, pairs, den: int, half: int,
-         top: int) -> LoopVector:
-    """The sum of the ``((loop key, monomial), scalar)`` pairs as a vector,
-    less its zero scalars; once the table has met a float, a scalar outside
-    the float range raises ``OverflowError``."""
+def _vec(length: int, start: VertexId, table: _EdgeTable, pairs) -> LoopVector:
+    """The sum of the ``((loop key, monomial id), scalar)`` pairs as a
+    vector, less its zero scalars; once the table has met a float, a scalar
+    outside the float range raises ``OverflowError``."""
     acc: dict = {}
     get = acc.get
     for k, s in pairs:
@@ -337,48 +269,22 @@ def _vec(length: int, start: VertexId, table: _EdgeTable, pairs, den: int, half:
                 raise OverflowError("coefficient %r is outside the float range" % s)
     if not all(acc.values()):
         acc = {k: s for k, s in acc.items() if s}
-    return LoopVector(length, start, table, acc, den, half, top)
+    return LoopVector(length, start, table, acc)
 
 
-def _at(v: LoopVector, den: int, half: int) -> LoopVector:
-    """``v`` re-packed over ``den`` at the width of ``half``."""
-    if v._den == den and v._half == half:
-        return v
-    f, top = _repacked(v, den, half, len(v.table.graph.context.names))
-    return LoopVector(v.length, v.start, v.table,
-                      {(key, f(m)): s for (key, m), s in v.keyed.items()}, den, half, top)
-
-
-def _aligned_pair(u: LoopVector, v: LoopVector) -> tuple[LoopVector, LoopVector]:
-    """``u`` and ``v`` re-packed at the packing of their product."""
-    if u._den == v._den and u._half == v._half and u._top + v._top < u._half:
-        return u, v
-    den, half, _ = _aligned(u, v)
-    return _at(u, den, half), _at(v, den, half)
-
-
-def _fitted(v: LoopVector, k: int) -> LoopVector:
-    """``v`` and its table at one packing that holds v times k (at least
-    one) of the table's w(e)^(1/2)."""
-    t = v.table
-    if v._den != t._den or v._half != t._half or v._top + k * t._top >= v._half:
-        den, half, _ = _aligned(v, *(t,) * max(k, 1))
-        t.repack(den, half)
-        v = _at(v, den, half)
-    return v
-
-
-def _coefficient(t: _EdgeTable, pairs, den: int, half: int) -> Coefficient:
-    """The coefficient ``sum(s * m)`` of ``(packed monomial m, scalar s)``
-    pairs with distinct monomials, packed over ``den`` at the width of
-    ``half``; when a scalar is a float, the float coefficient of its value,
-    summed in order of ``m``."""
-    if t.floats and any(type(s) is float for _, s in pairs):
+def _coefficient(t: _EdgeTable, pairs) -> Coefficient:
+    """The coefficient ``sum(s * m)`` of ``(monomial id m, scalar s)`` pairs
+    with distinct ids.  Once the table has met a float, pairs read as the
+    float coefficient of their value, summed in order of
+    ``Weight.exponents``, so a loop whose float terms cancelled reads as the
+    value of what is left; no pairs read as the exact zero."""
+    ws = t.weights
+    if t.floats and pairs:
         total = 0.0
-        for m, s in sorted(pairs):
-            total += s * t.weight(m, den, half).value if m else s
+        for m, s in sorted(pairs, key=lambda p: ws[p[0]].exponents):
+            total += s * ws[m].value
         return _real(t.graph.context, total)
-    return _exact_coefficient(t.graph.context, {t.weight(m, den, half): s for m, s in pairs})
+    return _exact_coefficient(t.graph.context, {ws[m]: s for m, s in pairs})
 
 
 def _loop_coefficients(v: LoopVector) -> dict:
@@ -386,20 +292,19 @@ def _loop_coefficients(v: LoopVector) -> dict:
     groups: dict = {}
     for (key, m), s in v.keyed.items():
         groups.setdefault(key, []).append((m, s))
-    return {key: _coefficient(v.table, pairs, v._den, v._half) for key, pairs in groups.items()}
+    return {key: _coefficient(v.table, pairs) for key, pairs in groups.items()}
 
 
 def zero_vector(graph, length: int) -> LoopVector:
     """The zero vector of the graph's loops of this length."""
-    t = _table(graph)
-    return LoopVector(length, graph.basepoint, t, {}, t._den, t._half, 0)
+    return LoopVector(length, graph.basepoint, _table(graph), {})
 
 
 def loop_vector(graph, l: Path, coeff: Coefficient | None = None) -> LoopVector:
     """``coeff`` (by default one) times the graph's loop l."""
     t = _table(graph)
     key = tuple(map(t.index, l.edges))
-    one = LoopVector(len(l), l.start, t, {(key, 0): 1}, t._den, t._half, 0)
+    one = LoopVector(len(l), l.start, t, {(key, 0): 1})
     return one if coeff is None else one.scaled(coeff)
 
 
@@ -428,16 +333,12 @@ def cup(graph, v: LoopVector, i: int) -> LoopVector:
     if not 0 <= i <= v.length:
         raise IndexError("cup index %d out of range 0..%d" % (i, v.length))
     t = _one_table(_table(graph), v)
-    while True:
-        v = _fitted(v, 1)
-        den, half = v._den, v._half
-        pairs = [((key[:i] + (e, ebar) + key[i:], mono + m), s * f)
-                 for (key, mono), s in v.keyed.items()
-                 for e, ebar, m, f in t.rows(_anchor(v, key, i))]
-        # an anchor's new edges may re-pack the table: then the pass reruns
-        top = v._top + t._top
-        if t._den == den and t._half == half and top < half:
-            return _vec(v.length + 2, v.start, t, pairs, den, half, top)
+    prod = t.prod
+    return _vec(v.length + 2, v.start, t, [
+        ((key[:i] + (e, ebar) + key[i:], prod[mono][m]), s * f)
+        for (key, mono), s in v.keyed.items()
+        for e, ebar, m, f in t.rows(_anchor(v, key, i))
+    ])
 
 
 def _contraction(e1: int, e2: int, table: _EdgeTable):
@@ -453,33 +354,31 @@ def cap(v: LoopVector, i: int) -> LoopVector:
         raise IndexError("cap needs length >= 2")
     if not 1 <= i <= v.length - 1:
         raise IndexError("cap index %d out of range 1..%d" % (i, v.length - 1))
-    v = _fitted(v, 1)
     t = v.table
+    prod = t.prod
     pairs = []
     for (key, mono), s in v.keyed.items():
         sq = _contraction(key[i - 1], key[i], t)
         if sq is not None:
-            pairs.append(((key[: i - 1] + key[i + 1 :], mono + sq[0]), s * sq[1]))
-    return _vec(v.length - 2, v.start, t, pairs, v._den, v._half, v._top + t._top)
+            pairs.append(((key[: i - 1] + key[i + 1 :], prod[mono][sq[0]]), s * sq[1]))
+    return _vec(v.length - 2, v.start, t, pairs)
 
 
 def star(graph, v: LoopVector) -> LoopVector:
     """The involution l -> w(l-bar)^(1/2) l-bar, with w(l-bar) = w(l)^-1; it
     is conjugate-linear, and coefficients are real."""
     t = _one_table(_table(graph), v)
-    v = _fitted(v, v.length)
-    conj = t.conj.__getitem__
+    conj, prod = t.conj.__getitem__, t.prod
     pairs = []
     ends = set()
     for (key, mono), s in v.keyed.items():
         rev = tuple(map(conj, reversed(key)))
         m, f = t.loop_sqrt(rev)
-        pairs.append(((rev, mono + m), s * f))
+        pairs.append(((rev, prod[mono][m]), s * f))
         ends.add(_anchor(v, key, v.length))
     if len(ends) > 1:
         raise ValueError("the loops of a vector share one start vertex")
-    return _vec(v.length, ends.pop() if ends else v.start, t, pairs,
-                v._den, v._half, v._top + v.length * t._top)
+    return _vec(v.length, ends.pop() if ends else v.start, t, pairs)
 
 
 def concat(u: LoopVector, v: LoopVector) -> LoopVector:
@@ -487,12 +386,11 @@ def concat(u: LoopVector, v: LoopVector) -> LoopVector:
     t = _one_table(u.table, v)
     if v.keyed and any(_anchor(u, key, u.length) != v.start for key, _ in u.keyed):
         raise ValueError("paths do not compose")
-    den, half, top = _aligned(u, v)
-    u, v = _at(u, den, half), _at(v, den, half)
+    prod = t.prod
     return _vec(u.length + v.length, u.start, t, [
-        ((k1 + k2, m1 + m2), s1 * s2)
+        ((k1 + k2, prod[m1][m2]), s1 * s2)
         for (k1, m1), s1 in u.keyed.items() for (k2, m2), s2 in v.keyed.items()
-    ], den, half, top)
+    ])
 
 
 def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
@@ -518,13 +416,13 @@ def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
 
 def apply_modular(v: LoopVector) -> LoopVector:
     """The diagonal modular operator: l -> w(l) * l."""
-    v = _fitted(v, 2 * v.length)
     t = v.table
+    prod = t.prod
     pairs = []
     for (key, mono), s in v.keyed.items():
         m, f = t.loop_sqrt(key)
-        pairs.append(((key, mono + 2 * m), s * (f * f)))
-    return _vec(v.length, v.start, t, pairs, v._den, v._half, v._top + 2 * v.length * t._top)
+        pairs.append(((key, prod[mono][prod[m][m]]), s * (f * f)))
+    return _vec(v.length, v.start, t, pairs)
 
 
 @dataclass(frozen=True)
@@ -553,13 +451,14 @@ class ModularRelationError(ArithmeticError):
     """inner(f, g, left) != inner(Delta f, g, right) on a basis pair."""
 
 
-def _capped(t: _EdgeTable, m: int, s, factors, den: int, half: int) -> Coefficient:
+def _capped(t: _EdgeTable, m: int, s, factors) -> Coefficient:
     """The term ``(m, s)`` times each cap coefficient in turn, as nested caps
     multiply it, as a coefficient (zero when ``cap`` would drop it)."""
+    prod = t.prod
     for mk, fk in factors:
-        m += mk
+        m = prod[m][mk]
         s = s * fk
-    return _coefficient(t, ((m, s),) if s else (), den, half)
+    return _coefficient(t, ((m, s),) if s else ())
 
 
 def _inner_pairs(graph, vecs):
@@ -579,21 +478,17 @@ def _inner_pairs(graph, vecs):
     each level, so the walks take O(N n) cap steps for N loops of length n
     (and test O(N n d) children at out-degree d).  Each leaf multiplies its
     cap coefficients in the order of ``inner``'s nested caps: outward for
-    left, inward for right.  All terms share one packing, which bounds the
-    sum of every operand's digits, so each word's term and its caps fit.
+    left, inward for right.
     """
     t = _table(graph)
+    prod = t.prod
     zero = Coefficient.zero(graph.context)
     stars = [star(graph, h) for h in vecs]
     deltas = [apply_modular(f) for f in vecs]
-    if not vecs:
-        return
-    den, half, _ = _aligned(*vecs, *deltas, *stars, *(t,) * max(vecs[0].length, 1))
-    t.repack(den, half)
     terms = []
     root = [{}, None]  # node: [edge index -> child node, basis index of a word's end]
     for j, h in enumerate(stars):
-        (((word, mj), sj),) = _at(h, den, half).keyed.items()
+        (((word, mj), sj),) = h.keyed.items()
         terms.append((mj, sj))
         node = root
         for e in word:
@@ -603,8 +498,8 @@ def _inner_pairs(graph, vecs):
             node = got
         node[1] = j
     for i, f in enumerate(vecs):
-        (((key, mf), sf),) = _at(f, den, half).keyed.items()
-        (((_, mdf), sdf),) = _at(deltas[i], den, half).keyed.items()
+        (((key, mf), sf),) = f.keyed.items()
+        (((_, mdf), sdf),) = deltas[i].keyed.items()
         # (node, left coefficients, right coefficients); None once a side dies
         live = [(root, (), ())]
         for e in reversed(key):
@@ -622,9 +517,9 @@ def _inner_pairs(graph, vecs):
             j = node[1]
             mj, sj = terms[j]
             rows[j] = (
-                zero if lsq is None else _capped(t, mf + mj, sf * sj, lsq, den, half),
-                zero if rsq is None else _capped(t, mj + mf, sj * sf, rsq[::-1], den, half),
-                zero if rsq is None else _capped(t, mj + mdf, sj * sdf, rsq[::-1], den, half),
+                zero if lsq is None else _capped(t, prod[mf][mj], sf * sj, lsq),
+                zero if rsq is None else _capped(t, prod[mj][mf], sj * sf, rsq[::-1]),
+                zero if rsq is None else _capped(t, prod[mj][mdf], sj * sdf, rsq[::-1]),
             )
         for j in sorted(rows.keys() | {i}):
             yield (i, j) + rows.get(j, (zero, zero, zero))

@@ -18,8 +18,8 @@ leaves the positive float range.
 
 A :class:`Coefficient`, the scalar of the loop algebra, is a rational linear
 combination of exact weights, stored as its ``(Weight, scalar)`` terms, or
-one float.  How the loop vectors of ``loop_algebra`` pack monomials into ints
-is that module's own business.
+one float.  How the loop vectors of ``loop_algebra`` store monomials is that
+module's own business.
 """
 from __future__ import annotations
 
@@ -307,8 +307,8 @@ class Coefficient:
     weight, and ``==``, ``eq`` and ``hash`` compare ``terms``; text and
     ``value`` visit them in order of ``Weight.exponents``.  Float mode:
     ``terms`` is None and ``fvalue`` holds one float.  Immutable; the loop
-    algebra keeps its packing of the terms in ``_packed``, filled on first
-    use.
+    algebra keeps in ``_packed`` the terms' monomial ids in the last edge
+    table that scaled by the coefficient, with that table.
     """
 
     __slots__ = ("context", "terms", "fvalue", "_packed")

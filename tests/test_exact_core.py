@@ -316,9 +316,9 @@ def m_terms(c):
 
 
 class TestPackingBound:
-    """Exponents near and past the packed digit's bound stay exact: digits
-    never carry into their neighbour, including in products whose digits
-    cross the bound only once they are formed."""
+    """Exponents near and past 2^31 and 2^63 stay exact: no generator's
+    exponent spills into another's, including in products whose exponents
+    pass those sizes only once they are formed."""
 
     def test_fixed_case(self):
         a, b = CTX.gen("a"), CTX.gen("b")

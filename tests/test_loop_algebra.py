@@ -20,7 +20,7 @@ Core claims:
       graphs (a graph and its ball) raise under every map that would mix
       them, each graph's own maps give the same loops, and ``terms`` reads
       the loops back
-    - vectors stay exact when w(e)^(1/2) passes the packed digit's bound, and
+    - vectors stay exact for exponents of w(e)^(1/2) past 2^31 and 2^63, and
       a float product past the float range raises ``OverflowError``
 """
 
@@ -33,6 +33,7 @@ from collections import Counter
 
 from deltagraph import (
     Coefficient,
+    ContextMismatchError,
     DeltaGraph,
     GraphConstructionError,
     apply_modular,
@@ -431,6 +432,23 @@ class TestMixedWeights:
                 assert (r * r).isclose(Coefficient.of_weight(w.inverse()))
         assert all(passed for _, _, passed, _ in relations(g, 4))
 
+    def test_cancelled_float_terms_read_as_the_loop_value(self):
+        # cap leaves (-2 a^-1/2 + a^1/2) [e1 e8], whose value is 0 at a = 2;
+        # on a table that has met a float the loop reads as that value, as
+        # a sum of Coefficients would, not as a nonzero exact sum
+        g = _mixed_grid()
+        loops = {l.edge_ids(): l for l in enumerate_loops(g, 4)}
+        one = g.context.identity()
+        v = zero_vector(g, 4)
+        for ids, k in ((("e3", "e16", "e30", "e5"), -1), (("e1", "e8", "e1", "e8"), -2),
+                       (("e1", "e9", "e32", "e8"), 1)):
+            v = v + loop_vector(g, loops[ids], Coefficient.of_weight(one, k))
+        got = cap(v, 2)
+        ((l, c),) = got.terms.items()
+        assert l.edge_ids() == ("e1", "e8")
+        assert not c.is_exact and c.eq(Coefficient.zero(g.context))
+        assert got.eq(zero_vector(g, 2))
+
 
 class TestOracles:
     @pytest.mark.parametrize("name", ORACLE_GRAPHS)
@@ -545,6 +563,27 @@ class TestEdgeTables:
         with pytest.raises(ValueError, match="has conjugate 'e2'"):
             basis(g, 2)
 
+    def test_coefficient_memo_follows_the_table(self):
+        # one coefficient scales vectors of two graphs, where a cup on the
+        # second has first interned other monomials, then the first again
+        g1, g2 = double_chain(2, 3), double_chain(2, 3)
+        ctx = g1.context
+        c = Coefficient.of_weight(ctx.gen("a")) + Coefficient.of_weight(ctx.gen("b", -1), 2)
+        u, w = basis(g1, 2)[0], basis(g2, 2)[1]
+        assert not cup(g2, cup(g2, w, 0), 1).is_zero()
+        for v in (u, w, u):
+            ((l, _),) = v.terms.items()
+            assert v.scaled(c).terms == {l: c}
+            assert v.scaled(c).scaled(c).terms == {l: c * c}
+
+    def test_scaled_checks_the_coefficient_context(self):
+        v = basis(single_chain(2), 2)[0]
+        other = GeneratorContext((("x", 5.0),))
+        for c in (Coefficient.of_weight(other.gen("x", 3)),
+                  Coefficient.of_weight(other.float_weight(3.0))):
+            with pytest.raises(ContextMismatchError):
+                v.scaled(c)
+
     def test_frontier_anchor_raises_on_every_call(self, chain):
         b = ball(chain, 1)
         v = basis(b, 2)[0]
@@ -577,10 +616,10 @@ def _power_chain(k, fair=True):
 
 
 class TestVectorPackingBound:
-    """Loop vectors whose w(e)^(1/2) reach and pass the packed digit's bound
-    stay exact, as coefficients do in ``test_exact_core.TestPackingBound``:
-    the products of cup, cap, star and the trie walks widen the packing
-    before a digit could wrap."""
+    """Loop vectors whose w(e)^(1/2) have exponents near and past 2^31 and
+    2^63 stay exact, as coefficients do in
+    ``test_exact_core.TestPackingBound``: no product of cup, cap, star or
+    the trie walks rounds an exponent or mixes two generators."""
 
     @pytest.mark.parametrize("k", [2 ** 31 - 1, 2 ** 63])
     def test_huge_exponent_chain(self, k):

@@ -11,7 +11,7 @@
     - on the same combinations over every oracle graph, cup, cap, star,
       concat, scaled, the modular operator and both inner products read back
       as a reference model that multiplies ``Coefficient``s over ``Path``s,
-      also when scaled by coefficients whose exponents pass the packed digit
+      also when scaled by coefficients whose exponents pass 2^31 and 2^63
     - ``iso_check`` and ``partial_automorphisms`` give the mappings, in the
       order, of a reference model that matches edges weight by weight with a
       greedy scan, on every oracle graph's balls, on float read-backs and
@@ -382,8 +382,7 @@ def test_kernel_matches_coefficient_model(name, n, data):
 @given(st.sampled_from((0, 2)), st.data())
 def test_kernel_packs_exponents_near_the_digit_bound(n, data):
     # vectors scaled, once and twice, by a coefficient whose exponents lie
-    # near and past the packed digit's bound: products in the maps must
-    # re-pack, not carry
+    # near and past 2^31 and 2^63: products in the maps stay exact
     g = double_chain(2, 3)  # loops have weights other than 1
     names = g.context.names
     exponents = st.lists(bound_exponent, min_size=len(names), max_size=len(names))
