@@ -4,7 +4,9 @@ Every command reads either a ``delta-graph v1`` file or a builder spec like
 ``double_chain:a=2,b=3``, and writes deterministic output.  Exit codes:
 0 success, 1 domain failure (reported as a ``FAIL <check> <detail>`` line),
 2 usage or parse errors, 3 a weight that left the float range
-(``OverflowError``); errors print one ``error: ...`` line to stderr.
+(``OverflowError``); errors print one ``error: ...`` line to stderr.  A
+reader that closes stdout early (``deltagraph loops ... | head -1``) ends
+the command quietly with status 0.
 """
 from __future__ import annotations
 
@@ -249,7 +251,13 @@ def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader has all it wants; the flush at shutdown goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _Failure as exc:
         print("FAIL %s %s" % (exc.check, exc.detail))
         return 1

@@ -174,7 +174,9 @@ class LoopVector:
     A vector holds its ``length``, the ``start`` vertex its loops share, its
     graph's edge table and ``keyed``, a dict from ``(loop key, monomial id)``
     to a nonzero scalar, the loop key being the tuple of the loop's edge
-    indices into that table.  :func:`loop_vector`, :func:`zero_vector` and
+    indices into that table.  The constructor takes ``keyed`` as given: a
+    zero scalar in it would pass through maps that sum no terms on an exact
+    table.  :func:`loop_vector`, :func:`zero_vector` and
     :func:`basis` make the vectors of a graph, and every map here keeps its
     operands' table; operands from different graphs' tables raise
     ``ValueError``.  ``terms`` reads a vector back as a dict from
@@ -226,13 +228,27 @@ class LoopVector:
                 p = c._packed = (t, tuple((t.intern(w), s) for w, s in c.terms))
             pairs = p[1]
         prod = t.prod
-        return _vec(self.length, self.start, t, [((key, prod[mono][m]), s * r)
-                                                 for (key, mono), s in self.keyed.items()
-                                                 for m, r in pairs])
+        acc: dict = {}
+        get = acc.get
+        summed = False
+        for (key, mono), s in self.keyed.items():
+            row = prod[mono]
+            for m, r in pairs:
+                k = (key, row[m])
+                got = get(k)
+                if got is None:
+                    acc[k] = s * r
+                else:
+                    acc[k] = got + s * r
+                    summed = True
+        if summed or t.floats:
+            return _finish(self.length, self.start, t, acc)
+        return LoopVector(self.length, self.start, t, acc)
 
     def eq(self, other: "LoopVector") -> bool:
         """Loop-wise ``Coefficient.eq``, an absent loop counting as zero."""
-        _one_table(self.table, other)
+        if other.table is not self.table:
+            _one_table(self.table, other)
         if self.length != other.length:
             return False
         if self.keyed == other.keyed and (not self.keyed or self.start == other.start):
@@ -256,13 +272,23 @@ class LoopVector:
 
 def _vec(length: int, start: VertexId, table: _EdgeTable, pairs) -> LoopVector:
     """The sum of the ``((loop key, monomial id), scalar)`` pairs as a
-    vector, less its zero scalars; once the table has met a float, a scalar
-    outside the float range raises ``OverflowError``."""
+    vector, through :func:`_finish`."""
     acc: dict = {}
     get = acc.get
     for k, s in pairs:
         got = get(k)
         acc[k] = s if got is None else got + s
+    return _finish(length, start, table, acc)
+
+
+def _finish(length: int, start: VertexId, table: _EdgeTable, acc: dict) -> LoopVector:
+    """The vector of the ``(loop key, monomial id) -> scalar`` dict ``acc``,
+    less its zero scalars; once the table has met a float, a scalar outside
+    the float range raises ``OverflowError``.
+
+    Every map ends here, or builds its vector directly when it summed no two
+    terms into one entry and its table has met no float: a product of
+    nonzero exact scalars is never zero."""
     if table.floats:
         for s in acc.values():
             if type(s) is float and not -inf < s < inf:
@@ -309,7 +335,11 @@ def loop_vector(graph, l: Path, coeff: Coefficient | None = None) -> LoopVector:
 
 
 def basis(graph, n: int) -> tuple[LoopVector, ...]:
-    return tuple(loop_vector(graph, l) for l in enumerate_loops(graph, n))
+    """The one-term vector of each of the graph's loops of length n."""
+    t = _table(graph)
+    index = t.index
+    return tuple(LoopVector(n, l.start, t, {(tuple(map(index, l.edges)), 0): 1})
+                 for l in enumerate_loops(graph, n))
 
 
 def format_vector(v: LoopVector) -> str:
@@ -333,12 +363,21 @@ def cup(graph, v: LoopVector, i: int) -> LoopVector:
     if not 0 <= i <= v.length:
         raise IndexError("cup index %d out of range 0..%d" % (i, v.length))
     t = _one_table(_table(graph), v)
-    prod = t.prod
-    return _vec(v.length + 2, v.start, t, [
-        ((key[:i] + (e, ebar) + key[i:], prod[mono][m]), s * f)
-        for (key, mono), s in v.keyed.items()
-        for e, ebar, m, f in t.rows(_anchor(v, key, i))
-    ])
+    prod, memo, edges, start = t.prod, t._rows, t.edges, v.start
+    # no two terms share an entry: dropping the pair at i gives the old loop
+    # key back, and multiplying by a fixed monomial is injective on ids
+    acc: dict = {}
+    for (key, mono), s in v.keyed.items():
+        at = edges[key[i - 1]].target if i else start
+        rows = memo.get(at)
+        if rows is None:
+            rows = t.rows(at)
+        row, head, tail = prod[mono], key[:i], key[i:]
+        for e, ebar, m, f in rows:
+            acc[head + (e, ebar) + tail, row[m]] = s * f
+    if t.floats:
+        return _finish(v.length + 2, start, t, acc)
+    return LoopVector(v.length + 2, start, t, acc)
 
 
 def _contraction(e1: int, e2: int, table: _EdgeTable):
@@ -355,13 +394,24 @@ def cap(v: LoopVector, i: int) -> LoopVector:
     if not 1 <= i <= v.length - 1:
         raise IndexError("cap index %d out of range 1..%d" % (i, v.length - 1))
     t = v.table
-    prod = t.prod
-    pairs = []
+    prod, contract, j = t.prod, _contraction, i - 1
+    acc: dict = {}
+    get = acc.get
+    summed = False
     for (key, mono), s in v.keyed.items():
-        sq = _contraction(key[i - 1], key[i], t)
+        sq = contract(key[j], key[i], t)
         if sq is not None:
-            pairs.append(((key[: i - 1] + key[i + 1 :], prod[mono][sq[0]]), s * sq[1]))
-    return _vec(v.length - 2, v.start, t, pairs)
+            m, f = sq
+            k = (key[:j] + key[i + 1 :], prod[mono][m])
+            got = get(k)
+            if got is None:
+                acc[k] = s * f
+            else:
+                acc[k] = got + s * f
+                summed = True
+    if summed or t.floats:
+        return _finish(v.length - 2, v.start, t, acc)
+    return LoopVector(v.length - 2, v.start, t, acc)
 
 
 def star(graph, v: LoopVector) -> LoopVector:
@@ -369,16 +419,20 @@ def star(graph, v: LoopVector) -> LoopVector:
     is conjugate-linear, and coefficients are real."""
     t = _one_table(_table(graph), v)
     conj, prod = t.conj.__getitem__, t.prod
-    pairs = []
-    ends = set()
+    # no two terms share an entry: reversal is injective on loop keys, and
+    # multiplying by a fixed monomial is injective on ids
+    acc: dict = {}
     for (key, mono), s in v.keyed.items():
         rev = tuple(map(conj, reversed(key)))
         m, f = t.loop_sqrt(rev)
-        pairs.append(((rev, prod[mono][m]), s * f))
-        ends.add(_anchor(v, key, v.length))
+        acc[rev, prod[mono][m]] = s * f
+    ends = {t.edges[key[-1]].target for key, _ in v.keyed} if v.length else set()
     if len(ends) > 1:
         raise ValueError("the loops of a vector share one start vertex")
-    return _vec(v.length, ends.pop() if ends else v.start, t, pairs)
+    start = ends.pop() if ends else v.start
+    if t.floats:
+        return _finish(v.length, start, t, acc)
+    return LoopVector(v.length, start, t, acc)
 
 
 def concat(u: LoopVector, v: LoopVector) -> LoopVector:
@@ -418,11 +472,11 @@ def apply_modular(v: LoopVector) -> LoopVector:
     """The diagonal modular operator: l -> w(l) * l."""
     t = v.table
     prod = t.prod
-    pairs = []
+    acc: dict = {}
     for (key, mono), s in v.keyed.items():
         m, f = t.loop_sqrt(key)
-        pairs.append(((key, prod[mono][prod[m][m]]), s * (f * f)))
-    return _vec(v.length, v.start, t, pairs)
+        acc[key, prod[mono][prod[m][m]]] = s * (f * f)
+    return _finish(v.length, v.start, t, acc)
 
 
 @dataclass(frozen=True)
@@ -618,7 +672,7 @@ def relations(graph, max_len: int):
             ok_gram = ok_mod = True
             for i, j, lhs, right, rhs in _inner_pairs(graph, vecs):
                 if i == j:
-                    (s,) = star(graph, vecs[i]).terms.values()  # w(l)^(-1/2)
+                    (s,) = _loop_coefficients(star(graph, vecs[i])).values()  # w(l)^(-1/2)
                     want_l = Coefficient.one(ctx)
                     want_r = s * s
                 else:

@@ -2,6 +2,8 @@
 pipeline from the examples."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -166,6 +168,25 @@ class TestBasics:
         assert code == 0 and err == ""
         want = "e0 " * 1500 + "weight 1" if cmd == "loops" else "1:1"
         assert out.splitlines() == [want]
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # a reader that stops after one line, as ``| head -1`` does, ends
+        # the command with status 0 and nothing on stderr; the loops of
+        # length 8 fill far more than a pipe's buffer, so a write meets the
+        # closed pipe
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "deltagraph.cli", "loops", "double_chain:a=2,b=3", "--n", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert first.endswith(b" weight 1\n")
+        assert code == 0 and err == b""
 
     @pytest.mark.parametrize("literal", ["1e400", "0"])
     def test_out_of_range_weight_literal_exit_2(self, tmp_path, capsys, literal):

@@ -65,7 +65,7 @@ from deltagraph import (
 )
 from deltagraph import loop_algebra
 from deltagraph.graph import Edge, Path
-from deltagraph.loop_algebra import VERIFY_LIMIT, _inner_pairs
+from deltagraph.loop_algebra import VERIFY_LIMIT, _inner_pairs, format_vector
 from deltagraph.weights import GeneratorContext, group_weights
 
 
@@ -683,3 +683,96 @@ class TestFloatOverflow:
             cap(loop_vector(g, there_and_back, big), 1)
         ((_, c),) = cap(loop_vector(g, there_and_back), 1).terms.items()
         assert c.isclose(Coefficient.of_weight(g.context.float_weight(1e100)))
+
+    def test_every_map_raises_past_the_float_range(self):
+        # loops through the parallel edges e0 (1e200) and e1 (1) carry
+        # w(l)^(1/2) = 1e100 or 1e-100: past the float range on the scalar
+        # 1e250, cup, cap, star and scaled raise instead of keeping inf
+        g = parse_graph(
+            "delta-graph v1\ndelta 2.5\nvertex 0\nvertex 1\n"
+            "edge e0 0 1 weight 1e200 conjugate e2\nedge e1 0 1 weight 1 conjugate e3\n"
+            "edge e2 1 0 weight 1e-200 conjugate e0\nedge e3 1 0 weight 1 conjugate e1\n"
+            "basepoint 0\n"
+        ).graph
+        big = Coefficient.of_weight(g.context.float_weight(1e250))
+        loops = {l.edge_ids(): l for l in enumerate_loops(g, 2)}
+        empty = loop_vector(g, enumerate_loops(g, 0)[0], big)
+        there_and_back = loop_vector(g, loops["e0", "e2"], big)
+        down_only = loop_vector(g, loops["e1", "e2"], big)  # star reads e0 e3: 1e100
+        for make in (lambda: cup(g, empty, 0), lambda: cap(there_and_back, 1),
+                     lambda: star(g, down_only), lambda: empty.scaled(big)):
+            with pytest.raises(OverflowError, match="outside the float range"):
+                make()
+
+
+def _signed_sum(g, n):
+    """The basis of length n, the k-th vector scaled by (-1)^k (k + 1)."""
+    one = g.context.identity()
+    v = zero_vector(g, n)
+    for k, b in enumerate(basis(g, n)):
+        v = v + b.scaled(Coefficient.of_weight(one, (-1) ** k * (k + 1)))
+    return v
+
+
+class TestOnePassMaps:
+    """cup and star store each term, cap and scaled sum into an entry that
+    is already there; a sum or a float table ends in one finisher, which
+    drops zero scalars and checks the float range."""
+
+    def test_cap_whose_terms_cancel_is_zero(self, cycle4_flat):
+        # on the flat 4-cycle every monomial is the identity, so the two
+        # loops that contract at position 2 to (b0, f3) cancel
+        g = cycle4_flat
+        loops = {l.edge_ids(): l for l in enumerate_loops(g, 4)}
+        one = Coefficient.one(g.context)
+        minus = Coefficient.of_weight(g.context.identity(), -1)
+        v = (loop_vector(g, loops[("b", 0), ("f", 3), ("b", 0), ("f", 3)], one)
+             + loop_vector(g, loops[("b", 0), ("b", 3), ("f", 2), ("f", 3)], minus))
+        got = cap(v, 2)
+        assert got.keyed == {} and got.is_zero()
+        assert got == zero_vector(g, 2) and got.eq(zero_vector(g, 2))
+
+    def test_scaled_whose_terms_cancel_keeps_no_zero(self, chain, rr):
+        # (q + q^-1)(q - q^-1) = q^2 - q^-2: the two identity terms cancel
+        ctx = chain.context
+        q, qi = ctx.gen("q", 1), ctx.gen("q", -1)
+        v = loop_vector(chain, rr, Coefficient.of_weight(q) + Coefficient.of_weight(qi))
+        got = v.scaled(Coefficient.of_weight(q) + Coefficient.of_weight(qi, -1))
+        want = loop_vector(chain, rr, Coefficient.of_weight(ctx.gen("q", 2))
+                           + Coefficient.of_weight(ctx.gen("q", -2), -1))
+        assert all(got.keyed.values()) and len(got.keyed) == 2
+        assert not got.is_zero()
+        assert got == want and got.eq(want)
+
+    def test_star_and_cap_texts_on_float_tables(self, deformed):
+        # the float read-outs keep their last digits: each term is
+        # multiplied and summed in one fixed order
+        g = deformed
+        v2, v4 = _signed_sum(g, 2), _signed_sum(g, 4)
+        assert format_vector(star(g, v4)).splitlines() == [
+            "(0.99999999999999989) ('l', 0) ('l', -1) ('r', -2) ('r', -1)",
+            "(-1.9999999999999993) ('l', 0) ('r', -1) ('l', 0) ('r', -1)",
+            "(-3.9999999999999987) ('l', 0) ('r', -1) ('r', 0) ('l', 1)",
+            "(2.9999999999999991) ('r', 0) ('l', 1) ('l', 0) ('r', -1)",
+            "(4.9999999999999982) ('r', 0) ('l', 1) ('r', 0) ('l', 1)",
+            "(-6.0000000000000018) ('r', 0) ('r', 1) ('l', 2) ('l', 1)",
+        ]
+        assert format_vector(cap(v4, 2)).splitlines() == [
+            "(-0.99809667604997898) ('l', 0) ('r', -1)",
+            "(-1.0175881655886725) ('r', 0) ('l', 1)",
+        ]
+        assert format_vector(cap(cup(g, v2, 1), 2)).splitlines() == [
+            "(2.0023809523809524) ('l', 0) ('r', -1)",
+            "(-4.0047619047619047) ('r', 0) ('l', 1)",
+        ]
+        h = parse_graph(  # a chain of two 1e200 edges
+            "delta-graph v1\ndelta 2.5\nvertex 0\nvertex 1\nvertex 2\n"
+            "edge e0 0 1 weight 1e200 conjugate e2\nedge e1 1 2 weight 1e200 conjugate e3\n"
+            "edge e2 1 0 weight 1e-200 conjugate e0\nedge e3 2 1 weight 1e-200 conjugate e1\n"
+            "basepoint 0\n"
+        ).graph
+        w2, w4 = _signed_sum(h, 2), _signed_sum(h, 4)
+        assert format_vector(star(h, w4)) == "(1) e0 e1 e3 e2\n(-2) e0 e2 e0 e2"
+        assert format_vector(cap(w4, 2)) == "(1e+100) e0 e2"
+        assert format_vector(cap(cup(h, w2, 1), 2)) == "(9.9999999999999997e+199) e0 e2"
+        assert format_vector(cap(cup(h, w2, 2), 1)) == "(9.9999999999999997e+199) e0 e2"

@@ -3,6 +3,9 @@
     - the tracial cover is tracial, and its vertex weighting is ``nu``
     - recovering a graph from its cover reproduces the ball on interiors
     - the cover of a shift quotient reproduces the ball on interiors
+    - the covering-space correspondence: the loop-weight group of a shift
+      quotient is generated by the shift's weight, and on cover balls every
+      TLJ(delta) relation passes and the modular spectrum is trivial
     - serialize(parse(text)) == text for balls and for weighted covers
     - ``parse_graph`` on a mutated document raises only ``GraphFormatError``
     - on integer combinations of basis loops of length n <= 4: delooping
@@ -43,10 +46,13 @@ from deltagraph import (
     inner,
     iso_check,
     lattice_shift_action,
+    loop_weight_group,
+    modular_spectrum,
     parse_graph,
     partial_automorphisms,
     quotient,
     recover,
+    relations,
     serialize_graph,
     single_chain,
     star,
@@ -57,7 +63,7 @@ from deltagraph import (
 from deltagraph.graph import Path, bfs_tree
 from deltagraph.io import GraphFormatError
 from deltagraph.loop_algebra import _inner_pairs
-from deltagraph.weights import GeneratorContext, _Classes, group_weights
+from deltagraph.weights import GeneratorContext, _Classes, group_weights, reduce_generators
 from test_exact_core import bound_exponent, rationals
 from test_isomorphism import _float_ball
 from test_loop_algebra import ORACLE_GRAPHS
@@ -124,6 +130,41 @@ def test_quotient_cover_roundtrip(assert_carries_edges, shifted, r):
     m = iso_check(cov, b, interior_only=True)
     assert m is not None
     assert_carries_edges(cov, b, m)
+
+
+# The covering-space correspondence: a quotient by a shift has the shift's
+# weight as its loop weights, and a cover ball, like a universal cover, has
+# none, so its centralizer is tracial and of TLJ(delta)-type.
+
+
+@PROPERTY
+@given(shifts, st.integers(3, 5))
+def test_quotient_loop_weights_are_generated_by_the_shift(shifted, r):
+    # the loop once around the quotient has length |shift|_1 <= 4; at radius
+    # 1 a shift of length 3 or 4 leaves no such loop and the group reads
+    # trivial, while radii 3 to 5 keep it for every drawn shift
+    g, action = shifted
+    (s,) = action.generators
+    got = loop_weight_group(quotient(g, action, r), 4).generators
+    assert got == reduce_generators([s.weight], g.context)
+
+
+@PROPERTY
+@given(graphs, st.integers(3, 4))
+def test_cover_ball_passes_every_relation(g, r):
+    # loops up to length 4 reach two steps from the basepoint, and their
+    # walks read the out-edges there, inside the frontier at radius >= 3
+    cov, _ = tracial_cover(g, r)
+    assert [rec for rec in relations(cov, 4) if not rec[2]] == []
+
+
+@PROPERTY
+@given(graphs, st.integers(3, 4))
+def test_cover_ball_has_trivial_verified_spectrum(g, r):
+    cov, _ = tracial_cover(g, r)
+    for n in range(5):
+        sp = modular_spectrum(cov, n, verify=True)
+        assert sp.verified and sp.is_trivial()
 
 
 @PROPERTY
