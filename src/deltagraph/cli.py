@@ -6,12 +6,14 @@ Every command reads either a ``delta-graph v1`` file or a builder spec like
 2 usage or parse errors, 3 a weight that left the float range
 (``OverflowError``); errors print one ``error: ...`` line to stderr.  A
 reader that closes stdout early (``deltagraph loops ... | head -1``) ends
-the command quietly with status 0.
+the command quietly with status 0, also when it fails after the cut; a
+broken pipe on an ``--out`` file is an error, status 2.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import select
 import sys
 
 from . import builders
@@ -247,17 +249,23 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+def _stdout_gone() -> bool:
+    """Whether stdout is a pipe or socket whose reader has closed it."""
     try:
-        code = args.fn(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
-        return code
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(ev & (select.POLLERR | select.POLLHUP) for _, ev in poller.poll(0))
+
+
+def _run(args) -> int:
+    """``args.fn(args)``, its failures and errors reported as exit codes."""
+    try:
+        return args.fn(args)
     except BrokenPipeError:
-        # the reader has all it wants; the flush at shutdown goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        raise  # main tells a closed stdout from another broken pipe
     except _Failure as exc:
         print("FAIL %s %s" % (exc.check, exc.detail))
         return 1
@@ -278,6 +286,22 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print("error: float overflow: %s" % exc, file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    ap = make_parser()
+    args = ap.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError as exc:
+        if not _stdout_gone():  # the reader of an --out FIFO, say
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        # the reader has all it wants; the flush at shutdown goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -159,11 +159,10 @@ def _table(graph) -> _EdgeTable:
     return t
 
 
-def _one_table(table: _EdgeTable, *vs: "LoopVector") -> _EdgeTable:
-    """``table``, once every vector of ``vs`` is seen to be keyed by it."""
-    for v in vs:
-        if v.table is not table:
-            raise ValueError("loop vectors of different graphs do not combine")
+def _one_table(table: _EdgeTable, v: "LoopVector") -> _EdgeTable:
+    """``table``, once the vector ``v`` is seen to be keyed by it."""
+    if v.table is not table:
+        raise ValueError("loop vectors of different graphs do not combine")
     return table
 
 
@@ -174,19 +173,26 @@ class LoopVector:
     A vector holds its ``length``, the ``start`` vertex its loops share, its
     graph's edge table and ``keyed``, a dict from ``(loop key, monomial id)``
     to a nonzero scalar, the loop key being the tuple of the loop's edge
-    indices into that table.  The constructor takes ``keyed`` as given: a
-    zero scalar in it would pass through maps that sum no terms on an exact
-    table.  :func:`loop_vector`, :func:`zero_vector` and
-    :func:`basis` make the vectors of a graph, and every map here keeps its
-    operands' table; operands from different graphs' tables raise
-    ``ValueError``.  ``terms`` reads a vector back as a dict from
-    :class:`Path` to coefficient, built on the first read.
+    indices into that table.  The constructor drops the zero scalars of the
+    dict it is given and, once the table has met a float, raises
+    ``OverflowError`` for a scalar outside the float range; every map here
+    ends in it.  :func:`loop_vector`, :func:`zero_vector` and :func:`basis`
+    make the vectors of a graph, and every map here keeps its operands'
+    table; operands from different graphs' tables raise ``ValueError``.
+    ``terms`` reads a vector back as a dict from :class:`Path` to
+    coefficient, built on the first read.
     """
 
     __slots__ = ("length", "start", "table", "keyed", "_terms")
     __hash__ = None  # mapping-valued; never used as a key
 
     def __init__(self, length: int, start: VertexId, table: _EdgeTable, keyed: dict):
+        if table.floats:
+            for s in keyed.values():
+                if type(s) is float and not -inf < s < inf:
+                    raise OverflowError("coefficient %r is outside the float range" % s)
+        if not all(keyed.values()):
+            keyed = {k: s for k, s in keyed.items() if s}
         self.length, self.start, self.table, self.keyed = length, start, table, keyed
         self._terms = None
 
@@ -230,25 +236,17 @@ class LoopVector:
         prod = t.prod
         acc: dict = {}
         get = acc.get
-        summed = False
         for (key, mono), s in self.keyed.items():
             row = prod[mono]
             for m, r in pairs:
                 k = (key, row[m])
                 got = get(k)
-                if got is None:
-                    acc[k] = s * r
-                else:
-                    acc[k] = got + s * r
-                    summed = True
-        if summed or t.floats:
-            return _finish(self.length, self.start, t, acc)
+                acc[k] = s * r if got is None else got + s * r
         return LoopVector(self.length, self.start, t, acc)
 
     def eq(self, other: "LoopVector") -> bool:
         """Loop-wise ``Coefficient.eq``, an absent loop counting as zero."""
-        if other.table is not self.table:
-            _one_table(self.table, other)
+        _one_table(self.table, other)
         if self.length != other.length:
             return False
         if self.keyed == other.keyed and (not self.keyed or self.start == other.start):
@@ -272,29 +270,12 @@ class LoopVector:
 
 def _vec(length: int, start: VertexId, table: _EdgeTable, pairs) -> LoopVector:
     """The sum of the ``((loop key, monomial id), scalar)`` pairs as a
-    vector, through :func:`_finish`."""
+    vector."""
     acc: dict = {}
     get = acc.get
     for k, s in pairs:
         got = get(k)
         acc[k] = s if got is None else got + s
-    return _finish(length, start, table, acc)
-
-
-def _finish(length: int, start: VertexId, table: _EdgeTable, acc: dict) -> LoopVector:
-    """The vector of the ``(loop key, monomial id) -> scalar`` dict ``acc``,
-    less its zero scalars; once the table has met a float, a scalar outside
-    the float range raises ``OverflowError``.
-
-    Every map ends here, or builds its vector directly when it summed no two
-    terms into one entry and its table has met no float: a product of
-    nonzero exact scalars is never zero."""
-    if table.floats:
-        for s in acc.values():
-            if type(s) is float and not -inf < s < inf:
-                raise OverflowError("coefficient %r is outside the float range" % s)
-    if not all(acc.values()):
-        acc = {k: s for k, s in acc.items() if s}
     return LoopVector(length, start, table, acc)
 
 
@@ -363,21 +344,15 @@ def cup(graph, v: LoopVector, i: int) -> LoopVector:
     if not 0 <= i <= v.length:
         raise IndexError("cup index %d out of range 0..%d" % (i, v.length))
     t = _one_table(_table(graph), v)
-    prod, memo, edges, start = t.prod, t._rows, t.edges, v.start
+    prod = t.prod
     # no two terms share an entry: dropping the pair at i gives the old loop
     # key back, and multiplying by a fixed monomial is injective on ids
     acc: dict = {}
     for (key, mono), s in v.keyed.items():
-        at = edges[key[i - 1]].target if i else start
-        rows = memo.get(at)
-        if rows is None:
-            rows = t.rows(at)
         row, head, tail = prod[mono], key[:i], key[i:]
-        for e, ebar, m, f in rows:
+        for e, ebar, m, f in t.rows(_anchor(v, key, i)):
             acc[head + (e, ebar) + tail, row[m]] = s * f
-    if t.floats:
-        return _finish(v.length + 2, start, t, acc)
-    return LoopVector(v.length + 2, start, t, acc)
+    return LoopVector(v.length + 2, v.start, t, acc)
 
 
 def _contraction(e1: int, e2: int, table: _EdgeTable):
@@ -394,23 +369,15 @@ def cap(v: LoopVector, i: int) -> LoopVector:
     if not 1 <= i <= v.length - 1:
         raise IndexError("cap index %d out of range 1..%d" % (i, v.length - 1))
     t = v.table
-    prod, contract, j = t.prod, _contraction, i - 1
+    prod = t.prod
     acc: dict = {}
     get = acc.get
-    summed = False
     for (key, mono), s in v.keyed.items():
-        sq = contract(key[j], key[i], t)
+        sq = _contraction(key[i - 1], key[i], t)
         if sq is not None:
-            m, f = sq
-            k = (key[:j] + key[i + 1 :], prod[mono][m])
+            k = (key[: i - 1] + key[i + 1 :], prod[mono][sq[0]])
             got = get(k)
-            if got is None:
-                acc[k] = s * f
-            else:
-                acc[k] = got + s * f
-                summed = True
-    if summed or t.floats:
-        return _finish(v.length - 2, v.start, t, acc)
+            acc[k] = s * sq[1] if got is None else got + s * sq[1]
     return LoopVector(v.length - 2, v.start, t, acc)
 
 
@@ -422,17 +389,15 @@ def star(graph, v: LoopVector) -> LoopVector:
     # no two terms share an entry: reversal is injective on loop keys, and
     # multiplying by a fixed monomial is injective on ids
     acc: dict = {}
+    ends = set()
     for (key, mono), s in v.keyed.items():
         rev = tuple(map(conj, reversed(key)))
         m, f = t.loop_sqrt(rev)
         acc[rev, prod[mono][m]] = s * f
-    ends = {t.edges[key[-1]].target for key, _ in v.keyed} if v.length else set()
+        ends.add(_anchor(v, key, v.length))
     if len(ends) > 1:
         raise ValueError("the loops of a vector share one start vertex")
-    start = ends.pop() if ends else v.start
-    if t.floats:
-        return _finish(v.length, start, t, acc)
-    return LoopVector(v.length, start, t, acc)
+    return LoopVector(v.length, ends.pop() if ends else v.start, t, acc)
 
 
 def concat(u: LoopVector, v: LoopVector) -> LoopVector:
@@ -476,7 +441,7 @@ def apply_modular(v: LoopVector) -> LoopVector:
     for (key, mono), s in v.keyed.items():
         m, f = t.loop_sqrt(key)
         acc[key, prod[mono][prod[m][m]]] = s * (f * f)
-    return _finish(v.length, v.start, t, acc)
+    return LoopVector(v.length, v.start, t, acc)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 pipeline from the examples."""
 
 import os
+import select
 import subprocess
 import sys
 
@@ -169,24 +170,72 @@ class TestBasics:
         want = "e0 " * 1500 + "weight 1" if cmd == "loops" else "1:1"
         assert out.splitlines() == [want]
 
+    _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+    def _spawn(self, *argv):
+        env = dict(os.environ, PYTHONPATH=self._SRC)
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered
+        return subprocess.Popen(
+            [sys.executable, *argv],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+
     def test_closed_stdout_pipe_exits_quietly(self):
         # a reader that stops after one line, as ``| head -1`` does, ends
         # the command with status 0 and nothing on stderr; the loops of
         # length 8 fill far more than a pipe's buffer, so a write meets the
         # closed pipe
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "deltagraph.cli", "loops", "double_chain:a=2,b=3", "--n", "8"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        proc = self._spawn("-m", "deltagraph.cli", "loops", "double_chain:a=2,b=3", "--n", "8")
         first = proc.stdout.readline()
         proc.stdout.close()
-        code = proc.wait(timeout=60)
-        err = proc.stderr.read()
-        proc.stderr.close()
+        _, err = proc.communicate(timeout=60)
         assert first.endswith(b" weight 1\n")
-        assert code == 0 and err == b""
+        assert proc.returncode == 0 and err == b""
+
+    @pytest.mark.parametrize("size", [10, 100000])
+    def test_failure_after_closed_stdout_exits_quietly(self, size):
+        # the command fails once the reader has gone: a short FAIL line
+        # waits in stdout's buffer until the final flush, a long one meets
+        # the closed pipe as it is printed
+        script = (
+            "import sys\n"
+            "from deltagraph import cli\n"
+            "def cut(args):\n"
+            "    print('first', flush=True)\n"
+            "    sys.stdin.readline()\n"
+            "    raise cli._Failure('cut', 'x' * %d)\n"
+            "cli._cmd_loops = cut\n"
+            "sys.exit(cli.main(['loops', 'double_chain:a=2,b=2', '--n', '2']))\n" % size
+        )
+        proc = self._spawn("-c", script)
+        assert proc.stdout.readline() == b"first\n"
+        proc.stdout.close()
+        _, err = proc.communicate(b"\n", timeout=60)
+        assert proc.returncode == 0 and err == b""
+
+    def test_closed_out_fifo_is_an_error(self, tmp_path):
+        # a broken pipe on an --out file is not a closed stdout: exit 2
+        fifo = str(tmp_path / "out.fifo")
+        os.mkfifo(fifo)
+        script = (
+            "import sys\n"
+            "from deltagraph import cli\n"
+            "def emit(args):\n"
+            "    cli._emit(args.out, 'x\\n' * 100000)\n"
+            "    return 0\n"
+            "cli._cmd_build = emit\n"
+            "sys.exit(cli.main(['build', 'double_chain', 'a=2', 'b=2', '--out', %r]))\n" % fifo
+        )
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        proc = self._spawn("-c", script)
+        try:
+            assert select.select([reader], [], [], 60)[0]
+            assert os.read(reader, 1) == b"x"
+        finally:
+            os.close(reader)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2 and out == b""
+        assert err == b"error: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("literal", ["1e400", "0"])
     def test_out_of_range_weight_literal_exit_2(self, tmp_path, capsys, literal):

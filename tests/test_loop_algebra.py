@@ -716,7 +716,7 @@ def _signed_sum(g, n):
 
 class TestOnePassMaps:
     """cup and star store each term, cap and scaled sum into an entry that
-    is already there; a sum or a float table ends in one finisher, which
+    is already there; every map ends in the LoopVector constructor, which
     drops zero scalars and checks the float range."""
 
     def test_cap_whose_terms_cancel_is_zero(self, cycle4_flat):
