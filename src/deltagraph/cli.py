@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import select
 import sys
 
 from . import builders
@@ -57,8 +56,11 @@ def _load(text: str):
 
 def _emit(out_path, text):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except BrokenPipeError as exc:  # the reader of an --out FIFO, say: not stdout's
+            raise OSError(str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -249,23 +251,12 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _stdout_gone() -> bool:
-    """Whether stdout is a pipe or socket whose reader has closed it."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, ValueError, OSError):
-        return False
-    poller = select.poll()
-    poller.register(fd, select.POLLOUT)
-    return any(ev & (select.POLLERR | select.POLLHUP) for _, ev in poller.poll(0))
-
-
 def _run(args) -> int:
     """``args.fn(args)``, its failures and errors reported as exit codes."""
     try:
         return args.fn(args)
     except BrokenPipeError:
-        raise  # main tells a closed stdout from another broken pipe
+        raise  # stdout's reader has gone: main ends quietly
     except _Failure as exc:
         print("FAIL %s %s" % (exc.check, exc.detail))
         return 1
@@ -294,11 +285,9 @@ def main(argv=None) -> int:
     try:
         code = _run(args)
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
-    except BrokenPipeError as exc:
-        if not _stdout_gone():  # the reader of an --out FIFO, say
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        # the reader has all it wants; the flush at shutdown goes to devnull
+    except BrokenPipeError:
+        # _emit reports an --out file's broken pipe as another OSError, so
+        # stdout's reader has all it wants; the flush at shutdown goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     return code

@@ -18,7 +18,9 @@ search compares ints and never calls ``Weight.eq``.  The table of the graph
 mapped into also carries candidate rows: per vertex and edge class, the
 targets of its out-edges of that class in stored-edge order, so listing the
 candidates along a tree edge is one dict lookup.  Weight classes relate
-g1's weights to g2's, never within one graph (:func:`_classes`).
+g1's weights to g2's, never within one graph (:func:`_classes`).  Only the
+matcher compiles tables: the action check runs on a tracial ball, whose
+vertex weights fix every edge weight, so it counts edges instead.
 """
 from __future__ import annotations
 
@@ -122,10 +124,10 @@ def edge_tables(
     g1: TruncatedGraph, g2: TruncatedGraph
 ) -> tuple[EdgeTable, EdgeTable, Callable[[int, int], bool]]:
     """Both truncations compiled once, against each other's weights
-    (:func:`_classes`) and with one id per class multiset across the two
-    (the same object twice is compiled once), and ``into(a, b)``: does
-    multiset ``a`` map into ``b`` class by class?  Equal ids map onto.
-    Only g2's table carries candidate rows."""
+    (:func:`_classes`) and with one id per class multiset across the two,
+    and ``into(a, b)``: does multiset ``a`` map into ``b`` class by class?
+    Equal ids map onto.  Only g2's table, the one mapped into, carries
+    candidate rows."""
     ws1, ws2 = (list(dict.fromkeys(e.weight for v in g.vertices for e in g.out_edges(v)))
                 for g in (g1, g2))
     cls1, cls2 = _classes(ws1, ws2)
@@ -140,8 +142,8 @@ def edge_tables(
             forms.append(form)
         return got
 
-    t1 = _table(g1, cls1, step, grow, g2 is g1)
-    t2 = t1 if g2 is g1 else _table(g2, cls2, step, grow, True)
+    t1 = _table(g1, cls1, step, grow, False)
+    t2 = _table(g2, cls2, step, grow, True)
 
     @lru_cache(maxsize=None)
     def into(a: int, b: int) -> bool:

@@ -83,6 +83,27 @@ NON_INVERSE = _pairs(
 )
 BROKEN = ("self-conjugate.dg", "wrong-endpoints.dg", "non-inverse.dg")
 
+# the chain 0 - 1 - 2 with two self-conjugate unit loops at 0 and a conjugate
+# pair of unit loops at 1; the action s maps 0 -> 1 -> 2, so it breaks the
+# loops at 0 by their self-conjugacy and those at 1 by their count
+LOOP_ACTION = (
+    "delta-graph v1\n"
+    "delta 4\n"
+    "generator q 2\n"
+    "vertex 0\nvertex 1\nvertex 2\n"
+    "edge e0 0 1 weight q^1 conjugate e1\n"
+    "edge e1 1 0 weight q^-1 conjugate e0\n"
+    "edge e2 1 2 weight q^1 conjugate e3\n"
+    "edge e3 2 1 weight q^-1 conjugate e2\n"
+    "edge x0 0 0 weight 1 conjugate x0\n"
+    "edge x1 0 0 weight 1 conjugate x1\n"
+    "edge y0 1 1 weight 1 conjugate y1\n"
+    "edge y1 1 1 weight 1 conjugate y0\n"
+    "basepoint 0\n"
+    "action s weight q^1\n"
+    "map 0 1\nmap 1 2\n"
+)
+
 # parallel pairs q^1/3, q^-1/3 between two vertices: at q = 8 every outgoing
 # sum is 2 + 1/2 = delta, and loop weights are monomials over denominator 3
 THIRDS = (
@@ -147,6 +168,7 @@ def runs() -> list[list[str]]:
         ["quotient", "chain-action.dg", "--radius", "4"],
         ["quotient", "chain-action.dg", "--action", "s", "--radius", "4", "--export-dot"],
         ["quotient", "chain-action.dg", "--action", "zz"],
+        ["quotient", "loop-action.dg", "--radius", "4"],
         ["recover", "cycle:n=3,q=2", "--radius", "4"],
         ["recover", "double_chain:a=2,b=3", "--radius", "3", "--export-dot"],
         ["export-dot", "double_chain:a=2,b=3", "--radius", "2"],
@@ -216,6 +238,7 @@ def write_inputs():
         ("self-loop.dg", SELF_LOOP),
         ("ambiguous.dg", ambiguous),
         ("chain-action.dg", chain_action),
+        ("loop-action.dg", LOOP_ACTION),
         ("inf-delta.dg", INF_DELTA),
         ("huge-weight.dg", HUGE_WEIGHT),
         ("unfair.dg", unfair),

@@ -32,12 +32,38 @@ from deltagraph import (
     iso_check,
     lattice_shift_action,
     orbit_partition,
+    parse_graph,
     quotient,
     recover,
     single_chain,
     tracial_cover,
     validate,
     vertex_weighting,
+)
+
+
+def _action_file(edges: str):
+    """A 3-vertex chain file with the given edge records and the action s
+    of weight q^1 mapping 0 -> 1 and 1 -> 2."""
+    return parse_graph(
+        "delta-graph v1\ndelta 4\ngenerator q 2\nvertex 0\nvertex 1\nvertex 2\n"
+        "%sbasepoint 0\naction s weight q^1\nmap 0 1\nmap 1 2\n" % edges
+    )
+
+
+# the chain 0 - 1 - 2 with weight q^1 forward, two self-conjugate unit loops
+# at 0 and a conjugate pair of unit loops at 1
+LOOPS = (
+    "edge e0 0 1 weight q^1 conjugate e1\nedge e1 1 0 weight q^-1 conjugate e0\n"
+    "edge e2 1 2 weight q^1 conjugate e3\nedge e3 2 1 weight q^-1 conjugate e2\n"
+    "edge x0 0 0 weight 1 conjugate x0\nedge x1 0 0 weight 1 conjugate x1\n"
+    "edge y0 1 1 weight 1 conjugate y1\nedge y1 1 1 weight 1 conjugate y0\n"
+)
+# one edge 0 -> 1, two parallel edges 1 -> 2
+PARALLEL = (
+    "edge e0 0 1 weight q^1 conjugate e1\nedge e1 1 0 weight q^-1 conjugate e0\n"
+    "edge e2 1 2 weight q^1 conjugate e3\nedge e3 2 1 weight q^-1 conjugate e2\n"
+    "edge e4 1 2 weight q^1 conjugate e5\nedge e5 2 1 weight q^-1 conjugate e4\n"
 )
 
 
@@ -73,6 +99,17 @@ class TestCheckAction:
         assert "generator c does not preserve the edges 0 -> 1" in report.failures
         with pytest.raises(ActionError, match="^generator c not invertible on the ball$"):
             orbit_partition(chain, act, 3)
+
+    @pytest.mark.parametrize(
+        "edges, broken",
+        [(LOOPS, ["0 -> 0", "1 -> 1"]), (PARALLEL, ["0 -> 1"])],
+        ids=["self-loops", "parallel"],
+    )
+    def test_edges_compared_by_count_and_self_conjugacy(self, edges, broken):
+        doc = _action_file(edges)
+        report = check_action(doc.graph, doc.action, 4)
+        for pair in broken:
+            assert "generator s does not preserve the edges %s" % pair in report.failures
 
     def test_requires_tracial(self, dchain):
         act = chain_shift_action(single_chain(2), 1)
