@@ -11,16 +11,15 @@ that stored-edge order, not sorted by vertex id.  No canonical labeling.
 Two truncations are isomorphic when a vertex bijection induces an edge
 bijection preserving source, target, weight, conjugation and boundary flags.
 
-Before a search both truncations are compiled once (:func:`edge_tables`):
-distinct edge weights become small class ids, as nauty and Traces reduce
-labels first (McKay & Piperno 2014), and edge multisets interned ids, so the
-search compares ints and never calls ``Weight.eq``.  The table of the graph
-mapped into also carries candidate rows: per vertex and edge class, the
-targets of its out-edges of that class in stored-edge order, so listing the
-candidates along a tree edge is one dict lookup.  Weight classes relate
-g1's weights to g2's, never within one graph (:func:`_classes`).  Only the
-matcher compiles tables: the action check runs on a tracial ball, whose
-vertex weights fix every edge weight, so it counts edges instead.
+Before a search both truncations are compiled once (:func:`edge_tables`),
+each in one walk, into tables indexed by vertex number: distinct edge
+weights become small class ids, as nauty and Traces reduce labels first
+(McKay & Piperno 2014), and edge multisets interned ids, so the search runs
+on ints and hashes neither a vertex id nor a ``Weight``.  The table mapped
+into also carries candidate rows: per vertex and edge class, the targets of
+its out-edges of that class in stored-edge order, so listing the candidates
+along a tree edge is one dict lookup.  Weight classes relate g1's weights
+to g2's, never within one graph (:func:`_classes`).
 """
 from __future__ import annotations
 
@@ -33,24 +32,18 @@ from .weights import Weight, _ambiguity, _near
 
 
 def interior_restriction(t: TruncatedGraph) -> TruncatedGraph:
-    """The subgraph induced on interior (non-boundary) vertices."""
+    """The subgraph induced on interior (non-boundary) vertices, bounded by
+    those that lost an edge; exhausted when ``t`` is and none did."""
     keep = set(t.interior)
     if t.basepoint not in keep:
         raise ValueError("basepoint is on the boundary; nothing to restrict to")
-    out = {
-        v: tuple(e for e in t.out_edges(v) if e.target in keep) for v in t.interior
-    }
+    out = {v: t.out_edges(v) for v in t.interior}
+    cut = [v for v, es in out.items() if any(e.target not in keep for e in es)]
+    out = {v: tuple(e for e in es if e.target in keep) for v, es in out.items()}
     return TruncatedGraph(
-        delta=t.delta,
-        context=t.context,
-        basepoint=t.basepoint,
-        radius=t.radius,
-        out=out,
-        distance={v: d for v, d in t.distance.items() if v in keep},
-        boundary=(),
-        exhausted=True,
-        label=t.label + "|interior",
-    )
+        delta=t.delta, context=t.context, basepoint=t.basepoint, radius=t.radius, out=out,
+        distance={v: d for v, d in t.distance.items() if v in keep}, boundary=cut,
+        exhausted=t.exhausted and not cut, label=t.label + "|interior")
 
 
 def _straddle(ws, rel, others, back):
@@ -82,68 +75,77 @@ def _classes(ws1: Sequence[Weight], ws2: Sequence[Weight]) -> tuple[dict, dict]:
 
 
 class EdgeTable(NamedTuple):
-    """A truncation's edges as interned multisets of edge classes, an edge's
-    class being ``2 * cls[weight] + (self-conjugate)``.  ``out`` maps each
-    vertex to the id of its out-edge multiset, and ``adj`` each vertex to
-    its out-targets and in-sources, each to the id of the multiset of the
-    edges from the vertex to it (0, the empty one, for an in-source only).
-    ``rows`` maps each vertex to its candidate row, in a table that the
-    matcher maps into (else it is empty): per class, the targets of the
-    vertex's out-edges of that class, once each, in stored-edge order."""
+    """A truncation compiled for the matcher, its vertices numbered in stored
+    order (``index``).  An edge's class is ``2 * cls[weight] +
+    (self-conjugate)``.  Per vertex number: ``out``, the id of its out-edge
+    class multiset; ``adj``, the numbers of its out-targets and in-sources,
+    each to the id of the multiset of the edges from the vertex to it (0,
+    the empty one, for an in-source only); its ``boundary`` flag; and, in a
+    table that the matcher maps into (else empty), ``rows``: per class, the
+    numbers of the targets of its out-edges of that class, once each, in
+    stored-edge order."""
 
+    index: dict[VertexId, int]
     cls: dict[Weight, int]
-    out: dict[VertexId, int]
-    adj: dict[VertexId, dict[VertexId, int]]
-    rows: dict[VertexId, dict[int, tuple[VertexId, ...]]]
+    out: list[int]
+    adj: list[dict[int, int]]
+    boundary: list[bool]
+    rows: list[dict[int, tuple[int, ...]]]
 
     def edge_class(self, e: Edge) -> int:
         return 2 * self.cls[e.weight] + (e.conjugate == e.eid)
 
 
-def _table(t: TruncatedGraph, cls: dict[Weight, int], step: dict, grow,
-           with_rows: bool) -> EdgeTable:
-    out, adj, rows = {}, {v: {} for v in t.vertices}, {}
-    for v in t.vertices:
-        o, row, by_class = 0, adj[v], {}
-        for eid, _, target, weight, conj in t.out_edges(v):
-            c = 2 * cls[weight] + (conj == eid)
-            # a multiset with a class added is never the empty one, id 0
-            o = step.get((o, c)) or grow(o, c)
-            i = row.get(target, 0)
-            row[target] = step.get((i, c)) or grow(i, c)
-            adj[target].setdefault(v, 0)
-            if with_rows and target not in by_class.get(c, ()):
-                by_class[c] = by_class.get(c, ()) + (target,)
-        out[v] = o
-        if with_rows:
-            rows[v] = by_class
-    return EdgeTable(cls, out, adj, rows)
-
-
 def edge_tables(
     g1: TruncatedGraph, g2: TruncatedGraph
 ) -> tuple[EdgeTable, EdgeTable, Callable[[int, int], bool]]:
-    """Both truncations compiled once, against each other's weights
-    (:func:`_classes`) and with one id per class multiset across the two,
-    and ``into(a, b)``: does multiset ``a`` map into ``b`` class by class?
-    Equal ids map onto.  Only g2's table, the one mapped into, carries
-    candidate rows."""
-    ws1, ws2 = (list(dict.fromkeys(e.weight for v in g.vertices for e in g.out_edges(v)))
-                for g in (g1, g2))
-    cls1, cls2 = _classes(ws1, ws2)
+    """Both truncations compiled once, each from one walk over its vertices
+    in stored order that reads every out-edge list once, against each
+    other's weights (:func:`_classes`) and with one id per class multiset
+    across the two; and ``into(a, b)``: does multiset ``a`` map into ``b``
+    class by class?  Equal ids map onto.  Only g2's table carries rows."""
+    walks = []
+    for g in (g1, g2):
+        edges, seen = [], {}  # out-edge tuples; weights by object id, first seen first
+        for v in g.vertices:
+            edges.append(g.out_edges(v))
+            for e in edges[-1]:
+                seen[id(e.weight)] = e.weight
+        walks.append((edges, seen))
+    classes = _classes(*(list(dict.fromkeys(seen.values())) for _, seen in walks))
     forms: list[tuple[int, ...]] = [()]  # id -> sorted class tuple
     ids = {(): 0}
     step: dict[tuple[int, int], int] = {}  # (id, class) -> id with the class added
 
-    def grow(i: int, c: int) -> int:
-        form = tuple(sorted(forms[i] + (c,)))
-        got = step[i, c] = ids.setdefault(form, len(ids))
+    def intern(form: tuple[int, ...]) -> int:
+        got = ids.setdefault(form, len(ids))
         if got == len(forms):
             forms.append(form)
         return got
 
-    t1 = _table(g1, cls1, step, grow, False)
-    t2 = _table(g2, cls2, step, grow, True)
+    def table(t: TruncatedGraph, edges: list, seen: dict, cls: dict, with_rows: bool):
+        index = {v: i for i, v in enumerate(t.vertices)}
+        by_id = {k: 2 * cls[w] for k, w in seen.items()}  # so an edge never hashes its weight
+        out, adj, rows = [], [{} for _ in edges], []
+        for i, es in enumerate(edges):
+            row, by_class, cs = adj[i], {}, []
+            for eid, _, target, weight, conj in es:
+                c = by_id[id(weight)] + (conj == eid)
+                j = index[target]
+                cs.append(c)
+                k = row.get(j, 0)
+                # a multiset with a class added is never the empty one, id 0
+                row[j] = step.get((k, c)) or step.setdefault(
+                    (k, c), intern(tuple(sorted(forms[k] + (c,)))))
+                adj[j].setdefault(i, 0)
+                if with_rows and j not in by_class.get(c, ()):
+                    by_class[c] = by_class.get(c, ()) + (j,)
+            out.append(intern(tuple(sorted(cs))))
+            if with_rows:
+                rows.append(by_class)
+        return EdgeTable(index, cls, out, adj, [v in t.boundary for v in t.vertices], rows)
+
+    t1, t2 = table(g1, *walks[0], classes[0], False), table(g2, *walks[1], classes[1], True)
 
     @lru_cache(maxsize=None)
     def into(a: int, b: int) -> bool:
@@ -173,17 +175,17 @@ def matchings(
     parent = bfs_tree(g1.out_edges, g1.basepoint)
     if len(parent) != len(g1.vertices):
         raise ValueError("matching requires truncations connected from the basepoint")
-    order = list(parent)
     t1, t2, into = edge_tables(g1, g2)
     out1, out2, adj1, adj2, rows2 = t1.out, t2.out, t1.adj, t2.adj, t2.rows
-    mapping: dict[VertexId, VertexId] = {}
-    inverse: dict[VertexId, VertexId] = {}
+    bnd1, bnd2 = t1.boundary, t2.boundary
+    mapping = [-1] * len(g1.vertices)  # g1 index -> g2 index, -1 while unmapped
+    inverse = [-1] * len(g2.vertices)
 
-    def compatible(u, v) -> bool:
-        if bijective and (u in g1.boundary) != (v in g2.boundary):
+    def compatible(u: int, v: int) -> bool:
+        if inverse[v] >= 0 or bijective and bnd1[u] != bnd2[v]:
             return False
         # partial mode: on a fair ball an interior vertex's out-sum is delta, so onto cannot fail
-        onto = bijective or u not in g1.boundary
+        onto = bijective or not bnd1[u]
         if onto and out1[u] != out2[v]:
             return False
         row1, row2 = adj1[u], adj2[v]
@@ -195,33 +197,29 @@ def matchings(
         # m -> u need no check of their own.  Each is the conjugate of an
         # edge u -> m of inverse weight, so the check below maps them class
         # by class; and where m is matched exactly, onto follows once all of
-        # m's targets are mapped, since m's whole out-multiset was matched
-        # onto.
+        # m's targets are mapped, since m's whole out-multiset was matched onto.
         for m, a in row1.items():
-            if m in mapping:
-                b = row2.get(mapping[m], 0)
+            w = mapping[m]
+            if w >= 0:
+                b = row2.get(w, 0)
                 if a != b and (onto or not into(a, b)):
                     return False
         if onto:  # edges from v to a mapped vertex whose preimage u does not touch
             for w, b in row2.items():
-                if b and w in inverse and inverse[w] not in row1:
+                if b and inverse[w] >= 0 and inverse[w] not in row1:
                     return False
         return True
 
-    tree_class = [None] + [t1.edge_class(parent[u]) for u in order[1:]]
-
-    def candidates(i: int) -> Iterator[VertexId]:
-        if i == 0:
-            return iter(roots)
-        row = rows2[mapping[parent[order[i]].source]].get(tree_class[i], ())
-        return (v for v in row if v not in inverse)
-
-    stack = [candidates(0)]
+    order = [t1.index[u] for u in parent]
+    # level i + 1 is reached from the image of tree[i][0] along an edge of class tree[i][1]
+    tree = [(t1.index[e.source], t1.edge_class(e)) for e in parent.values() if e]
+    stack = [map(t2.index.__getitem__, roots)]
     while stack:
         i = len(stack) - 1
         u = order[i]
-        if u in mapping:  # back at this level: undo its previous choice
-            del inverse[mapping.pop(u)]
+        if mapping[u] >= 0:  # back at this level: undo its previous choice
+            inverse[mapping[u]] = -1
+            mapping[u] = -1
         for v in stack[-1]:
             if compatible(u, v):
                 mapping[u] = v
@@ -231,9 +229,10 @@ def matchings(
             stack.pop()
             continue
         if i + 1 == len(order):
-            yield dict(mapping)
+            yield {x: g2.vertices[mapping[k]] for x, k in zip(parent, order)}
         else:
-            stack.append(candidates(i + 1))
+            p, c = tree[i]
+            stack.append(iter(rows2[mapping[p]].get(c, ())))
 
 
 def iso_check(
@@ -252,8 +251,6 @@ def iso_check(
     if interior_only:
         g1 = interior_restriction(g1)
         g2 = interior_restriction(g2)
-    if len(g1.vertices) != len(g2.vertices):
-        return None
-    if g1.edge_count() != g2.edge_count():
+    if len(g1.vertices) != len(g2.vertices) or g1.edge_count() != g2.edge_count():
         return None
     return next(matchings(g1, g2, [g2.basepoint], bijective=True), None)

@@ -4,6 +4,7 @@ shared matcher carrying every edge."""
 
 import math
 import os
+from collections import Counter
 
 import pytest
 
@@ -133,6 +134,29 @@ class TestIsoCheck:
         assert list(inner.distance) == [v for v in t.distance if v not in t.boundary]
         assert inner.vertices == t.interior
 
+    def test_interior_restriction_bounds_the_cut_ring(self):
+        # the distance-2 ring of the radius-3 grid ball loses its edges to
+        # the cut distance-3 ring: it is the boundary, and no certificate of
+        # exhaustion is claimed
+        t = ball(grid(2, 3), 3)
+        inner = interior_restriction(t)
+        assert inner.boundary == {v for v in t.interior if t.distance[v] == 2}
+        assert not inner.exhausted and not ball(inner, 5).exhausted
+        assert validate(inner).passed
+        # nothing is cut from a ball of a finite graph that reaches every vertex
+        whole = ball(cycle(4, 1), 3)
+        inner = interior_restriction(whole)
+        assert inner.boundary == frozenset() and inner.exhausted and whole.exhausted
+
+    def test_interior_only_compares_cut_flags(self):
+        # the 4-cycle's radius-2 interior is the path 1 - 0 - 3 whose ends
+        # lost their edges to 2; the 3-vertex path itself loses nothing
+        cyc, path = ball(cycle(4, 1), 2), ball(_unit_graph(3, [(0, 1), (0, 2)]), 2)
+        assert iso_check(cyc, cyc, interior_only=True) is not None
+        assert iso_check(path, path, interior_only=True) is not None
+        assert iso_check(cyc, path, interior_only=True) is None
+        assert iso_check(path, cyc, interior_only=True) is None
+
     def test_grid_r24_identity(self):
         # 1201 vertices: deeper than the default recursion limit allows a
         # recursive search to go
@@ -184,9 +208,11 @@ UNFAIR_PATH = _unit_graph(5, [(0, 1), (1, 2), (2, 3), (2, 3), (3, 4)])
 
 
 def _filtered_candidates(t, table, v, want):
-    """The candidate filter that the rows replace: the targets of v's stored
-    out-edges of class ``want``, once each, in stored order."""
-    return list(dict.fromkeys(f.target for f in t.out_edges(v) if table.edge_class(f) == want))
+    """The candidate filter that the rows replace: the indices of the
+    targets of v's stored out-edges of class ``want``, once each, in stored
+    order."""
+    return list(dict.fromkeys(
+        table.index[f.target] for f in t.out_edges(v) if table.edge_class(f) == want))
 
 
 @pytest.mark.parametrize("make", [
@@ -199,18 +225,34 @@ def _filtered_candidates(t, table, v, want):
 def test_candidate_rows_are_the_stored_edge_filter(make):
     t = make()
     _, t2, _ = edge_tables(t, t)
-    assert set(t2.rows) == set(t.vertices)
+    assert t2.index == {v: i for i, v in enumerate(t.vertices)}
+    assert len(t2.rows) == len(t.vertices)
     for v in t.vertices:
+        row = t2.rows[t2.index[v]]
         classes = {t2.edge_class(e) for e in t.out_edges(v)}
-        assert set(t2.rows[v]) == classes
+        assert set(row) == classes
         for c in classes:
-            assert list(t2.rows[v][c]) == _filtered_candidates(t, t2, v, c)
+            assert list(row[c]) == _filtered_candidates(t, t2, v, c)
 
 
 def test_only_the_image_table_has_candidate_rows():
     b1, b2 = ball(grid(2, 3), 2), ball(grid(2, 3), 3)
     t1, t2, _ = edge_tables(b1, b2)
-    assert t1.rows == {} and set(t2.rows) == set(b2.vertices)
+    assert t1.rows == [] and len(t2.rows) == len(b2.vertices)
+
+
+def test_edge_tables_read_each_vertex_once(monkeypatch):
+    b1, b2 = ball(grid(2, 3), 2), ball(grid(2, 3), 3)
+    reads = Counter()
+    for name, b in (("g1", b1), ("g2", b2)):
+        def counted(v, name=name, read=b.out_edges):
+            reads[name, v] += 1
+            return read(v)
+
+        monkeypatch.setattr(b, "out_edges", counted)
+    edge_tables(b1, b2)
+    assert reads == Counter({(name, v): 1 for name, b in (("g1", b1), ("g2", b2))
+                             for v in b.vertices})
 
 
 def test_partial_maps_interior_vertices_onto():
