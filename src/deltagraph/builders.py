@@ -17,6 +17,13 @@ from .weights import GeneratorContext
 DEFAULT_TOLERANCE = 1e-9
 
 
+def _integral(x, builder: str, name: str) -> int:
+    """``x`` as an int; ``ValueError`` unless it is integral (2.0 is)."""
+    if not float(x).is_integer():
+        raise ValueError("%s needs an integral %s, got %r" % (builder, name, x))
+    return int(x)
+
+
 def single_chain(q: float, *, tolerance: float = DEFAULT_TOLERANCE) -> DeltaGraph:
     """Bi-infinite chain on the integers: weight q rightward, 1/q leftward."""
     q = float(q)
@@ -108,7 +115,7 @@ def cycle(n: int, q: float, *, tolerance: float = DEFAULT_TOLERANCE) -> DeltaGra
 
     With q = 1 all weights are the unit weight (the graph is tracial).
     """
-    n = int(n)
+    n = _integral(n, "cycle", "n")
     q = float(q)
     if n < 1 or q <= 0:
         raise ValueError("cycle needs n >= 1 and q > 0")
@@ -215,7 +222,7 @@ def build(spec: GraphSpec) -> DeltaGraph:
     p = dict(spec.params)
     try:
         if names is None:
-            args = ([p.pop("w%d" % (i + 1)) for i in range(int(p.pop("k")))],)
+            args = ([p.pop("w%d" % (i + 1)) for i in range(_integral(p.pop("k"), v, "k"))],)
         else:
             args = tuple(p.pop(name) for name in names)
     except KeyError as exc:

@@ -21,6 +21,7 @@ from .graph import (
     Path,
     TruncatedGraph,
     ball,
+    check_based_loop,
     loop_weight_counts,
     vid_key,
 )
@@ -151,11 +152,7 @@ def lift_loop(g: DeltaGraph, l: Path, cover: TruncatedGraph | None = None) -> Pa
     concatenation; paths that are not loops at the basepoint, and loops of
     non-unit weight, are rejected.
     """
-    if l.start != g.basepoint or not l.is_loop():
-        raise ValueError(
-            "not a loop at the basepoint %r: the path runs from %r to %r"
-            % (g.basepoint, l.start, l.target)
-        )
+    check_based_loop(g, l)
     if not l.weight.is_identity():
         raise LoopLiftError(l.weight)
     if cover is None:

@@ -284,6 +284,10 @@ class TruncatedGraph(DeltaGraph):
             raise GraphConstructionError(
                 "conjugate %r of edge %r not materialized" % (e.conjugate, e.eid)
             )
+        if got.source != e.target:  # DeltaGraph looks for it at the target
+            raise GraphConstructionError(
+                "conjugate %r of edge %r not found at %r" % (e.conjugate, e.eid, e.target)
+            )
         return got
 
     def __contains__(self, v: VertexId) -> bool:
@@ -394,6 +398,21 @@ def bfs_distances(
     return dist
 
 
+def check_based_loop(g: DeltaGraph, l: Path) -> None:
+    """Raise ``ValueError`` unless ``l`` is a loop at the basepoint of ``g``."""
+    if l.start != g.basepoint or not l.is_loop():
+        raise ValueError("not a loop at the basepoint %r: the path runs from %r to %r"
+                         % (g.basepoint, l.start, l.target))
+
+
+def unfair_log_sum(g: DeltaGraph, out: Iterable[Edge]) -> float | None:
+    """The log of the weight sum of one vertex's out-edges, or None when it is
+    within tolerance of log(delta); by :func:`weights._log_sum`, so no
+    exponent overflows."""
+    total = _log_sum(e.weight for e in out)
+    return None if abs(total - math.log(g.delta)) <= g.context.tolerance else total
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -450,8 +469,8 @@ def validate(g: DeltaGraph, radius: int | None = None) -> ValidationReport:
 
     fair_bad: list[str] = []
     for v in b.interior:
-        total = _log_sum(e.weight for e in b.out_edges(v))
-        if abs(total - math.log(b.delta)) > b.context.tolerance:
+        total = unfair_log_sum(b, b.out_edges(v))
+        if total is not None:
             try:
                 shown = "%.12g" % math.exp(total)
             except OverflowError:  # a sum past the float range shows as inf

@@ -3,30 +3,25 @@ concatenation, the two inner products, the modular spectrum (read from walk
 counts, verified by trie walks), and the TLJ relation suite behind
 ``tl-check``.
 
-Vectors of length n are finitely supported linear combinations of based
-loops of length n, with real coefficients.  Cup inserts a conjugate edge
-pair after position i (0 <= i <= n, position 0 anchoring at the basepoint)
-with coefficient w(e)^(1/2); cap contracts positions i, i+1
-(1 <= i <= n-1) when they are a conjugate pair, with coefficient
-w(e_i)^(1/2).  With these conventions cap_(i+1) o cup_i = delta * id and
-both zig-zag composites are the identity.
+Vectors of length n are finitely supported linear combinations, with real
+coefficients, of the loops of length n based at the graph's basepoint, on
+which the TLJ(delta) maps act; so a vector stores no start vertex.  Cup
+inserts a conjugate edge pair after position i (0 <= i <= n, position 0
+anchoring at the basepoint) with coefficient w(e)^(1/2); cap contracts
+positions i, i+1 (1 <= i <= n-1) when they are a conjugate pair, with
+coefficient w(e_i)^(1/2).  With these conventions cap_(i+1) o cup_i =
+delta * id and both zig-zag composites are the identity.
 
 Since w(e) w(e-bar) = 1, cup and cap leave a loop's weight unchanged, so a
 loop is its edges and its weight is read off them only where an output asks
 for it.  Every vector belongs to one graph: it keys each loop by the tuple of
-its edges' int indices in that graph's edge table, which also holds each
-edge's conjugate, learnt from the graph, and w(e)^(1/2) as a monomial and a
-scalar.  Vectors of different graphs do not combine.
-
-A monomial is an id in the edge table: the table interns each exact
-:class:`Weight` its vectors meet, id 0 being the identity, and keeps one
-product row per id, so ``prod[a][b]`` is the id of the product of monomials
-a and b, computed by ``Weight`` arithmetic on first use and exact for any
-exponent.  A vector's terms are one dict ``(loop key, monomial id) ->
-scalar``, so the maps multiply monomials through ``prod`` and multiply
-scalars, and a loop's weight (star, the modular operator, the Gram check) is
-read one way: the product of its edges' monomials and of their scalars, over
-the conjugate-reversed loop for w(l)^(-1/2).  A :class:`Coefficient`, a plain
+its edges' int indices in that graph's edge table (:class:`_EdgeTable`), and
+each term carries a monomial, an id the table gives each exact
+:class:`Weight` it meets, with a scalar.  Vectors of different graphs do not
+combine.  The maps multiply monomials through the table's product rows,
+exact for any exponent, and multiply scalars, and a loop's weight (star, the
+modular operator, the Gram check) is read one way: the product of its edges'
+w(e)^(1/2), over the conjugate-reversed loop for w(l)^(-1/2).  A :class:`Coefficient`, a plain
 sum of weights, is interned where it scales a vector and built only where a
 value leaves one; on a table that has met a float, every loop reads as the
 float coefficient of its value.
@@ -34,11 +29,12 @@ float coefficient of its value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log
+from math import inf
 
-from .graph import Edge, Path, VertexId, enumerate_loops, loop_weight_counts, vid_key
+from .graph import (Edge, Path, VertexId, check_based_loop, enumerate_loops,
+                    loop_weight_counts, unfair_log_sum, vid_key)
 from .weights import Coefficient, Weight, group_weights
-from .weights import _exact_coefficient, _log_sum, _real, _require_same_context
+from .weights import _exact_coefficient, _real, _require_same_context
 
 
 class _Row(dict):
@@ -167,33 +163,33 @@ def _one_table(table: _EdgeTable, v: "LoopVector") -> _EdgeTable:
 
 
 class LoopVector:
-    """Finitely supported linear combination of based loops of one length,
-    on one graph.
+    """Finitely supported linear combination of one graph's based loops of
+    one length.
 
-    A vector holds its ``length``, the ``start`` vertex its loops share, its
-    graph's edge table and ``keyed``, a dict from ``(loop key, monomial id)``
-    to a nonzero scalar, the loop key being the tuple of the loop's edge
-    indices into that table.  The constructor drops the zero scalars of the
-    dict it is given and, once the table has met a float, raises
-    ``OverflowError`` for a scalar outside the float range; every map here
-    ends in it.  :func:`loop_vector`, :func:`zero_vector` and :func:`basis`
-    make the vectors of a graph, and every map here keeps its operands'
-    table; operands from different graphs' tables raise ``ValueError``.
-    ``terms`` reads a vector back as a dict from :class:`Path` to
+    A vector holds its ``length``, its graph's edge table and ``keyed``, a
+    dict from ``(loop key, monomial id)`` to a nonzero scalar, the loop key
+    being the tuple of the loop's edge indices into that table; each loop
+    starts at ``table.graph.basepoint``.  The constructor drops the zero
+    scalars of the dict it is given and, once the table has met a float,
+    raises ``OverflowError`` for a scalar outside the float range; every
+    map here ends in it.  :func:`loop_vector`, :func:`zero_vector` and
+    :func:`basis` make a graph's vectors, and every map keeps its operands'
+    table; operands of different graphs' tables raise ``ValueError``.
+    ``terms`` reads a vector back as a dict from based :class:`Path` to
     coefficient, built on the first read.
     """
 
-    __slots__ = ("length", "start", "table", "keyed", "_terms")
+    __slots__ = ("length", "table", "keyed", "_terms")
     __hash__ = None  # mapping-valued; never used as a key
 
-    def __init__(self, length: int, start: VertexId, table: _EdgeTable, keyed: dict):
+    def __init__(self, length: int, table: _EdgeTable, keyed: dict):
         if table.floats:
             for s in keyed.values():
                 if type(s) is float and not -inf < s < inf:
                     raise OverflowError("coefficient %r is outside the float range" % s)
         if not all(keyed.values()):
             keyed = {k: s for k, s in keyed.items() if s}
-        self.length, self.start, self.table, self.keyed = length, start, table, keyed
+        self.length, self.table, self.keyed = length, table, keyed
         self._terms = None
 
     @property
@@ -202,7 +198,7 @@ class LoopVector:
         if got is None:
             t = self.table
             got = self._terms = {
-                Path(self.start, tuple(t.edges[k] for k in key), t.graph.context): c
+                Path(t.graph.basepoint, tuple(t.edges[k] for k in key), t.graph.context): c
                 for key, c in _loop_coefficients(self).items()
             }
         return got
@@ -213,11 +209,10 @@ class LoopVector:
     def __add__(self, other: "LoopVector") -> "LoopVector":
         if other.length != self.length:
             raise ValueError("length mismatch")
-        t = _one_table(self.table, other)
-        if self.keyed and other.keyed and self.start != other.start:
-            raise ValueError("the loops of a vector share one start vertex")
-        return _vec(self.length, self.start if self.keyed else other.start, t,
-                    [*self.keyed.items(), *other.keyed.items()])
+        acc = dict(self.keyed)
+        for k, s in other.keyed.items():
+            acc[k] = acc.get(k, 0) + s
+        return LoopVector(self.length, _one_table(self.table, other), acc)
 
     def scaled(self, c: Coefficient) -> "LoopVector":
         """``c`` times the vector; a coefficient of another generator
@@ -242,18 +237,16 @@ class LoopVector:
                 k = (key, row[m])
                 got = get(k)
                 acc[k] = s * r if got is None else got + s * r
-        return LoopVector(self.length, self.start, t, acc)
+        return LoopVector(self.length, t, acc)
 
     def eq(self, other: "LoopVector") -> bool:
         """Loop-wise ``Coefficient.eq``, an absent loop counting as zero."""
         _one_table(self.table, other)
         if self.length != other.length:
             return False
-        if self.keyed == other.keyed and (not self.keyed or self.start == other.start):
+        if self.keyed == other.keyed:
             return True
         a, b = _loop_coefficients(self), _loop_coefficients(other)
-        if a and b and self.start != other.start:
-            b = {(None,) + key: c for key, c in b.items()}  # no loop in common
         zero = Coefficient.zero(self.table.graph.context)
         return all(a.get(key, zero).eq(b.get(key, zero)) for key in a.keys() | b.keys())
 
@@ -261,22 +254,10 @@ class LoopVector:
         if not isinstance(other, LoopVector):
             return NotImplemented
         _one_table(self.table, other)
-        return (self.length == other.length and self.keyed == other.keyed
-                and (not self.keyed or self.start == other.start))
+        return self.length == other.length and self.keyed == other.keyed
 
     def __repr__(self):
         return "LoopVector(%d, %r)" % (self.length, self.terms)
-
-
-def _vec(length: int, start: VertexId, table: _EdgeTable, pairs) -> LoopVector:
-    """The sum of the ``((loop key, monomial id), scalar)`` pairs as a
-    vector."""
-    acc: dict = {}
-    get = acc.get
-    for k, s in pairs:
-        got = get(k)
-        acc[k] = s if got is None else got + s
-    return LoopVector(length, start, table, acc)
 
 
 def _coefficient(t: _EdgeTable, pairs) -> Coefficient:
@@ -304,14 +285,16 @@ def _loop_coefficients(v: LoopVector) -> dict:
 
 def zero_vector(graph, length: int) -> LoopVector:
     """The zero vector of the graph's loops of this length."""
-    return LoopVector(length, graph.basepoint, _table(graph), {})
+    return LoopVector(length, _table(graph), {})
 
 
 def loop_vector(graph, l: Path, coeff: Coefficient | None = None) -> LoopVector:
-    """``coeff`` (by default one) times the graph's loop l."""
+    """``coeff`` (by default one) times the graph's loop l at the basepoint;
+    any other path raises ``ValueError`` (:func:`graph.check_based_loop`)."""
+    check_based_loop(graph, l)
     t = _table(graph)
     key = tuple(map(t.index, l.edges))
-    one = LoopVector(len(l), l.start, t, {(key, 0): 1})
+    one = LoopVector(len(l), t, {(key, 0): 1})
     return one if coeff is None else one.scaled(coeff)
 
 
@@ -319,7 +302,7 @@ def basis(graph, n: int) -> tuple[LoopVector, ...]:
     """The one-term vector of each of the graph's loops of length n."""
     t = _table(graph)
     index = t.index
-    return tuple(LoopVector(n, l.start, t, {(tuple(map(index, l.edges)), 0): 1})
+    return tuple(LoopVector(n, t, {(tuple(map(index, l.edges)), 0): 1})
                  for l in enumerate_loops(graph, n))
 
 
@@ -336,7 +319,7 @@ def format_vector(v: LoopVector) -> str:
 
 def _anchor(v: LoopVector, key: tuple[int, ...], i: int) -> VertexId:
     """The vertex that the first i edges of the loop ``key`` lead to."""
-    return v.table.edges[key[i - 1]].target if i else v.start
+    return v.table.edges[key[i - 1]].target if i else v.table.graph.basepoint
 
 
 def cup(graph, v: LoopVector, i: int) -> LoopVector:
@@ -352,7 +335,7 @@ def cup(graph, v: LoopVector, i: int) -> LoopVector:
         row, head, tail = prod[mono], key[:i], key[i:]
         for e, ebar, m, f in t.rows(_anchor(v, key, i)):
             acc[head + (e, ebar) + tail, row[m]] = s * f
-    return LoopVector(v.length + 2, v.start, t, acc)
+    return LoopVector(v.length + 2, t, acc)
 
 
 def _contraction(e1: int, e2: int, table: _EdgeTable):
@@ -378,7 +361,7 @@ def cap(v: LoopVector, i: int) -> LoopVector:
             k = (key[: i - 1] + key[i + 1 :], prod[mono][sq[0]])
             got = get(k)
             acc[k] = s * sq[1] if got is None else got + s * sq[1]
-    return LoopVector(v.length - 2, v.start, t, acc)
+    return LoopVector(v.length - 2, t, acc)
 
 
 def star(graph, v: LoopVector) -> LoopVector:
@@ -389,27 +372,23 @@ def star(graph, v: LoopVector) -> LoopVector:
     # no two terms share an entry: reversal is injective on loop keys, and
     # multiplying by a fixed monomial is injective on ids
     acc: dict = {}
-    ends = set()
     for (key, mono), s in v.keyed.items():
         rev = tuple(map(conj, reversed(key)))
         m, f = t.loop_sqrt(rev)
         acc[rev, prod[mono][m]] = s * f
-        ends.add(_anchor(v, key, v.length))
-    if len(ends) > 1:
-        raise ValueError("the loops of a vector share one start vertex")
-    return LoopVector(v.length, ends.pop() if ends else v.start, t, acc)
+    return LoopVector(v.length, t, acc)
 
 
 def concat(u: LoopVector, v: LoopVector) -> LoopVector:
-    """Bilinear extension of loop concatenation."""
+    """Bilinear extension of loop concatenation (based loops always compose)."""
     t = _one_table(u.table, v)
-    if v.keyed and any(_anchor(u, key, u.length) != v.start for key, _ in u.keyed):
-        raise ValueError("paths do not compose")
     prod = t.prod
-    return _vec(u.length + v.length, u.start, t, [
-        ((k1 + k2, prod[m1][m2]), s1 * s2)
-        for (k1, m1), s1 in u.keyed.items() for (k2, m2), s2 in v.keyed.items()
-    ])
+    acc: dict = {}
+    for (k1, m1), s1 in u.keyed.items():
+        for (k2, m2), s2 in v.keyed.items():
+            k = (k1 + k2, prod[m1][m2])
+            acc[k] = acc.get(k, 0) + s1 * s2
+    return LoopVector(u.length + v.length, t, acc)
 
 
 def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
@@ -417,8 +396,8 @@ def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
 
     Both sides are linear in f and conjugate-linear in g; ``left`` evaluates
     caps on f * star(g), ``right`` on star(g) * f.  Returns the coefficient
-    of the empty loop.  The trie walks of ``_inner_pairs`` give the same
-    values on a whole basis at once; this is their reference.
+    of the empty loop the caps leave.  The trie walks of ``_inner_pairs``
+    give the same values on a whole basis at once; this is their reference.
     """
     if f.length != g.length:
         raise ValueError("length mismatch: %d vs %d" % (f.length, g.length))
@@ -428,8 +407,6 @@ def inner(graph, f: LoopVector, g: LoopVector, side: str) -> Coefficient:
     word = concat(f, star(graph, g)) if side == "left" else concat(star(graph, g), f)
     for k in range(n, 0, -1):
         word = cap(word, k)
-    if word.start != graph.basepoint:
-        return Coefficient.zero(graph.context)
     return _loop_coefficients(word).get((), Coefficient.zero(graph.context))
 
 
@@ -441,7 +418,7 @@ def apply_modular(v: LoopVector) -> LoopVector:
     for (key, mono), s in v.keyed.items():
         m, f = t.loop_sqrt(key)
         acc[key, prod[mono][prod[m][m]]] = s * (f * f)
-    return LoopVector(v.length, v.start, t, acc)
+    return LoopVector(v.length, t, acc)
 
 
 @dataclass(frozen=True)
@@ -566,15 +543,14 @@ def modular_spectrum(graph, n: int, verify: bool | None = None) -> ModularSpectr
 
 
 def _anchor_sum(graph, at: VertexId) -> tuple[Coefficient, str | None]:
-    """The outgoing weight sum at a cup anchor, which cap_(i+1) o cup_i
-    multiplies by, and the detail naming the anchor when the sum is not
-    delta, compared through logs (:func:`weights._log_sum`) as ``validate``
-    does, so no exponent overflows.  (A cup never anchors on the frontier.)"""
+    """The outgoing weight sum at a cup anchor (never a frontier vertex),
+    which cap_(i+1) o cup_i multiplies by, and the detail naming the anchor
+    when the sum is not delta by ``validate``'s rule, :func:`unfair_log_sum`."""
     es = graph.out_edges(at)
     total = Coefficient.zero(graph.context)
     for e in es:
         total = total + Coefficient.of_weight(e.weight)
-    if abs(_log_sum(e.weight for e in es) - log(graph.delta)) <= graph.context.tolerance:
+    if unfair_log_sum(graph, es) is None:
         return total, None
     return total, "  anchor %r: outgoing sum %s != delta %r" % (at, total.text(), graph.delta)
 

@@ -54,6 +54,12 @@ class TestDomains:
             cycle(3, -1)
         assert len(ball(cycle(1, 2), 2).vertices) == 1
 
+    @pytest.mark.parametrize("n", [2.5, float("inf"), float("nan")])
+    def test_cycle_length_is_integral(self, n):
+        with pytest.raises(ValueError, match="cycle needs an integral n"):
+            cycle(n, 2)
+        assert len(ball(cycle(2.0, 2), 2).vertices) == 2
+
     def test_cayley_domain(self):
         with pytest.raises(ValueError):
             cayley(())
@@ -79,6 +85,12 @@ class TestRegistry:
         g = build(GraphSpec("cycle", {"n": 3, "q": 2}))
         assert len(ball(g, 3).vertices) == 3
         g = build(GraphSpec("cayley", {"k": 2, "w1": 2, "w2": 3}))
+        assert g.basepoint == (0, 0)
+
+    def test_build_cayley_rank_is_integral(self):
+        with pytest.raises(ValueError, match="cayley needs an integral k, got 2.5"):
+            build(GraphSpec("cayley", {"k": 2.5, "w1": 2, "w2": 3}))
+        g = build(GraphSpec("cayley", {"k": 2.0, "w1": 2, "w2": 3}))
         assert g.basepoint == (0, 0)
 
     def test_build_missing_parameter(self):

@@ -252,6 +252,23 @@ class TestBasics:
         assert out == ""
         assert err == "error: builder grid has no parameter tolerence\n"
 
+    @pytest.mark.parametrize("spec, err", [
+        ("cycle:n=2.5,q=2", "cycle needs an integral n, got 2.5"),
+        ("cayley:k=2.5,w1=2,w2=3", "cayley needs an integral k, got 2.5"),
+    ])
+    def test_non_integral_count_exit_2(self, capsys, spec, err):
+        code, out, got = run(capsys, "validate", spec)
+        assert code == 2
+        assert out == ""
+        assert got == "error: %s\n" % err
+
+    def test_build_non_integral_count_exit_2(self, tmp_path, capsys):
+        out_file = tmp_path / "c.dg"
+        code, out, err = run(capsys, "build", "cycle", "n=2.5", "q=2", "--out", str(out_file))
+        assert code == 2
+        assert err == "error: cycle needs an integral n, got 2.5\n"
+        assert not out_file.exists()
+
     def test_build_unknown_parameter_exit_2(self, tmp_path, capsys):
         out_file = tmp_path / "g.dg"
         code, out, err = run(
