@@ -255,7 +255,7 @@ def quotient(g: DeltaGraph, action: GraphAction, radius: int) -> TruncatedGraph:
         for e in b.out_edges(orb.representative)
     ]
     boundary = {orb.label for orb in orbits if orb.representative is None}
-    edges = _pair_conjugates(raw, boundary)
+    edges = _pair_conjugates(b, raw, boundary)
 
     out: dict[VertexId, list[Edge]] = {orb.label: [] for orb in orbits}
     for e in edges:
@@ -275,13 +275,14 @@ def quotient(g: DeltaGraph, action: GraphAction, radius: int) -> TruncatedGraph:
     )
 
 
-def _pair_conjugates(raw: list[tuple], boundary: set) -> list[Edge]:
-    """Assign conjugates within (endpoint pair, weight class); reverse edges
-    at boundary vertices (which emit none of their own) are synthesized.
+def _pair_conjugates(b: TruncatedGraph, raw: list[tuple], boundary: set) -> list[Edge]:
+    """Assign conjugates within (endpoint pair, weight class); a boundary
+    vertex emits no edges of its own, so its edges are the conjugates in the
+    ball ``b`` (:meth:`DeltaGraph.conjugate_edge`) of the edges into it.
 
-    Records are ``(eid, source, target, weight)`` tuples.  Only interior
-    vertices emit records, so a missing partner class is legal exactly when
-    the target is a boundary vertex.
+    Records are ``(eid, source, target, weight)`` tuples, with ids of edges
+    of ``b``.  Only interior vertices emit records, so a missing partner
+    class is legal exactly when the target is a boundary vertex.
     """
     by_ends: dict = {}
     for r in raw:
@@ -310,7 +311,8 @@ def _pair_conjugates(raw: list[tuple], boundary: set) -> list[Edge]:
             continue
         partners = take(t, s, winv)
         if not partners and t in boundary:
-            partners = [(("rev", m[0]), t, s, winv) for m in members]
+            partners = [(c.eid, t, s, c.weight)
+                        for c in (b.conjugate_edge(b.edge(m[0])) for m in members)]
         if len(partners) != len(members):
             raise ActionError(
                 "edge classes %r -> %r do not pair under conjugation" % (s, t)
@@ -327,7 +329,10 @@ def recover(g: DeltaGraph, radius: int) -> TruncatedGraph:
     The loop-weight group acts on the cover by rescaling the path-class
     weight, and its orbits are exactly the path-class targets; collapsing
     cover vertices by target therefore reproduces the original graph up to
-    basepoint isomorphism.
+    basepoint isomorphism.  Each target's edges are those of one interior
+    cover vertex over it; a boundary target has none, so its edges are the
+    cover's conjugates (:meth:`DeltaGraph.conjugate_edge`) of the edges
+    into it, which also checks each pair.
     """
     cov, _ = tracial_cover(g, radius)
     groups: dict[VertexId, list] = {}
@@ -345,26 +350,16 @@ def recover(g: DeltaGraph, radius: int) -> TruncatedGraph:
         else:
             boundary.add(v)
 
+    def project(ce: Edge) -> Edge:
+        return Edge(ce.eid[1], ce.source.target, ce.target.target, ce.weight, ce.conjugate[1])
+
     out: dict[VertexId, list[Edge]] = {v: [] for v in groups}
-    emitted: dict = {}
     for v in sorted(reps, key=vid_key):
         for ce in cov.out_edges(reps[v]):
-            base_eid = ce.eid[1]
-            conj_eid = ce.conjugate[1]
-            e = Edge(base_eid, v, ce.target.target, ce.weight, conj_eid)
-            out[v].append(e)
-            emitted[base_eid] = e
-    # conjugates landing on boundary targets are not emitted there; add them
-    for v in sorted(reps, key=vid_key):
-        for e in list(out[v]):
-            if e.conjugate not in emitted:
-                if e.target not in boundary:
-                    raise AssertionError(
-                        "missing conjugate %r at interior vertex %r" % (e.conjugate, e.target)
-                    )
-                rev = Edge(e.conjugate, e.target, v, e.weight.inverse(), e.eid)
-                out[e.target].append(rev)
-                emitted[rev.eid] = rev
+            out[v].append(project(ce))
+            cc = cov.conjugate_edge(ce)
+            if cc.source.target in boundary:  # which emits no edges of its own
+                out[cc.source.target].append(project(cc))
     return TruncatedGraph(
         delta=cov.delta,
         context=cov.context,

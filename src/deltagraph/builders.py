@@ -19,7 +19,7 @@ DEFAULT_TOLERANCE = 1e-9
 
 def _integral(x, builder: str, name: str) -> int:
     """``x`` as an int; ``ValueError`` unless it is integral (2.0 is)."""
-    if not float(x).is_integer():
+    if not isinstance(x, int) and not float(x).is_integer():
         raise ValueError("%s needs an integral %s, got %r" % (builder, name, x))
     return int(x)
 
@@ -170,8 +170,8 @@ def deformed_chain(q: float, x: float, *, tolerance: float = DEFAULT_TOLERANCE) 
 def chain_shift_action(g: DeltaGraph, steps: int) -> GraphAction:
     """Translation ``s`` by ``steps`` on an integer chain; weight q^steps for the
     first generator q.  Raises ``ValueError`` unless the basepoint is an
-    integer and the graph has a generator."""
-    steps = int(steps)
+    integer and the graph has a generator, or ``steps`` is not integral."""
+    steps = _integral(steps, "a chain shift", "step count")
     if not isinstance(g.basepoint, int) or not g.context.names:
         raise ValueError("a chain shift needs an integer basepoint and a generator")
     h = g.context.gen(g.context.names[0], steps)
@@ -182,8 +182,9 @@ def lattice_shift_action(g: DeltaGraph, vec: Sequence[int]) -> GraphAction:
     """Translation ``t`` by an integer vector on a Cayley/grid graph; weight
     is the product of generator weights along the vector, coordinate i
     pairing with generator i.  Raises ``ValueError`` unless the basepoint is
-    a tuple of the vector's length and there is a generator per coordinate."""
-    vec = tuple(int(c) for c in vec)
+    a tuple of the vector's length with a generator per coordinate, and
+    every coordinate is integral."""
+    vec = tuple(_integral(c, "a lattice shift", "coordinate") for c in vec)
     k = len(vec)
     if not (isinstance(g.basepoint, tuple) and len(g.basepoint) == k <= len(g.context.names)):
         raise ValueError("a %d-coordinate shift needs a %d-tuple basepoint and %d generators"

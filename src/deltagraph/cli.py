@@ -70,13 +70,7 @@ def _weight_text(w, as_float: bool) -> str:
 
 
 def _cmd_build(args) -> int:
-    params = {}
-    for item in args.params:
-        key, sep, val = item.partition("=")
-        if not sep:
-            raise GraphFormatError("bad parameter %r (want key=value)" % item)
-        params[key] = float(val)
-    g = builders.build(builders.GraphSpec(args.variant, params))
+    g = builders.build(builders.spec_from_text("%s:%s" % (args.variant, ",".join(args.params))))
     _emit(args.out, serialize_graph(g, args.radius))
     return 0
 

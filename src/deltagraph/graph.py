@@ -197,13 +197,25 @@ class DeltaGraph:
             self._memo[v] = got
         return got
 
-    def conjugate_edge(self, e: Edge) -> Edge:
-        for cand in self.out_edges(e.target):
-            if cand.eid == e.conjugate:
+    def edge_at(self, v: VertexId, eid: EdgeId) -> Edge | None:
+        """The edge ``eid`` out of ``v``, or None if ``v`` has none."""
+        for cand in self.out_edges(v):
+            if cand.eid == eid:
                 return cand
-        raise GraphConstructionError(
-            "conjugate %r of edge %r not found at %r" % (e.conjugate, e.eid, e.target)
-        )
+        return None
+
+    def conjugate_edge(self, e: Edge) -> Edge:
+        """The conjugate of ``e``: the edge ``e.conjugate`` out of ``e.target``,
+        which must lead back to ``e.source`` and name ``e`` in turn.  The one
+        conjugate rule; anything else raises :class:`GraphConstructionError`."""
+        c = self.edge_at(e.target, e.conjugate)
+        if c is None:
+            raise GraphConstructionError(
+                "conjugate %r of edge %r not found at %r" % (e.conjugate, e.eid, e.target)
+            )
+        if c.target != e.source or c.conjugate != e.eid:
+            raise GraphConstructionError("edges %r / %r are not a conjugate pair" % (e.eid, c.eid))
+        return c
 
     def is_frontier(self, v: VertexId) -> bool:
         return bool(self._frontier and self._frontier(v))
@@ -268,9 +280,6 @@ class TruncatedGraph(DeltaGraph):
     def edge(self, eid: EdgeId) -> Edge:
         return self._edges[eid]
 
-    def has_edge(self, eid: EdgeId) -> bool:
-        return eid in self._edges
-
     def edges(self) -> tuple[Edge, ...]:
         """Every edge, ordered by ``vid_key`` of its id; sorted on each call."""
         return tuple(self._edges[k] for k in sorted(self._edges, key=vid_key))
@@ -278,17 +287,9 @@ class TruncatedGraph(DeltaGraph):
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def conjugate_edge(self, e: Edge) -> Edge:
-        got = self._edges.get(e.conjugate)
-        if got is None:
-            raise GraphConstructionError(
-                "conjugate %r of edge %r not materialized" % (e.conjugate, e.eid)
-            )
-        if got.source != e.target:  # DeltaGraph looks for it at the target
-            raise GraphConstructionError(
-                "conjugate %r of edge %r not found at %r" % (e.conjugate, e.eid, e.target)
-            )
-        return got
+    def edge_at(self, v: VertexId, eid: EdgeId) -> Edge | None:
+        got = self._edges.get(eid)
+        return got if got is not None and got.source == v else None
 
     def __contains__(self, v: VertexId) -> bool:
         return v in self._out
@@ -442,10 +443,10 @@ class ValidationReport:
 def validate(g: DeltaGraph, radius: int | None = None) -> ValidationReport:
     """Check the delta-graph axioms on the ball of the given radius.
 
-    Checks: the conjugation involution is well formed, conjugate weight
-    products are 1, outgoing weight sums equal delta at interior vertices,
-    and (for graphs with a declared finite vertex set) connectivity from the
-    basepoint.
+    Checks: every edge has a conjugate by :meth:`DeltaGraph.conjugate_edge`
+    (a failure shows its error), conjugate weight products are 1, outgoing
+    weight sums equal delta at interior vertices, and (for graphs with a
+    declared finite vertex set) connectivity from the basepoint.
     """
     b = window(g, radius)
     declared = None if b is g else g.declared_vertices
@@ -453,15 +454,11 @@ def validate(g: DeltaGraph, radius: int | None = None) -> ValidationReport:
     inv_bad: list[str] = []
     wprod_bad: list[str] = []
     for e in b.edges():
-        if not b.has_edge(e.conjugate):
-            inv_bad.append("edge %r has no conjugate %r" % (e.eid, e.conjugate))
+        try:
+            c = b.conjugate_edge(e)
+        except GraphConstructionError as exc:
+            inv_bad.append(str(exc))
             continue
-        c = b.edge(e.conjugate)
-        if c.source != e.target or c.target != e.source or c.conjugate != e.eid:
-            inv_bad.append("edges %r / %r are not a conjugate pair" % (e.eid, c.eid))
-            continue
-        if c.eid == e.eid and e.source != e.target:
-            inv_bad.append("edge %r is self-conjugate but not a self-loop" % (e.eid,))
         if not (e.weight * c.weight).is_identity():
             wprod_bad.append(
                 "w(%r) * w(%r) = %s != 1" % (e.eid, c.eid, (e.weight * c.weight).text())

@@ -57,16 +57,17 @@ class _EdgeTable:
     the monomials those terms carry.
 
     Each edge gets an int index when first seen, kept for the table's
-    lifetime, and its conjugate, found by ``graph.conjugate_edge``, is
-    indexed with it; ``edges``, ``conj`` and ``sqrt`` hold, per index, the
+    lifetime, and its conjugate, found by ``graph.conjugate_edge`` (the one
+    conjugate rule, which raises ``GraphConstructionError``), is indexed
+    with it; ``edges``, ``conj`` and ``sqrt`` hold, per index, the
     :class:`Edge`, the index of its conjugate and w(e)^(1/2) as ``(monomial
     id, scalar)``: ``(id, 1)`` for an exact weight, ``(0, value)`` for a
     float one.  ``weights`` holds the exact :class:`Weight` of each monomial
     id, id 0 the identity, and ``prod`` its product :class:`_Row`.
     ``floats`` records whether a float scalar has entered the table or its
-    vectors.  A conjugate that does not name the edge back, or an edge id
-    that names two different edges, raises ``ValueError``.  The table also
-    memoizes the cup rows of each anchor off the frontier.
+    vectors.  An edge id that names two different edges raises
+    ``ValueError``.  The table also memoizes the cup rows of each anchor off
+    the frontier.
     """
 
     __slots__ = ("graph", "edges", "conj", "sqrt", "floats", "weights", "prod",
@@ -110,9 +111,6 @@ class _EdgeTable:
         k = self._index.get(e.eid)
         if k is None:
             ebar = self.graph.conjugate_edge(e)
-            if ebar.conjugate != e.eid:
-                raise ValueError("the conjugate %r of edge %r has conjugate %r"
-                                 % (ebar.eid, e.eid, ebar.conjugate))
             # a pair is indexed together, so a new edge's conjugate is new too
             k = self._add(e)
             j = k if ebar.eid == e.eid else self._add(ebar)

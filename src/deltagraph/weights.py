@@ -280,10 +280,11 @@ def _near(w1: Weight, w2: Weight) -> bool:
 
 def _log_sum(ws: Iterable[Weight]) -> float:
     """``log`` of the weights' sum from their ``log_value`` (the largest plus
-    ``log(fsum(exp(...)))``), so no exponent overflows; ``-inf`` for none."""
+    ``log(fsum(exp(...)))``), so no exponent overflows; ``-inf`` for none,
+    ``inf`` when a log is ``inf``."""
     logs = [w.log_value for w in ws]
     top = max(logs, default=-math.inf)
-    if top > -math.inf:
+    if -math.inf < top < math.inf:
         top += math.log(math.fsum(math.exp(x - top) for x in logs))
     return top
 

@@ -83,6 +83,25 @@ NON_INVERSE = _pairs(
 )
 BROKEN = ("self-conjugate.dg", "wrong-endpoints.dg", "non-inverse.dg")
 
+# e0: 0 -> 1 and e1: 1 -> 2 name each other as conjugates, so e0's conjugate
+# does not lead back to 0 (vertex 1 is unfair too, with sum 3); the loops at 0
+# of length 4 never reach 2, so pairing conjugates by id alone once certified
+# a spectrum of 1:6
+SKEW = (
+    "delta-graph v1\n"
+    "delta 2\n"
+    "generator q 2\n"
+    "vertex 0\nvertex 1\nvertex 2\n"
+    "edge e0 0 1 weight 1 conjugate e1\n"
+    "edge e1 1 2 weight 1 conjugate e0\n"
+    "edge e2 0 1 weight 1 conjugate e3\n"
+    "edge e3 1 0 weight 1 conjugate e2\n"
+    "edge e4 1 1 weight 1 conjugate e4\n"
+    "edge e5 2 2 weight 1 conjugate e5\n"
+    "edge e6 2 2 weight 1 conjugate e6\n"
+    "basepoint 0\n"
+)
+
 # the chain 0 - 1 - 2 with two self-conjugate unit loops at 0 and a conjugate
 # pair of unit loops at 1; the action s maps 0 -> 1 -> 2, so it breaks the
 # loops at 0 by their self-conjugacy and those at 1 by their count
@@ -158,6 +177,13 @@ def runs() -> list[list[str]]:
         out += [["validate", name], ["cover", name, "--radius", "2"]]
     for name in BROKEN:
         out += [["spectrum", name, "--n", "4", "--verify-all"], ["tl-check", name, "--max-len", "4"]]
+    out += [
+        ["validate", "skew.dg"],
+        ["spectrum", "skew.dg", "--n", "4", "--verify-all"],
+        ["tl-check", "skew.dg", "--max-len", "4"],
+        ["cover", "skew.dg", "--radius", "2"],
+        ["recover", "skew.dg", "--radius", "2"],
+    ]
     out += [
         ["cover", "double_chain:a=2,b=3", "--radius", "2"],
         ["cover", "mixed.dg", "--radius", "2", "--out", "cover.dg"],
@@ -243,6 +269,7 @@ def write_inputs():
         ("huge-weight.dg", HUGE_WEIGHT),
         ("unfair.dg", unfair),
         *zip(BROKEN, (SELF_CONJUGATE, WRONG_ENDPOINTS, NON_INVERSE)),
+        ("skew.dg", SKEW),
     ):
         with open(os.path.join(HERE, name), "w", encoding="utf-8") as fh:
             fh.write(text)

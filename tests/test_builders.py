@@ -15,7 +15,7 @@ from deltagraph import (
     spec_from_text,
     validate,
 )
-from deltagraph.builders import GraphSpec
+from deltagraph.builders import GraphSpec, chain_shift_action, lattice_shift_action
 
 ALL_BUILDERS = (
     lambda: single_chain(2),
@@ -59,6 +59,25 @@ class TestDomains:
         with pytest.raises(ValueError, match="cycle needs an integral n"):
             cycle(n, 2)
         assert len(ball(cycle(2.0, 2), 2).vertices) == 2
+
+    @pytest.mark.parametrize("steps", [1.5, float("inf"), float("nan")])
+    def test_chain_shift_is_integral(self, steps):
+        g = single_chain(2)
+        with pytest.raises(ValueError, match="chain shift needs an integral step count"):
+            chain_shift_action(g, steps)
+        (gen,) = chain_shift_action(g, 2.0).generators
+        assert gen.weight == g.context.gen("q", 2) and gen.act(0) == 2
+        # an int past the float range is integral and stays exact
+        (gen,) = chain_shift_action(g, 10 ** 400).generators
+        assert gen.weight == g.context.gen("q", 10 ** 400)
+
+    @pytest.mark.parametrize("vec", [(1.5, 0), (0, -0.5)])
+    def test_lattice_shift_is_integral(self, vec):
+        g = grid(2, 3)
+        with pytest.raises(ValueError, match="lattice shift needs an integral coordinate"):
+            lattice_shift_action(g, vec)
+        (gen,) = lattice_shift_action(g, (2.0, -1)).generators
+        assert gen.weight.text() == "a^2 * b^-1" and gen.act((0, 0)) == (2, -1)
 
     def test_cayley_domain(self):
         with pytest.raises(ValueError):

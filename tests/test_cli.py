@@ -414,18 +414,18 @@ class TestPipeline:
         [
             (["e0 0 1 weight 1 conjugate e0", "e1 1 0 weight 1 conjugate e1",
               "e2 0 1 weight 1 conjugate e3", "e3 1 0 weight 1 conjugate e2"],
-             "error: conjugate ([1, 1], 'e0') of edge ([1, 0], 'e0') not materialized\n"),
+             "error: conjugate ([1, 1], 'e0') of edge ([1, 0], 'e0') not found at [1, 1]\n"),
             (["e0 0 1 weight 1 conjugate e1", "e1 0 1 weight 1 conjugate e0",
               "e2 1 0 weight 1 conjugate e3", "e3 1 0 weight 1 conjugate e2"],
-             "error: conjugate ([1, 1], 'e1') of edge ([1, 0], 'e0') not materialized\n"),
+             "error: conjugate ([1, 1], 'e1') of edge ([1, 0], 'e0') not found at [1, 1]\n"),
             (["e0 0 1 weight q^1 conjugate e1", "e1 1 0 weight q^1 conjugate e0"],
-             "error: conjugate ([q^2, 0], 'e0') of edge ([q^1, 1], 'e1') not materialized\n"),
+             "error: edges ([1, 0], 'e0') / ([q^1, 1], 'e1') are not a conjugate pair\n"),
         ],
         ids=["self-conjugate", "wrong-endpoints", "non-inverse"],
     )
     def test_cover_of_broken_conjugation_exit_2(self, tmp_path, capsys, edges, err):
         # each file parses but fails validate; its cover pairs an edge with a
-        # conjugate outside the ball
+        # conjugate that is not an edge back
         p = tmp_path / "g.dg"
         p.write_text("\n".join(
             ["delta-graph v1", "delta 2", "generator q 2", "vertex 0", "vertex 1"]
