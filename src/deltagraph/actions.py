@@ -239,7 +239,9 @@ def quotient(g: DeltaGraph, action: GraphAction, radius: int) -> TruncatedGraph:
 
     One vertex per orbit meeting the ball, labeled by its minimal-weight
     member; outgoing edges copied from a minimal-weight interior member.
-    Orbits with no interior member become boundary vertices.
+    Orbits with no interior member become boundary vertices; the quotient
+    is ``exhausted`` when there are none, as every vertex then carries its
+    full adjacency.
     """
     b, wv = tracial_ball(g, radius, "action checks")
     report = _check_action(b, wv, action)
@@ -270,7 +272,7 @@ def quotient(g: DeltaGraph, action: GraphAction, radius: int) -> TruncatedGraph:
         out=out,
         distance=dist,
         boundary=boundary,
-        exhausted=True,
+        exhausted=not boundary,
         label=(b.label + "|quotient") if b.label else "quotient",
     )
 
@@ -332,7 +334,8 @@ def recover(g: DeltaGraph, radius: int) -> TruncatedGraph:
     basepoint isomorphism.  Each target's edges are those of one interior
     cover vertex over it; a boundary target has none, so its edges are the
     cover's conjugates (:meth:`DeltaGraph.conjugate_edge`) of the edges
-    into it, which also checks each pair.
+    into it, which also checks each pair.  The result is ``exhausted`` when
+    no target is on the boundary.
     """
     cov, _ = tracial_cover(g, radius)
     groups: dict[VertexId, list] = {}
@@ -368,6 +371,6 @@ def recover(g: DeltaGraph, radius: int) -> TruncatedGraph:
         out=out,
         distance=dist,
         boundary=boundary,
-        exhausted=False,
+        exhausted=not boundary,
         label=(cov.label + "|recovered"),
     )

@@ -444,9 +444,10 @@ def validate(g: DeltaGraph, radius: int | None = None) -> ValidationReport:
     """Check the delta-graph axioms on the ball of the given radius.
 
     Checks: every edge has a conjugate by :meth:`DeltaGraph.conjugate_edge`
-    (a failure shows its error), conjugate weight products are 1, outgoing
-    weight sums equal delta at interior vertices, and (for graphs with a
-    declared finite vertex set) connectivity from the basepoint.
+    (a failure shows its error), conjugate weight products are 1 (by their
+    logs where a product leaves the float range, shown as ``exp(<log>)``),
+    outgoing weight sums equal delta at interior vertices, and (for graphs
+    with a declared finite vertex set) connectivity from the basepoint.
     """
     b = window(g, radius)
     declared = None if b is g else g.declared_vertices
@@ -459,10 +460,15 @@ def validate(g: DeltaGraph, radius: int | None = None) -> ValidationReport:
         except GraphConstructionError as exc:
             inv_bad.append(str(exc))
             continue
-        if not (e.weight * c.weight).is_identity():
-            wprod_bad.append(
-                "w(%r) * w(%r) = %s != 1" % (e.eid, c.eid, (e.weight * c.weight).text())
-            )
+        try:
+            w = e.weight * c.weight
+        except OverflowError:  # a product past the float range is decided by its log
+            log = e.weight.log_value + c.weight.log_value
+            if abs(log) > b.context.tolerance:
+                wprod_bad.append("w(%r) * w(%r) = exp(%.12g) != 1" % (e.eid, c.eid, log))
+            continue
+        if not w.is_identity():
+            wprod_bad.append("w(%r) * w(%r) = %s != 1" % (e.eid, c.eid, w.text()))
 
     fair_bad: list[str] = []
     for v in b.interior:

@@ -261,16 +261,12 @@ class LoopVector:
 def _coefficient(t: _EdgeTable, pairs) -> Coefficient:
     """The coefficient ``sum(s * m)`` of ``(monomial id m, scalar s)`` pairs
     with distinct ids.  Once the table has met a float, pairs read as the
-    float coefficient of their value, summed in order of
-    ``Weight.exponents``, so a loop whose float terms cancelled reads as the
-    value of what is left; no pairs read as the exact zero."""
+    float coefficient of their value (``Coefficient.value``), so a loop
+    whose float terms cancelled reads as the value of what is left; no pairs
+    read as the exact zero."""
     ws = t.weights
-    if t.floats and pairs:
-        total = 0.0
-        for m, s in sorted(pairs, key=lambda p: ws[p[0]].exponents):
-            total += s * ws[m].value
-        return _real(t.graph.context, total)
-    return _exact_coefficient(t.graph.context, {ws[m]: s for m, s in pairs})
+    c = _exact_coefficient(t.graph.context, {ws[m]: s for m, s in pairs})
+    return _real(c.context, c.value()) if t.floats and pairs else c
 
 
 def _loop_coefficients(v: LoopVector) -> dict:

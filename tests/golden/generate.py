@@ -82,6 +82,18 @@ NON_INVERSE = _pairs(
     "edge e0 0 1 weight q^1 conjugate e1\nedge e1 1 0 weight q^1 conjugate e0\n"
 )
 BROKEN = ("self-conjugate.dg", "wrong-endpoints.dg", "non-inverse.dg")
+# beside a fair pair e0/e1, the dangling file's e2 names no edge, and the
+# non-mutual file's e3 names itself where e2 names e3; both parse, and
+# validate's involution check fails them
+DANGLING = _pairs(
+    "edge e0 0 1 weight 1 conjugate e1\nedge e1 1 0 weight 1 conjugate e0\n"
+    "edge e2 0 1 weight 1 conjugate nothere\nedge e3 1 0 weight 1 conjugate e2\n"
+)
+NON_MUTUAL = _pairs(
+    "edge e0 0 1 weight 1 conjugate e1\nedge e1 1 0 weight 1 conjugate e0\n"
+    "edge e2 0 1 weight 1 conjugate e3\nedge e3 1 0 weight 1 conjugate e3\n"
+)
+UNPAIRED = ("dangling.dg", "non-mutual.dg")
 
 # e0: 0 -> 1 and e1: 1 -> 2 name each other as conjugates, so e0's conjugate
 # does not lead back to 0 (vertex 1 is unfair too, with sum 3); the loops at 0
@@ -184,6 +196,13 @@ def runs() -> list[list[str]]:
         ["cover", "skew.dg", "--radius", "2"],
         ["recover", "skew.dg", "--radius", "2"],
     ]
+    for name in UNPAIRED:
+        out += [
+            ["validate", name],
+            ["spectrum", name, "--n", "2", "--verify-all"],
+            ["tl-check", name, "--max-len", "2"],
+            ["cover", name, "--radius", "2"],
+        ]
     out += [
         ["cover", "double_chain:a=2,b=3", "--radius", "2"],
         ["cover", "mixed.dg", "--radius", "2", "--out", "cover.dg"],
@@ -270,6 +289,7 @@ def write_inputs():
         ("unfair.dg", unfair),
         *zip(BROKEN, (SELF_CONJUGATE, WRONG_ENDPOINTS, NON_INVERSE)),
         ("skew.dg", SKEW),
+        *zip(UNPAIRED, (DANGLING, NON_MUTUAL)),
     ):
         with open(os.path.join(HERE, name), "w", encoding="utf-8") as fh:
             fh.write(text)

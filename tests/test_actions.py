@@ -29,6 +29,7 @@ from deltagraph import (
     check_action,
     cycle,
     double_chain,
+    grid,
     iso_check,
     lattice_shift_action,
     orbit_partition,
@@ -246,6 +247,21 @@ class TestQuotient:
         cov, _ = tracial_cover(q, 4)
         assert iso_check(cov, ball(g, 4), interior_only=True) is not None
 
+    @pytest.mark.parametrize(
+        "g, shift, radius, exhausted",
+        [
+            (grid(2, 3), lambda g: lattice_shift_action(g, (1, -1)), 6, False),
+            (grid(2, 3), lambda g: lattice_shift_action(g, (1, 0)), 5, False),
+            (single_chain(2), lambda g: chain_shift_action(g, 3), 4, True),
+        ],
+        ids=["grid-antidiagonal", "grid-horizontal", "chain-shift"],
+    )
+    def test_exhausted_only_without_boundary_orbits(self, g, shift, radius, exhausted):
+        # a grid quotient is an infinite strip, cut where orbits have no
+        # interior member; the chain's is the finite 3-cycle
+        q = quotient(g, shift(g), radius)
+        assert (not q.boundary, q.exhausted, ball(q, 50).exhausted) == (exhausted,) * 3
+
     def test_out_degree_preserved(self, grid23):
         q = quotient(grid23, lattice_shift_action(grid23, (1, -1)), 3)
         for v in q.vertices:
@@ -282,3 +298,12 @@ class TestRecover:
         assert len(rec.vertices) == 3
         assert not rec.boundary
         assert iso_check(rec, ball(cycle3, 4)) is not None
+
+    @pytest.mark.parametrize(
+        "maker, radius, exhausted",
+        [(lambda: cycle(3, 2), 4, True), (lambda: double_chain(2, 3), 3, False)],
+        ids=["cycle3", "double_chain"],
+    )
+    def test_exhausted_only_without_boundary(self, maker, radius, exhausted):
+        rec = recover(maker(), radius)
+        assert (not rec.boundary, rec.exhausted, ball(rec, 50).exhausted) == (exhausted,) * 3

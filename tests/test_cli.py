@@ -12,8 +12,10 @@ from deltagraph import (
     chain_shift_action,
     double_chain,
     loop_algebra,
+    parse_graph,
     serialize_graph,
     single_chain,
+    validate,
 )
 from deltagraph.cli import main
 
@@ -115,6 +117,29 @@ class TestBasics:
         assert code == 3
         assert out == ""
         assert err == "error: float overflow: coefficient inf is outside the float range\n"
+
+    @pytest.mark.parametrize(
+        "name, old, new, line",
+        [
+            # the self-conjugate loop's product 1e-600 underflows
+            ("self-loop.dg", "weight 1 ", "weight 1e-300 ",
+             "FAIL conjugate-weights w('e0') * w('e0') = exp(-1381.5510558) != 1"),
+            # 2.0 ** (2 ** 63) overflows, and the conjugate e5 is the float 2.0
+            ("mixed.dg", "e0 v0 v1 weight a^-1 ", "e0 v0 v1 weight a^9223372036854775808 ",
+             "FAIL conjugate-weights w('e0') * w('e5') = exp(6.3931543226e+18) != 1"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_conjugate_product_past_the_float_range_fails(self, tmp_path, capsys, name, old,
+                                                          new, line):
+        with open(os.path.join(_GOLDEN, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert old in text
+        p = tmp_path / name
+        p.write_text(text.replace(old, new))
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, err) == (1, "")
+        assert line in out.splitlines()
 
     @pytest.mark.parametrize(
         "argv", [["loops", "--n", "4"], ["spectrum", "--n", "4"], ["cover", "--radius", "2"]]
@@ -310,12 +335,11 @@ class TestBasics:
     @pytest.mark.parametrize(
         "old, new, line, message",
         [
-            # r0 names l1, but l1 names itself
-            ("conjugate r0", "conjugate l1", 6, "edges r0 and l1 do not pair mutually"),
             ("", "action s weight q^1\nshift 1,x\n", 10, "bad shift '1,x'"),
             ("", "action s weight q^1\nmap 0 7\n", 10, "map references undeclared vertex"),
+            ("", "action s q^1\n", 9, "action line should be 'action <label> weight <text>'"),
         ],
-        ids=["non-mutual-conjugate", "bad-shift", "map-to-undeclared"],
+        ids=["bad-shift", "map-to-undeclared", "malformed-action"],
     )
     def test_parse_error_names_its_line_exit_2(self, tmp_path, capsys, old, new, line, message):
         text = _CHAIN_DOC.replace(old, new) if old else _CHAIN_DOC + new
@@ -325,6 +349,19 @@ class TestBasics:
         assert code == 2
         assert out == ""
         assert err.startswith("error: line %d: %s" % (line, message)) and err.count("\n") == 1
+
+    def test_non_mutual_conjugate_fails_validate(self, tmp_path, capsys):
+        # r0 names l1, but l1 names itself: the file parses, and validate's
+        # involution check reports both edges, l1 first by id
+        p = tmp_path / "bad.dg"
+        p.write_text(_CHAIN_DOC.replace("conjugate r0", "conjugate l1"))
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, err) == (1, "")
+        assert out.splitlines()[0] == "FAIL involution conjugate 'l1' of edge 'l1' not found at 0"
+        assert validate(parse_graph(p.read_text()).graph, 4).check("involution").details == (
+            "conjugate 'l1' of edge 'l1' not found at 0",
+            "edges 'r0' / 'l1' are not a conjugate pair",
+        )
 
     def test_float_overflow_exit_3(self, capsys):
         # --float prints the smallest eigenvalue b/a = 1e-400 first, and it

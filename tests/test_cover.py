@@ -234,6 +234,14 @@ class TestLiftLoop:
         with pytest.raises(ValueError, match="runs from 1 to 1"):
             lift_loop(g, loop)
 
+    def test_rejects_a_cover_too_small(self, dchain):
+        # a unit-weight loop that goes two steps out leaves the radius-1 cover
+        l = next(l for l in enumerate_loops(dchain, 4)
+                 if l.weight.is_identity() and l.edges[1].target == 2)
+        cov, _ = tracial_cover(dchain, 1)
+        with pytest.raises(ValueError, match="^cover of radius 1 too small to trace the loop$"):
+            lift_loop(dchain, l, cover=cov)
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_counting_bijection(self, dchain, n):
         unit = [l for l in enumerate_loops(dchain, n) if l.weight.is_identity()]

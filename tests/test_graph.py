@@ -126,6 +126,13 @@ class TestValidate:
         with pytest.raises(GraphConstructionError):
             ball(g, 1)
 
+    def test_edge_listed_at_another_source_is_construction_error(self):
+        one = GeneratorContext(()).identity()
+        out = {0: (Edge("a", 1, 0, one, "a"),)}
+        g = DeltaGraph(2.0, one.context, 0, out.__getitem__)
+        with pytest.raises(GraphConstructionError, match=r"^edge 'a' listed at 0 has source 1$"):
+            g.out_edges(0)
+
 
 class TestEdgeRecord:
     """An edge is a tuple record: a value compared and hashed by its fields."""

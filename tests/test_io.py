@@ -129,10 +129,14 @@ class TestParse:
         assert "r0" in str(exc.value)
 
     def test_dangling_conjugate(self):
+        # the parser checks the text only; validate judges the conjugation
         bad = CHAIN_DOC.replace("conjugate l1", "conjugate nothere")
-        with pytest.raises(GraphFormatError) as exc:
-            parse_graph(bad)
-        assert "nothere" in str(exc.value)
+        g = parse_graph(bad).graph
+        assert g.out_edges(0)[0].conjugate == "nothere"
+        assert validate(g, 2).check("involution").details == (
+            "edges 'l1' / 'r0' are not a conjugate pair",
+            "conjugate 'nothere' of edge 'r0' not found at 1",
+        )
 
     def test_unknown_generator(self):
         bad = CHAIN_DOC.replace("weight q^1 ", "weight z^1 ")

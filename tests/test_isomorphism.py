@@ -148,6 +148,11 @@ class TestIsoCheck:
         inner = interior_restriction(whole)
         assert inner.boundary == frozenset() and inner.exhausted and whole.exhausted
 
+    def test_interior_restriction_needs_an_interior_basepoint(self):
+        # a radius-0 ball is its basepoint alone, on the boundary
+        with pytest.raises(ValueError, match="basepoint is on the boundary"):
+            interior_restriction(ball(grid(2, 3), 0))
+
     def test_interior_only_compares_cut_flags(self):
         # the 4-cycle's radius-2 interior is the path 1 - 0 - 3 whose ends
         # lost their edges to 2; the 3-vertex path itself loses nothing

@@ -575,6 +575,16 @@ class TestEdgeTables:
         with pytest.raises(ValueError, match="edges 'e0' / 'e1' are not a conjugate pair"):
             basis(g, 2)
 
+    def test_edge_id_names_one_edge(self):
+        # 'a' is the edge 0 -> 1 and also a self-loop at 1
+        ctx = GeneratorContext((), 1e-9)
+        one = ctx.identity()
+        a, b, a_loop = Edge("a", 0, 1, one, "b"), Edge("b", 1, 0, one, "a"), Edge("a", 1, 1, one, "a")
+        out = {0: (a,), 1: (b, a_loop)}
+        g = DeltaGraph(2, ctx, 0, out.__getitem__)
+        with pytest.raises(ValueError, match="^edge id 'a' names two different edges$"):
+            loop_vector(g, Path.of(ctx, 0, [a, a_loop, b]))
+
     def test_coefficient_memo_follows_the_table(self):
         # one coefficient scales vectors of two graphs, where a cup on the
         # second has first interned other monomials, then the first again
