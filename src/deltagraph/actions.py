@@ -239,9 +239,8 @@ def quotient(g: DeltaGraph, action: GraphAction, radius: int) -> TruncatedGraph:
 
     One vertex per orbit meeting the ball, labeled by its minimal-weight
     member; outgoing edges copied from a minimal-weight interior member.
-    Orbits with no interior member become boundary vertices; the quotient
-    is ``exhausted`` when there are none, as every vertex then carries its
-    full adjacency.
+    Orbits with no interior member become boundary vertices, and the
+    quotient is ``exhausted`` when there are none.
     """
     b, wv = tracial_ball(g, radius, "action checks")
     report = _check_action(b, wv, action)
@@ -262,18 +261,26 @@ def quotient(g: DeltaGraph, action: GraphAction, radius: int) -> TruncatedGraph:
     out: dict[VertexId, list[Edge]] = {orb.label: [] for orb in orbits}
     for e in edges:
         out[e.source].append(e)
-    bp = assigned[b.basepoint].label
-    dist = bfs_distances(out.__getitem__, bp, out)
+    return _collapsed(b, out, assigned[b.basepoint].label, boundary, radius, "quotient")
+
+
+def _collapsed(src: TruncatedGraph, out: dict[VertexId, list[Edge]], basepoint: VertexId,
+               boundary: set, radius: int, what: str) -> TruncatedGraph:
+    """The graph that a collapse of the ball ``src`` gives, with the classes'
+    out-lists ``out`` and the classes ``boundary`` that have no interior
+    member.  Distances are BFS depths over ``out`` from ``basepoint``, and it
+    is ``exhausted`` when ``boundary`` is empty, as every vertex then carries
+    its full adjacency."""
     return TruncatedGraph(
-        delta=b.delta,
-        context=b.context,
-        basepoint=bp,
+        delta=src.delta,
+        context=src.context,
+        basepoint=basepoint,
         radius=radius,
         out=out,
-        distance=dist,
+        distance=bfs_distances(out.__getitem__, basepoint, out),
         boundary=boundary,
         exhausted=not boundary,
-        label=(b.label + "|quotient") if b.label else "quotient",
+        label=(src.label + "|" + what) if src.label else what,
     )
 
 
@@ -331,46 +338,29 @@ def recover(g: DeltaGraph, radius: int) -> TruncatedGraph:
     The loop-weight group acts on the cover by rescaling the path-class
     weight, and its orbits are exactly the path-class targets; collapsing
     cover vertices by target therefore reproduces the original graph up to
-    basepoint isomorphism.  Each target's edges are those of one interior
-    cover vertex over it; a boundary target has none, so its edges are the
-    cover's conjugates (:meth:`DeltaGraph.conjugate_edge`) of the edges
-    into it, which also checks each pair.  The result is ``exhausted`` when
-    no target is on the boundary.
+    basepoint isomorphism.  Every interior cover vertex over a target steps
+    along that target's own edges, so any one of them gives the target's
+    edges; the first one in the cover's BFS order is read.  A boundary
+    target has none, so its edges are the cover's conjugates
+    (:meth:`DeltaGraph.conjugate_edge`) of the edges into it, which also
+    checks each pair.  Targets come in the order the cover first meets
+    them, and the result is ``exhausted`` when no target is on the boundary.
     """
     cov, _ = tracial_cover(g, radius)
-    groups: dict[VertexId, list] = {}
+    lift: dict[VertexId, object] = {}  # target -> its first interior lift, None if none
     for cv in cov.vertices:
-        groups.setdefault(cv.target, []).append(cv)
-
-    reps: dict[VertexId, object] = {}
-    boundary = set()
-    dist = {}
-    for v, members in groups.items():
-        dist[v] = min(cov.distance[cv] for cv in members)
-        inner = [cv for cv in members if cv not in cov.boundary]
-        if inner:
-            reps[v] = min(inner, key=lambda cv: (cov.distance[cv], vid_key(cv)))
-        else:
-            boundary.add(v)
+        if lift.get(cv.target) is None:
+            lift[cv.target] = None if cv in cov.boundary else cv
+    boundary = {v for v, cv in lift.items() if cv is None}
 
     def project(ce: Edge) -> Edge:
         return Edge(ce.eid[1], ce.source.target, ce.target.target, ce.weight, ce.conjugate[1])
 
-    out: dict[VertexId, list[Edge]] = {v: [] for v in groups}
-    for v in sorted(reps, key=vid_key):
-        for ce in cov.out_edges(reps[v]):
+    out: dict[VertexId, list[Edge]] = {v: [] for v in lift}
+    for v in sorted(lift.keys() - boundary, key=vid_key):
+        for ce in cov.out_edges(lift[v]):
             out[v].append(project(ce))
             cc = cov.conjugate_edge(ce)
             if cc.source.target in boundary:  # which emits no edges of its own
                 out[cc.source.target].append(project(cc))
-    return TruncatedGraph(
-        delta=cov.delta,
-        context=cov.context,
-        basepoint=cov.basepoint.target,
-        radius=radius,
-        out=out,
-        distance=dist,
-        boundary=boundary,
-        exhausted=not boundary,
-        label=(cov.label + "|recovered"),
-    )
+    return _collapsed(cov, out, cov.basepoint.target, boundary, radius, "recovered")

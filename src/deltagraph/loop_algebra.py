@@ -478,6 +478,9 @@ def _inner_pairs(graph, vecs):
     terms = []
     root = [{}, None]  # node: [edge index -> child node, basis index of a word's end]
     for j, h in enumerate(stars):
+        if not h.keyed:  # star(g)'s float term underflowed to 0.0: every pair with g is zero
+            terms.append(None)
+            continue
         (((word, mj), sj),) = h.keyed.items()
         terms.append((mj, sj))
         node = root
@@ -489,7 +492,7 @@ def _inner_pairs(graph, vecs):
         node[1] = j
     for i, f in enumerate(vecs):
         (((key, mf), sf),) = f.keyed.items()
-        (((_, mdf), sdf),) = deltas[i].keyed.items()
+        (((_, mdf), sdf),) = deltas[i].keyed.items() or (((key, mf), 0.0),)  # dropped term: 0.0
         # (node, left coefficients, right coefficients); None once a side dies
         live = [(root, (), ())]
         for e in reversed(key):
@@ -605,13 +608,14 @@ def relations(graph, max_len: int):
         yield "star-involution", n, all(star(graph, star(graph, v)).eq(v) for v in vecs), None
         if n <= max(2, max_len // 2) and vecs:
             ok_gram = ok_mod = True
+            zero = Coefficient.zero(ctx)
             for i, j, lhs, right, rhs in _inner_pairs(graph, vecs):
-                if i == j:
-                    (s,) = _loop_coefficients(star(graph, vecs[i])).values()  # w(l)^(-1/2)
+                if i == j:  # s is w(l)^(-1/2), or zero if its float term was dropped
+                    (s,) = _loop_coefficients(star(graph, vecs[i])).values() or (zero,)
                     want_l = Coefficient.one(ctx)
                     want_r = s * s
                 else:
-                    want_l = want_r = Coefficient.zero(ctx)
+                    want_l = want_r = zero
                 ok_gram = ok_gram and lhs.eq(want_l) and right.eq(want_r)
                 ok_mod = ok_mod and lhs.eq(rhs)
             yield "gram", n, ok_gram, None

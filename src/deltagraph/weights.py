@@ -175,9 +175,12 @@ class Weight:
         if v is None:
             v = 1.0
             den = self.den
-            for (_, g), n in zip(self.context.generators, self.num):
-                if n:
-                    v *= g ** (n / den)
+            try:
+                for (_, g), n in zip(self.context.generators, self.num):
+                    if n:
+                        v *= g ** (n / den)
+            except OverflowError:  # n / den or ** left the float range
+                v = math.inf
             if not 0.0 < v < math.inf:
                 raise OverflowError("weight %s is outside the float range" % self.text())
             self._value = v

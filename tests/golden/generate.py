@@ -62,6 +62,32 @@ SELF_LOOP = (
 
 INF_DELTA = SELF_LOOP.replace("delta 2\n", "delta inf\n")
 HUGE_WEIGHT = OVERFLOW.replace("1e200 conjugate e2", "1e999 conjugate e2")
+# w * w-bar underflows to 0.0, and so do the float scalars that the modular
+# operator gives its loops from length 2 on and star from length 3 on
+TINY_LOOP = SELF_LOOP.replace("weight 1 ", "weight 1e-300 ")
+# a conjugate pair whose exact weights have values past the float range
+HUGE_PAIR = (
+    "delta-graph v1\n"
+    "delta 2\n"
+    "generator q 2.0\n"
+    "vertex 0\nvertex 1\n"
+    "edge e0 0 1 weight q^1100 conjugate e1\n"
+    "edge e1 1 0 weight q^-1100 conjugate e0\n"
+    "basepoint 0\n"
+)
+# exponents past 2^63 on a unit generator: every value is 1, and exact
+# arithmetic keeps the exponents
+BIG_EXPONENT = (
+    "delta-graph v1\n"
+    "delta 2\n"
+    "generator q 1.0\n"
+    "vertex 0\nvertex 1\n"
+    "edge e0 0 1 weight q^9223372036854775808 conjugate e2\n"
+    "edge e1 0 1 weight q^-9223372036854775808 conjugate e3\n"
+    "edge e2 1 0 weight q^-9223372036854775808 conjugate e0\n"
+    "edge e3 1 0 weight q^9223372036854775808 conjugate e1\n"
+    "basepoint 0\n"
+)
 
 
 def _pairs(edges: str) -> str:
@@ -179,11 +205,20 @@ def runs() -> list[list[str]]:
         out += [["loops", "self-loop.dg", "--n", n], ["spectrum", "self-loop.dg", "--n", n]]
     out += [
         ["tl-check", "self-loop.dg", "--max-len", "4"],
+        ["validate", "tiny-loop.dg"],
+        ["tl-check", "tiny-loop.dg", "--max-len", "4"],
+        ["tl-check", "tiny-loop.dg", "--max-len", "6"],
+        ["validate", "big-mixed.dg"],
+        ["loops", "big-mixed.dg", "--n", "2"],
+        ["validate", "huge-pair.dg"],
+        ["tl-check", "big-exponent.dg", "--max-len", "4"],
+        ["spectrum", "big-exponent.dg", "--n", "2", "--verify-all"],
         ["invariants", "self-loop.dg", "--radius", "1", "--shift-bound", "1"],
         ["build", "double_chain", "a=2", "b=3", "--radius", "2", "--out", "built.dg"],
         ["validate", "double_chain:a=2,b=3"],
         ["validate", "mixed.dg"],
         ["validate", "unfair.dg", "--radius", "3"],
+        ["tl-check", "unfair.dg"],
     ]
     for name in BROKEN:
         out += [["validate", name], ["cover", name, "--radius", "2"]]
@@ -216,10 +251,19 @@ def runs() -> list[list[str]]:
         ["quotient", "loop-action.dg", "--radius", "4"],
         ["recover", "cycle:n=3,q=2", "--radius", "4"],
         ["recover", "double_chain:a=2,b=3", "--radius", "3", "--export-dot"],
+        ["recover", "grid:a=2,b=3", "--radius", "3"],
+        ["recover", "mixed.dg", "--radius", "3"],
+        ["recover", "chain-action.dg", "--radius", "3"],
+        ["recover", "deformed_chain:q=1.05,x=0.3", "--radius", "3"],
+        ["recover", "double_chain:a=2,b=3", "--radius", "0"],
+        # the orbits of the ball's tips (0, ±5) have no interior member
+        ["quotient", "grid:a=2,b=3", "--shift", "1,0", "--radius", "5"],
         ["export-dot", "double_chain:a=2,b=3", "--radius", "2"],
         ["validate", "inf-delta.dg"],
         ["loops", "huge-weight.dg", "--n", "2"],
         ["validate", "no_such:q=2"],
+        ["validate", "cycle:n=2.5,q=2"],
+        ["quotient", "cycle:n=4,q=1", "--shift", "1"],
         ["build", "single_chain", "q2", "--out", "unwritten.dg"],
         ["loops", "single_chain:q=2"],
     ]
@@ -273,6 +317,8 @@ def write_inputs():
         "edge x0 v2 v2 weight 1 conjugate x0\nedge x1 v10 v10 weight 1 conjugate x1\nbasepoint ",
     )
     mixed = serialize_graph(builders.double_chain(2, 3), 4).replace("weight a^1 ", "weight 2.0 ")
+    # e0's exponent is past 2^63, so its value leaves the float range
+    big_mixed = mixed.replace("e0 v0 v1 weight a^-1 ", "e0 v0 v1 weight a^9223372036854775808 ")
     ambiguous = serialize_graph(builders.double_chain(2, 2), 4).replace("weight a^1 ", "weight 2.0 ")
     chain = builders.single_chain(2)
     chain_action = serialize_graph(chain, 4, actions=builders.chain_shift_action(chain, 3))
@@ -281,6 +327,10 @@ def write_inputs():
         ("thirds.dg", THIRDS),
         ("overflow.dg", OVERFLOW),
         ("self-loop.dg", SELF_LOOP),
+        ("tiny-loop.dg", TINY_LOOP),
+        ("big-mixed.dg", big_mixed),
+        ("huge-pair.dg", HUGE_PAIR),
+        ("big-exponent.dg", BIG_EXPONENT),
         ("ambiguous.dg", ambiguous),
         ("chain-action.dg", chain_action),
         ("loop-action.dg", LOOP_ACTION),

@@ -338,8 +338,11 @@ class TestBasics:
             ("", "action s weight q^1\nshift 1,x\n", 10, "bad shift '1,x'"),
             ("", "action s weight q^1\nmap 0 7\n", 10, "map references undeclared vertex"),
             ("", "action s q^1\n", 9, "action line should be 'action <label> weight <text>'"),
+            ("", "map 0 1\n", 9, "map line before any action line"),
+            ("", "shift 1\n", 9, "shift line before any action line"),
         ],
-        ids=["bad-shift", "map-to-undeclared", "malformed-action"],
+        ids=["bad-shift", "map-to-undeclared", "malformed-action", "map-before-action",
+             "shift-before-action"],
     )
     def test_parse_error_names_its_line_exit_2(self, tmp_path, capsys, old, new, line, message):
         text = _CHAIN_DOC.replace(old, new) if old else _CHAIN_DOC + new

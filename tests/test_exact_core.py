@@ -226,6 +226,14 @@ class TestBeyondFloatRange:
             w.inverse().value
         assert (w * w.inverse()).value == 1.0
 
+    @pytest.mark.parametrize("k", [1100, -1100, 2 ** 63])
+    def test_value_past_the_float_range_names_the_weight(self, k):
+        # a positive exponent overflows in g ** r, and one past 2^63 already
+        # in r = n / den; both read as the weight leaving the float range
+        w = GeneratorContext((("q", 2.0),)).gen("q", k)
+        with pytest.raises(OverflowError, match=r"^weight q\^%d is outside the float range$" % k):
+            w.value
+
 
 class TestContexts:
     """Coefficients of unequal contexts never combine and never compare equal;

@@ -345,3 +345,6 @@ class TestLoops:
         e_right = next(e for e in b.out_edges(0) if e.eid == ("r", 0))
         with pytest.raises(ValueError):
             Path.of(chain.context, 0, (e_right, e_right))
+        step = Path.of(chain.context, 0, (e_right,))
+        with pytest.raises(ValueError, match="paths do not compose"):
+            step * step

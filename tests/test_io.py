@@ -148,6 +148,8 @@ class TestParse:
         bad = CHAIN_DOC.replace("vertex 1\n", "")
         with pytest.raises(GraphFormatError):
             parse_graph(bad)
+        with pytest.raises(GraphFormatError, match="^basepoint 7 is not a declared vertex$"):
+            parse_graph(CHAIN_DOC.replace("basepoint 0", "basepoint 7"))
 
     @pytest.mark.parametrize(
         "old, new, line",

@@ -347,6 +347,10 @@ class TestInner:
     def test_length_mismatch(self, dchain):
         with pytest.raises(ValueError):
             inner(dchain, zero_vector(dchain, 2), zero_vector(dchain, 4), "left")
+        with pytest.raises(ValueError, match="length mismatch"):
+            zero_vector(dchain, 2) + zero_vector(dchain, 4)
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            inner(dchain, zero_vector(dchain, 2), zero_vector(dchain, 2), "middle")
 
 
 class TestModularSpectrum:

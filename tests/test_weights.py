@@ -83,6 +83,8 @@ class TestEquality:
         ctx = GeneratorContext((), tolerance=1e-6)
         assert ctx.float_weight(1.0000000001).eq(ctx.float_weight(1.0))
         assert not ctx.float_weight(1.1).eq(ctx.float_weight(1.0))
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            GeneratorContext((), tolerance=0)
 
     def test_mul_examples(self):
         half = CTX.exact(q=Fraction(1, 2))
@@ -120,6 +122,8 @@ class TestText:
         assert w2(1, -1).text() == "a^1 * b^-1"
         assert CTX.exact(q=Fraction(1, 2)).text() == "q^1/2"
         assert CTX.exact(q=Fraction(-3, 2)).text() == "q^-3/2"
+        with pytest.raises(WeightFormatError, match="unknown generator 'z'"):
+            CTX.exact(z=1)
 
     @given(vectors)
     def test_roundtrip(self, u):
@@ -143,6 +147,8 @@ class TestText:
             parse_weight("", CTX)
         with pytest.raises(WeightFormatError):
             parse_weight("q^1/0", CTX)
+        with pytest.raises(WeightFormatError, match=r"^empty factor in weight 'q\^1 \*'$"):
+            parse_weight("q^1 *", CTX)
 
 
 class TestReduceGenerators:
