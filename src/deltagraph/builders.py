@@ -12,9 +12,7 @@ from typing import Mapping, Sequence
 
 from .actions import GraphAction, shift_generator
 from .graph import DeltaGraph, Edge
-from .weights import GeneratorContext
-
-DEFAULT_TOLERANCE = 1e-9
+from .weights import DEFAULT_TOLERANCE, GeneratorContext
 
 
 def _integral(x, builder: str, name: str) -> int:

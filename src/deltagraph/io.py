@@ -13,7 +13,7 @@ from typing import Mapping
 
 from .actions import ActionGenerator, GraphAction, shift_generator
 from .graph import DeltaGraph, Edge, TruncatedGraph, VertexId, bfs_distances, window
-from .weights import GeneratorContext, Weight, WeightFormatError, parse_weight
+from .weights import DEFAULT_TOLERANCE, GeneratorContext, Weight, WeightFormatError, parse_weight
 
 HEADER = "delta-graph v1"
 
@@ -133,7 +133,7 @@ def parse_graph(text: str) -> GraphDocument:
         raise GraphFormatError("line 1: expected header %r" % HEADER)
 
     delta = None
-    tolerance = 1e-9
+    tolerance = DEFAULT_TOLERANCE
     gens: list[tuple[str, float]] = []
     vertex_rows: list[tuple[int, str, str | None]] = []
     edge_rows: list[tuple[int, str, str, str, str, str]] = []

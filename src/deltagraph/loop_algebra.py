@@ -19,12 +19,12 @@ its edges' int indices in that graph's edge table (:class:`_EdgeTable`), and
 each term carries a monomial, an id the table gives each exact
 :class:`Weight` it meets, with a scalar.  Vectors of different graphs do not
 combine.  The maps multiply monomials through the table's product rows,
-exact for any exponent, and multiply scalars, and a loop's weight (star, the
-modular operator, the Gram check) is read one way: the product of its edges'
-w(e)^(1/2), over the conjugate-reversed loop for w(l)^(-1/2).  A :class:`Coefficient`, a plain
-sum of weights, is interned where it scales a vector and built only where a
-value leaves one; on a table that has met a float, every loop reads as the
-float coefficient of its value.
+exact for any exponent, and multiply scalars; star, the modular operator
+and the modular check's trie walk read a loop's weight one way, as the
+product of its edges' w(e)^(1/2), where a 0.0 term is a zero.  A
+:class:`Coefficient`, a plain sum of weights, is interned where it scales a
+vector and built only where a value leaves one; on a table that has met a
+float, every loop reads as the float coefficient of its value.
 """
 from __future__ import annotations
 
@@ -457,32 +457,30 @@ def _inner_pairs(graph, vecs):
     :func:`inner`, by one trie walk per basis vector.
 
     Yields ``(i, j, left, right, right_of_delta)`` for f = vecs[i] and
-    g = vecs[j], in order of (i, j), for i == j and for every pair where one
-    of the three is nonzero; on every other pair all three are zero.
+    g = vecs[j], in order of (i, j), for i == j and for every pair the walk
+    reaches; on every other pair all three are zero.
 
-    The star(g) words go into a trie.  Both sides contract f's edges from
-    the last one back against star(g)'s edges from the first one on, so one
-    walk down the trie per f meets every cap of every pair: a branch dies
-    where ``_contraction`` rejects the pair, as in ``cap``, and the leaves
-    reached are the nonzero entries.  Only the conjugate child passes at
-    each level, so the walks take O(N n) cap steps for N loops of length n
-    (and test O(N n d) children at out-degree d).  Each leaf multiplies its
-    cap coefficients in the order of ``inner``'s nested caps: outward for
-    left, inward for right.
+    Each loop's star and Delta terms are read from the edge table, as in
+    ``star`` and ``apply_modular``; a 0.0 term gives zeros (``_capped``).
+    The star(g) words go into a trie; one walk down it per f, contracting
+    f's edges from the last back against star(g)'s from the first, meets
+    every cap of every pair, and a branch dies where ``_contraction``
+    rejects the pair, as in ``cap``.  Only the conjugate child passes at
+    each level: O(N n) cap steps for N loops of length n (O(N n d) children
+    tested at out-degree d).  Each leaf multiplies its cap coefficients in
+    the order of ``inner``'s nested caps: outward for left, inward for right.
     """
     t = _table(graph)
-    prod = t.prod
+    prod, conj = t.prod, t.conj.__getitem__
     zero = Coefficient.zero(graph.context)
-    stars = [star(graph, h) for h in vecs]
-    deltas = [apply_modular(f) for f in vecs]
-    terms = []
+    terms = []  # star(g)'s term (monomial id, scalar), by basis index
     root = [{}, None]  # node: [edge index -> child node, basis index of a word's end]
-    for j, h in enumerate(stars):
-        if not h.keyed:  # star(g)'s float term underflowed to 0.0: every pair with g is zero
-            terms.append(None)
-            continue
-        (((word, mj), sj),) = h.keyed.items()
-        terms.append((mj, sj))
+    for j, g in enumerate(vecs):
+        _one_table(t, g)
+        (((key, mg), sg),) = g.keyed.items()
+        word = tuple(map(conj, reversed(key)))
+        m, f = t.loop_sqrt(word)
+        terms.append((prod[mg][m], sg * f))
         node = root
         for e in word:
             got = node[0].get(e)
@@ -492,7 +490,10 @@ def _inner_pairs(graph, vecs):
         node[1] = j
     for i, f in enumerate(vecs):
         (((key, mf), sf),) = f.keyed.items()
-        (((_, mdf), sdf),) = deltas[i].keyed.items() or (((key, mf), 0.0),)  # dropped term: 0.0
+        m, r = t.loop_sqrt(key)
+        mdf, sdf = prod[mf][prod[m][m]], sf * (r * r)
+        if not -inf < sdf < inf:  # w(f) is past the float range, as in apply_modular
+            raise OverflowError("coefficient %r is outside the float range" % sdf)
         # (node, left coefficients, right coefficients); None once a side dies
         live = [(root, (), ())]
         for e in reversed(key):
@@ -565,10 +566,8 @@ def relations(graph, max_len: int):
     - ``star-involution`` (star o star = id);
     - for n <= max(2, max_len // 2) when loops exist, over every basis pair:
       ``gram`` (left Gram matrix the identity, right one diag(1/w(l))) and
-      ``modular-relation`` (inner(f, g, left) == inner(Delta f, g, right)).
-      The inner products come from trie walks at O(N n) cap steps for N
-      loops of length n, as in ``modular_spectrum``; the pairs the walks do
-      not reach are zero on every side.
+      ``modular-relation`` (inner(f, g, left) == inner(Delta f, g, right)),
+      from the trie walks of ``modular_spectrum``.
 
     ``detail`` names the first unfair anchor (:func:`_anchor_sum`), or gives
     the got/want text of the first failed delooping, at n; else None.
@@ -608,10 +607,11 @@ def relations(graph, max_len: int):
         yield "star-involution", n, all(star(graph, star(graph, v)).eq(v) for v in vecs), None
         if n <= max(2, max_len // 2) and vecs:
             ok_gram = ok_mod = True
-            zero = Coefficient.zero(ctx)
+            t, zero = _table(graph), Coefficient.zero(ctx)
             for i, j, lhs, right, rhs in _inner_pairs(graph, vecs):
-                if i == j:  # s is w(l)^(-1/2), or zero if its float term was dropped
-                    (s,) = _loop_coefficients(star(graph, vecs[i])).values() or (zero,)
+                if i == j:  # s is w(l)^(-1/2), the loop's star term, read as _inner_pairs does
+                    ((key, _),) = vecs[i].keyed
+                    s = _capped(t, *t.loop_sqrt(tuple(map(t.conj.__getitem__, reversed(key)))), ())
                     want_l = Coefficient.one(ctx)
                     want_r = s * s
                 else:

@@ -32,6 +32,9 @@ from typing import Iterable, Mapping
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+# the tolerance of a context, a builder or a graph file that names none
+DEFAULT_TOLERANCE = 1e-9
+
 
 class ContextMismatchError(ValueError):
     """Weights or coefficients from different generator contexts were combined."""
@@ -48,7 +51,7 @@ class GeneratorContext:
     (:func:`_near`); logs of exact weights come from their exponents."""
 
     generators: tuple[tuple[str, float], ...]
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         gens = tuple((str(n), float(v)) for n, v in self.generators)
@@ -119,11 +122,14 @@ def _exact(context: GeneratorContext, num: tuple[int, ...], den: int) -> "Weight
     return Weight(context, num, den)
 
 
-def _float_result(context: GeneratorContext, value: float) -> "Weight":
-    """The float weight ``value`` computed from valid weights;
-    ``OverflowError`` when it has left the positive float range."""
+def _float_result(context: GeneratorContext, value: float, k: float, *ws: "Weight") -> "Weight":
+    """The float weight ``value`` computed from the valid weights ``ws``,
+    whose log is ``k`` times the sum of their ``log_value``; when it has
+    left the positive float range, ``OverflowError`` naming the weight as
+    ``exp(log)``, the log computed only then."""
     if not 0.0 < value < math.inf:
-        raise OverflowError("weight %r is outside the float range" % value)
+        log = k * sum(w.log_value for w in ws)
+        raise OverflowError("weight exp(%.12g) is outside the float range" % log)
     return Weight(context, None, 1, value)
 
 
@@ -209,12 +215,12 @@ class Weight:
             g = math.gcd(da, db)
             ma, mb = db // g, da // g
             return _exact(ctx, tuple(x * ma + y * mb for x, y in zip(a, b)), da * ma)
-        return _float_result(ctx, self.value * other.value)
+        return _float_result(ctx, self.value * other.value, 1, self, other)
 
     def inverse(self) -> "Weight":
         if self.is_exact:
             return Weight(self.context, tuple(-n for n in self.num), self.den)
-        return _float_result(self.context, 1.0 / self.value)
+        return _float_result(self.context, 1.0 / self.value, -1, self)
 
     def __pow__(self, k) -> "Weight":
         if self.is_exact:
@@ -222,12 +228,12 @@ class Weight:
             return _exact(
                 self.context, tuple(n * k.numerator for n in self.num), self.den * k.denominator
             )
-        return _float_result(self.context, self.value ** float(k))
+        return _float_result(self.context, self.value ** float(k), float(k), self)
 
     def sqrt(self) -> "Weight":
         if self.is_exact:
             return _exact(self.context, self.num, 2 * self.den)
-        return _float_result(self.context, math.sqrt(self.value))
+        return _float_result(self.context, math.sqrt(self.value), 0.5, self)
 
     def eq(self, other: "Weight") -> bool:
         """The tolerance rule, :func:`_near`, within one context."""

@@ -65,6 +65,16 @@ HUGE_WEIGHT = OVERFLOW.replace("1e200 conjugate e2", "1e999 conjugate e2")
 # w * w-bar underflows to 0.0, and so do the float scalars that the modular
 # operator gives its loops from length 2 on and star from length 3 on
 TINY_LOOP = SELF_LOOP.replace("weight 1 ", "weight 1e-300 ")
+# a self-loop pair whose loop of length 2 weighs 1e310, past the float range,
+# so the modular operator's scalar on it overflows
+BIG_LOOP = (
+    "delta-graph v1\n"
+    "delta 1e155\n"
+    "vertex 0\n"
+    "edge e0 0 0 weight 1e155 conjugate e1\n"
+    "edge e1 0 0 weight 1e-155 conjugate e0\n"
+    "basepoint 0\n"
+)
 # a conjugate pair whose exact weights have values past the float range
 HUGE_PAIR = (
     "delta-graph v1\n"
@@ -186,7 +196,6 @@ def runs() -> list[list[str]]:
             ["invariants", g, "--radius", "1", "--shift-bound", "1"],
         ]
     out += [
-        ["tl-check", "mixed.dg", "--max-len", "4"],
         ["spectrum", "mixed.dg", "--n", "2", "--float"],
         ["loops", "overflow.dg", "--n", "4"],
         ["spectrum", "overflow.dg", "--n", "4"],
@@ -208,6 +217,10 @@ def runs() -> list[list[str]]:
         ["validate", "tiny-loop.dg"],
         ["tl-check", "tiny-loop.dg", "--max-len", "4"],
         ["tl-check", "tiny-loop.dg", "--max-len", "6"],
+        ["tl-check", "big-loop.dg", "--max-len", "2"],
+        ["loops", "tiny-loop.dg", "--n", "2"],
+        ["spectrum", "tiny-loop.dg", "--n", "2"],
+        ["cover", "tiny-loop.dg", "--radius", "2"],
         ["validate", "big-mixed.dg"],
         ["loops", "big-mixed.dg", "--n", "2"],
         ["validate", "huge-pair.dg"],
@@ -328,6 +341,7 @@ def write_inputs():
         ("overflow.dg", OVERFLOW),
         ("self-loop.dg", SELF_LOOP),
         ("tiny-loop.dg", TINY_LOOP),
+        ("big-loop.dg", BIG_LOOP),
         ("big-mixed.dg", big_mixed),
         ("huge-pair.dg", HUGE_PAIR),
         ("big-exponent.dg", BIG_EXPONENT),

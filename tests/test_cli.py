@@ -152,7 +152,8 @@ class TestBasics:
         code, out, err = run(capsys, argv[0], str(p), *argv[1:])
         assert code == 3
         assert out == ""
-        assert err == "error: float overflow: weight inf is outside the float range\n"
+        assert err == ("error: float overflow: weight exp(921.034037198) is outside the float"
+                       " range\n")
 
     def test_overflowing_factors_of_a_unit_weight_loop(self, tmp_path, capsys):
         # star, the modular operator and the Gram check multiply w(e)^(1/2),

@@ -225,6 +225,16 @@ class TestBeyondFloatRange:
         with pytest.raises(OverflowError):
             w.inverse().value
         assert (w * w.inverse()).value == 1.0
+        # a float result past the range names the weight by its log, and a
+        # float coefficient past it raises too
+        f = ctx.float_weight(1e-200)
+        for past, log in ((lambda: f * f, r"-921\.034037198"), (lambda: f ** 2, r"-921\.034037198"),
+                          (lambda: ctx.float_weight(1e-310).inverse(), r"713\.801378828")):
+            with pytest.raises(OverflowError, match=r"^weight exp\(%s\) is outside" % log):
+                past()
+        big = Coefficient.of_weight(ctx.float_weight(1e300))
+        with pytest.raises(OverflowError, match="^coefficient inf is outside the float range$"):
+            big * big
 
     @pytest.mark.parametrize("k", [1100, -1100, 2 ** 63])
     def test_value_past_the_float_range_names_the_weight(self, k):

@@ -24,6 +24,7 @@ with open(golden.RECORDS, encoding="utf-8") as _fh:
 
 def test_records_cover_the_runs_and_every_exit_code():
     assert [r["argv"] for r in RECORDS] == golden.runs()
+    assert len({tuple(r["argv"]) for r in RECORDS}) == len(RECORDS)
     assert {r["exit"] for r in RECORDS} == {0, 1, 2, 3}
 
 

@@ -12,6 +12,7 @@ from deltagraph import (
     double_chain,
     enumerate_loops,
     grid,
+    loop_weight_counts,
     parse_graph,
     serialize_graph,
     single_chain,
@@ -40,6 +41,9 @@ class TestValidate:
         inv = report.check("involution")
         assert not inv.passed
         assert any("('r', 0)" in d for d in inv.details)
+        assert inv in report.failures() and not any(c.passed for c in report.failures())
+        with pytest.raises(KeyError):
+            report.check("no-such-check")
 
     def test_deformed_chain_fairness(self, deformed):
         report = validate(deformed, 6)
@@ -175,6 +179,8 @@ class TestBall:
         assert b.vertices == (0,)
         assert b.edges() == ()
         assert b.boundary == {0}
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            ball(chain, -1)
 
     def test_chain_radius_two_counts(self, chain):
         b = ball(chain, 2)
@@ -304,6 +310,9 @@ class TestLoops:
         assert len(loops) == 1
         assert loops[0].edges == ()
         assert loops[0].weight.is_identity()
+        for count in (enumerate_loops, loop_weight_counts):
+            with pytest.raises(ValueError, match="loop length must be nonnegative"):
+                count(chain, -1)
 
     def test_chain_two_loops(self, chain):
         loops = enumerate_loops(chain, 2)
@@ -333,6 +342,8 @@ class TestLoops:
         keys = [tuple(vid_key(e) for e in l.edge_ids()) for l in loops]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+        # ids of other shapes: a bool is not an int, and anything else sorts by repr
+        assert [vid_key(v) for v in (True, 1.5, None)] == [("b", True), ("f", 1.5), ("r", "None")]
 
     def test_reversal_cancels(self, dchain):
         b = ball(dchain, 3)

@@ -299,6 +299,8 @@ class TestEquality:
         assert exact.eq(Coefficient.of_weight(ctx.float_weight(2.0 * (1 + 1e-12))))
         assert Coefficient.of_weight(ctx.float_weight(2.0)).eq(exact)
         assert not exact.eq(Coefficient.of_weight(ctx.float_weight(2.001)))
+        two = Coefficient.of_weight(ctx.float_weight(2.0))
+        assert (-two).eq(Coefficient.of_weight(ctx.float_weight(2.0), -1)) and (two + -two).is_zero()
 
     def test_vector_eq(self, deformed):
         ctx = deformed.context
@@ -743,6 +745,23 @@ class TestFloatOverflow:
         for make in (lambda: cup(g, empty, 0), lambda: cap(there_and_back, 1),
                      lambda: star(g, down_only), lambda: empty.scaled(big)):
             with pytest.raises(OverflowError, match="outside the float range"):
+                make()
+
+    def test_modular_check_raises_on_a_loop_weight_past_the_float_range(self):
+        # once round the 4-cycle weighs 1e648: its w(l)^(1/2) is inf and its
+        # star term 1e-324 underflows to 0.0, so the trie walk raises on the
+        # inf Delta term, as apply_modular does, instead of reading 0.0 * inf
+        g = parse_graph(
+            "delta-graph v1\ndelta 1e162\nvertex 0\nvertex 1\nvertex 2\nvertex 3\n"
+            + "".join("edge a%d %d %d weight 1e162 conjugate b%d\n" % (k, k, (k + 1) % 4, k)
+                      + "edge b%d %d %d weight 1e-162 conjugate a%d\n" % (k, (k + 1) % 4, k, k)
+                      for k in range(4))
+            + "basepoint 0\n"
+        ).graph
+        vecs = basis(g, 4)
+        for make in (lambda: apply_modular(vecs[0]), lambda: list(_inner_pairs(g, vecs)),
+                     lambda: list(relations(g, 8))):
+            with pytest.raises(OverflowError, match=r"^coefficient inf is outside the float range"):
                 make()
 
 

@@ -98,6 +98,8 @@ class TestEquality:
             CTX.exact(q=1) * CTX2.exact(a=1)
         with pytest.raises(ContextMismatchError):
             CTX.exact(q=1).eq(CTX2.exact(a=1))
+        with pytest.raises(ContextMismatchError, match="do not belong to the given context"):
+            reduce_generators([CTX.exact(q=1)], CTX2)
 
     def test_exact_weights_compare_as_monomials(self):
         # a = b: equal values, distinct exact weights; a float is near both
